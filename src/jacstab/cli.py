@@ -453,9 +453,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_tau(argv: list[str]) -> list[str]:
+    """Rewrite ``--tau -1,1`` as ``--tau=-1,1``.
+
+    argparse reads a separate value that starts with a minus sign and is not
+    a plain number as an option, so a tau vector with a negative first entry
+    would otherwise be refused.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--tau" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--tau={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_tau(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except JacstabError as exc:

@@ -20,8 +20,6 @@ from typing import Iterable, Mapping
 
 from .errors import JacstabError
 
-VertexSet = frozenset
-
 
 @dataclass(frozen=True)
 class ClassifyResult:
@@ -277,12 +275,21 @@ class DualGraph:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, check: bool = True) -> "DualGraph":
+        """Build a graph from its JSON form.
+
+        Genus, legs and ``n`` must be JSON integers: strings, booleans and
+        fractional numbers are refused with BAD_INPUT rather than coerced.
+        """
         try:
-            verts = [(v["id"], v["genus"], v.get("legs", [])) for v in data["vertices"]]
+            verts = [(v["id"], _json_int(v["genus"], "genus"),
+                      [_json_int(leg, "leg") for leg in v.get("legs", [])])
+                     for v in data["vertices"]]
             edges = [(a, b) for (a, b) in data["edges"]]
             n = data.get("n")
         except (KeyError, TypeError, ValueError) as exc:
             raise JacstabError("BAD_INPUT", f"malformed graph JSON: {exc}") from exc
+        if n is not None:
+            n = _json_int(n, "n")
         graph = cls(verts, edges, n=n)
         if check:
             violations = graph.validate()
@@ -301,6 +308,13 @@ class DualGraph:
 
     def __repr__(self) -> str:
         return f"DualGraph(g={self.g}, n={self.n}, V={len(self.ids)}, E={len(self.edges)})"
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` itself if it is a JSON integer (not a boolean), else BAD_INPUT."""
+    if type(value) is not int:
+        raise JacstabError("BAD_INPUT", f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def validate(graph: DualGraph) -> list[dict]:

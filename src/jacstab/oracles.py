@@ -14,6 +14,7 @@ from typing import Mapping
 
 from .errors import JacstabError
 from .graphs import DualGraph
+from .pushforward import FiberClass
 from .stability import Polarization, QSTABLE, STABLE, SEMISTABLE, resolve_basepoint
 
 
@@ -123,6 +124,52 @@ def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     search(0, 0)
     results.sort(key=lambda m: tuple(m[v] for v in ids))
     return results
+
+
+_MONOMIAL_DEGREE = {"const": 0, "D": 1, "K": 1, "B": 1,
+                    "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2, "KD": 2}
+
+
+def _mul_monomials(k1: tuple, k2: tuple) -> list[tuple]:
+    """Product of two monomial keys as a list of (key, integer factor)."""
+    if k1 == ("const",):
+        return [(k2, 1)]
+    if k2 == ("const",):
+        return [(k1, 1)]
+    d1, d2 = _MONOMIAL_DEGREE[k1[0]], _MONOMIAL_DEGREE[k2[0]]
+    if d1 + d2 > 2:
+        raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
+    a, b = sorted((k1, k2))  # tag order: B < D < K
+    if a[0] == "D" and b[0] == "D":
+        return [(("D2", a[1]), 1)] if a[1] == b[1] else []
+    if a[0] == "D" and b[0] == "K":
+        return [(("KD", a[1]), 1)]
+    if a[0] == "B" and b[0] == "D":
+        return [(("DB", b[1], a[1], a[2]), 1)]
+    if a[0] == "K" and b[0] == "K":
+        return [(("K2",), 1)]
+    if a[0] == "B" and b[0] == "K":
+        return [(("KB", a[1], a[2]), 1)]
+    if a[0] == "B" and b[0] == "B":
+        return [(("B2", a[1], a[2]), 1)] if (a[1], a[2]) == (b[1], b[2]) else []
+    raise JacstabError("BAD_INPUT", f"cannot multiply monomials {k1} and {k2}")
+
+
+def fiber_product_pairwise(a: FiberClass, b: FiberClass) -> FiberClass:
+    """Raw product (K*D kept) of two fiber classes, one monomial pair at a time.
+
+    The reference for ``FiberClass.mul_raw``: every pair of monomials goes
+    through the ring rules one by one, raising on the first pair whose
+    degrees exceed 2.
+    """
+    if (a.g, a.n) != (b.g, b.n):
+        raise JacstabError("BAD_INPUT", "fiber classes live on different universal curves")
+    out: dict[tuple, Fraction] = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            for key, f in _mul_monomials(k1, k2):
+                out[key] = out.get(key, Fraction(0)) + c1 * c2 * f
+    return FiberClass(a.g, a.n, out)
 
 
 def exp_series_degree_part(g: int) -> dict[tuple[tuple[int, int], ...], Fraction]:

@@ -10,10 +10,19 @@ with the moving point).  The ring normalization used throughout:
 * B_{h,A} * B_{l,B} = 0 for distinct indices
 * D_i * B_{h,A} stays symbolic until pushforward
 
+A product of two degree-1 monomials is therefore non-zero only in six
+families: D_i^2, K*D_i (kept raw until ``normalized``), K^2, B_{h,A}^2 (one
+index on both sides), K*B_{h,A}, and D_i*B_{h,A} for every i.  The constant
+multiplies every term, and every other pair exceeds degree 2.
+``FiberClass.mul_raw`` splits each factor into its constant, D_i, K, B_{h,A}
+and degree-2 parts and forms only these families, so its work grows with the
+number of output terms, not with the number of monomial pairs.
+
 Pushing forward along the universal curve kills degree <= 1 terms and sends
 the degree-2 monomials to divisor classes on the base via ``PUSH_RULES``; the
 rule table is module data so that corrupting it is observable (the selftest
-must catch a corrupted table).
+must catch a corrupted table).  D_i*B_{h,A} with i not in A is dropped there,
+not in the product.
 """
 
 from __future__ import annotations
@@ -32,29 +41,25 @@ _DEGREE = {"const": 0, "D": 1, "K": 1, "B": 1,
            "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2, "KD": 2}
 
 
-def _mul_keys(k1: tuple, k2: tuple) -> list[tuple]:
-    """Product of two monomial keys as a list of (key, integer factor)."""
-    if k1 == ("const",):
-        return [(k2, 1)]
-    if k2 == ("const",):
-        return [(k1, 1)]
-    d1, d2 = _DEGREE[k1[0]], _DEGREE[k2[0]]
-    if d1 + d2 > 2:
-        raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
-    a, b = sorted((k1, k2))  # tag order: B < D < K
-    if a[0] == "D" and b[0] == "D":
-        return [(("D2", a[1]), 1)] if a[1] == b[1] else []
-    if a[0] == "D" and b[0] == "K":
-        return [(("KD", a[1]), 1)]
-    if a[0] == "B" and b[0] == "D":
-        return [(("DB", b[1], a[1], a[2]), 1)]
-    if a[0] == "K" and b[0] == "K":
-        return [(("K2",), 1)]
-    if a[0] == "B" and b[0] == "K":
-        return [(("KB", a[1], a[2]), 1)]
-    if a[0] == "B" and b[0] == "B":
-        return [(("B2", a[1], a[2]), 1)] if (a[1], a[2]) == (b[1], b[2]) else []
-    raise JacstabError("BAD_INPUT", f"cannot multiply monomials {k1} and {k2}")
+def _families(coeffs: Mapping[tuple, Fraction]) -> tuple:
+    """Split coefficients into (constant, {i: D_i}, K, {(h, A): B_{h,A}}, degree-2 part)."""
+    const = K = Fraction(0)
+    D: dict[int, Fraction] = {}
+    B: dict[tuple, Fraction] = {}
+    quadratic: dict[tuple, Fraction] = {}
+    for key, c in coeffs.items():
+        tag = key[0]
+        if tag == "B":
+            B[key[1:]] = c
+        elif tag == "D":
+            D[key[1]] = c
+        elif tag == "K":
+            K = c
+        elif tag == "const":
+            const = c
+        else:
+            quadratic[key] = c
+    return const, D, K, B, quadratic
 
 
 class FiberClass:
@@ -119,14 +124,50 @@ class FiberClass:
         return FiberClass(self.g, self.n, {k: c * v for k, v in self.coeffs.items()})
 
     def mul_raw(self, other: "FiberClass") -> "FiberClass":
-        """Product without the K*D rewrite; may contain raw KD monomials."""
+        """Product without the K*D rewrite; may contain raw KD monomials.
+
+        Forms the surviving product families of the module docstring only.
+        """
         if (self.g, self.n) != (other.g, other.n):
             raise JacstabError("BAD_INPUT", "fiber classes live on different universal curves")
+        a0, aD, aK, aB, a2 = _families(self.coeffs)
+        b0, bD, bK, bB, b2 = _families(other.coeffs)
+        if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
+            raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
         out: dict[tuple, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                for key, f in _mul_keys(k1, k2):
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2 * f
+
+        def add(key: tuple, c: Fraction) -> None:
+            out[key] = out[key] + c if key in out else c
+
+        if a0:
+            for key, c in other.coeffs.items():
+                add(key, a0 * c)
+        if b0:
+            for key, c in self.coeffs.items():
+                if key != ("const",):  # const * const is counted above
+                    add(key, c * b0)
+        for i, c in aD.items():
+            if i in bD:
+                add(("D2", i), c * bD[i])
+            if bK:
+                add(("KD", i), c * bK)
+            for (h, A), b in bB.items():
+                add(("DB", i, h, A), b * c)
+        for i, c in bD.items():
+            if aK:
+                add(("KD", i), aK * c)
+            for (h, A), a in aB.items():
+                add(("DB", i, h, A), a * c)
+        if aK and bK:
+            add(("K2",), aK * bK)
+        for (h, A), a in aB.items():
+            if (h, A) in bB:
+                add(("B2", h, A), a * bB[(h, A)])
+            if bK:
+                add(("KB", h, A), a * bK)
+        if aK:
+            for (h, A), b in bB.items():
+                add(("KB", h, A), aK * b)
         return FiberClass(self.g, self.n, out)
 
     def normalized(self) -> "FiberClass":

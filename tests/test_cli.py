@@ -181,6 +181,29 @@ def test_input_errors_exit_2(capsys):
     assert code == 2 and payload["error"] == "INVALID_GRAPH"
 
 
+@pytest.mark.parametrize("where, value", [
+    ("genus", "x"), ("genus", 0.5), ("genus", True), ("legs", [1, 1.7]), ("n", "x")])
+def test_graph_json_integer_fields_are_strict(capsys, where, value):
+    data = banana().to_json_dict()
+    if where == "n":
+        data["n"] = value
+    else:
+        data["vertices"][0][where] = value
+    code, payload = run_json(capsys, "graph", "classify", "--graph", json.dumps(data))
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+@pytest.mark.parametrize("argv, tau", [
+    (["class", "theta", "--g", "2", "--n", "2", "--k", "0"], "-1,1"),
+    (["stability", "balanced", "--graph", BANANA, "--k", "0"], "-5,5"),
+], ids=["class-theta", "stability-balanced"])
+def test_tau_with_negative_first_entry(capsys, argv, tau):
+    spaced = run_cli(capsys, *argv, "--tau", tau)
+    joined = run_cli(capsys, *argv, f"--tau={tau}")
+    assert spaced == joined
+    assert spaced[0] == 0 and "error" not in json.loads(spaced[1])
+
+
 def test_byte_identical_output(capsys):
     argv = ("class", "theta", "--g", "3", "--n", "2", "--tau", "2,-2", "--k", "0")
     _, first = run_cli(capsys, *argv)

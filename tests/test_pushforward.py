@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
                      compact_type_gm1_multidegree, exp_truncate)
-from jacstab.oracles import exp_series_degree_part
+from jacstab.divisors import canonical_indices
+from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau
 from common import banana, two_vertex_tree, path3
 
@@ -97,6 +99,59 @@ def test_kd_normalization_confluence():
             term = (FiberClass(4, 3, {k1: c1}) * FiberClass(4, 3, {k2: c2}))
             pieces = pieces + term
     assert pieces == a * b
+
+
+def test_degree_two_class_times_section_is_rejected():
+    D1 = FiberClass.section(2, 2, 1)
+    square = D1 * D1
+    for a, b in ((square, D1), (D1, square)):
+        with pytest.raises(JacstabError) as err:
+            a.mul_raw(b)
+        assert err.value.code == "BAD_INPUT"
+        assert "degrees up to 2" in str(err.value)
+
+
+QUADRATIC_TAGS = {"D2", "KD", "K2", "B2", "KB", "DB"}
+
+
+def random_fiber_class(rng: random.Random, g: int, n: int) -> FiberClass:
+    """A constant plus either degree-1 monomials, degree-2 ones, both or none."""
+    indices = canonical_indices(g, n)
+    linear = ([("D", i) for i in range(1, n + 1)] + [("K",)]
+              + [("B", h, A) for h, A in indices])
+    quadratic = ([("D2", i) for i in range(1, n + 1)] + [("KD", i) for i in range(1, n + 1)]
+                 + [("K2",)] + [("B2", h, A) for h, A in indices]
+                 + [("KB", h, A) for h, A in indices]
+                 + [("DB", i, h, A) for i in range(1, n + 1) for h, A in indices])
+    pools = rng.choice([[linear], [linear], [linear], [quadratic], [linear, quadratic], []])
+    keys = [("const",)] if rng.random() < 0.5 else []
+    for pool in pools:
+        keys += rng.sample(pool, rng.randint(1, min(len(pool), 12)))
+    return FiberClass(g, n, {key: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                             for key in keys})
+
+
+def test_mul_raw_matches_pairwise_reference():
+    rng = random.Random(61)
+    seen = Counter()
+    for g, n in ((1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (5, 4)):
+        for _ in range(80):
+            a, b = random_fiber_class(rng, g, n), random_fiber_class(rng, g, n)
+            try:
+                want = fiber_product_pairwise(a, b)
+            except JacstabError as exc:
+                with pytest.raises(JacstabError) as err:
+                    a.mul_raw(b)
+                assert (err.value.code, str(err.value)) == (exc.code, str(exc))
+                seen["error"] += 1
+                continue
+            got = a.mul_raw(b)
+            assert got.coeffs == want.coeffs
+            assert all(type(c) is Fraction for c in got.coeffs.values())
+            seen["const"] += ("const",) in a.coeffs or ("const",) in b.coeffs
+            seen["degree 2 input"] += any(key[0] in QUADRATIC_TAGS
+                                          for key in (*a.coeffs, *b.coeffs))
+    assert seen["error"] >= 100 and seen["const"] >= 100 and seen["degree 2 input"] >= 30, seen
 
 
 # ----------------------------------------------------------------------
