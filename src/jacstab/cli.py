@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import selftest as selftest_mod
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
 from .errors import JacstabError
 from .graphs import DualGraph
@@ -287,6 +286,10 @@ def cmd_class_zero_section_shape(args) -> int:
 # selftest
 
 def cmd_selftest(args) -> int:
+    # imported here so that no other command loads the suite, its oracles
+    # and its corpus
+    from .selftest import run
+
     seed = args.seed
     env = os.environ.get("JACSTAB_SEED")
     if env is not None:
@@ -294,7 +297,7 @@ def cmd_selftest(args) -> int:
             seed = int(env)
         except ValueError as exc:
             raise JacstabError("BAD_INPUT", f"JACSTAB_SEED must be an integer: {env!r}") from exc
-    report = selftest_mod.run(depth=args.depth, seed=seed)
+    report = run(depth=args.depth, seed=seed)
     lines = [f"{c['name']}: {'ok' if c['ok'] else 'FAIL'} ({c['cases']} cases)"
              + (f" first counterexample: {c['counterexample']}" if c["counterexample"] else "")
              for c in report["checks"]]

@@ -46,19 +46,30 @@ class DualGraph:
         iterable of ``(id, genus, legs)`` with ``id`` a string, ``genus`` an
         integer and ``legs`` an iterable of integer marking labels.
     edges:
-        iterable of ``(id, id)`` pairs; loops are ``(v, v)``.  Repeated pairs
-        are kept (multiset).
+        iterable of ``(id, id)`` pairs of known vertex ids; loops are
+        ``(v, v)``.  Repeated pairs are kept (multiset).
     n:
         number of markings.  Defaults to the number of legs present.
+
+    Integers must be ``int``, not ``bool``, ``float`` or ``str``.  These, and
+    malformed vertices or edges, are refused with BAD_INPUT, never coerced.
     """
 
     def __init__(self, vertices, edges, n: int | None = None):
         verts = []
         for item in vertices:
-            vid, genus, legs = item
+            try:
+                vid, genus, legs = item
+                legs = tuple(legs)
+            except (TypeError, ValueError) as exc:
+                raise JacstabError("BAD_INPUT", f"malformed vertex {item!r}: {exc}") from exc
+            verts.append((vid, _strict_int(genus, "genus"),
+                          frozenset(_strict_int(x, "leg") for x in legs)))
+        if n is not None:
+            n = _strict_int(n, "n")
+        for vid, _, _ in verts:
             if not isinstance(vid, str) or not vid:
                 raise JacstabError("BAD_INPUT", f"vertex id must be a non-empty string, got {vid!r}")
-            verts.append((vid, int(genus), frozenset(int(x) for x in legs)))
         ids = tuple(sorted(v[0] for v in verts))
         if len(set(ids)) != len(ids):
             raise JacstabError("BAD_INPUT", "duplicate vertex ids")
@@ -71,14 +82,19 @@ class DualGraph:
         self.legs_of = {v: by_id[v][2] for v in ids}
 
         canon_edges = []
-        for (a, b) in edges:
-            if a not in self._index or b not in self._index:
+        for edge in edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError) as exc:
+                raise JacstabError("BAD_INPUT", f"malformed edge {edge!r}: {exc}") from exc
+            if not (isinstance(a, str) and a in self._index
+                    and isinstance(b, str) and b in self._index):
                 raise JacstabError("BAD_INPUT", f"edge ({a!r},{b!r}) references unknown vertex")
             canon_edges.append((a, b) if a <= b else (b, a))
         self.edges: tuple[tuple[str, str], ...] = tuple(sorted(canon_edges))
 
         all_legs = [x for v in ids for x in sorted(self.legs_of[v])]
-        self.n: int = len(all_legs) if n is None else int(n)
+        self.n: int = len(all_legs) if n is None else n
 
         # per-vertex counts; a loop contributes 2 to val
         self._loops = {v: 0 for v in ids}
@@ -192,16 +208,34 @@ class DualGraph:
     def connected_subsets(self) -> tuple[tuple[str, ...], ...]:
         """All proper non-empty connected vertex subsets, as sorted tuples.
 
-        Cached; intended for the small graphs this library works with.
+        Ordered by size, then lexicographically.  The sets are grown one
+        size at a time: each connected set of size k+1 is a connected set of
+        size k plus one of its neighbours, so the bitmask of a set's
+        neighbours (loops and edge multiplicities play no part) is all the
+        search needs, and the work follows the number of connected subsets
+        rather than 2^V.  Cached; intended for the small graphs this library
+        works with.
         """
         if self._connected_subsets_cache is None:
-            V = len(self.ids)
-            out = []
-            for mask in range(1, (1 << V) - 1):
-                S = frozenset(self.ids[i] for i in range(V) if mask & (1 << i))
-                if self._component_count(S) == 1:
-                    out.append(tuple(sorted(S)))
-            out.sort(key=lambda t: (len(t), t))
+            ids = self.ids
+            index = self._index
+            adj = [sum(1 << index[w] for w in self._adj[v]) for v in ids]
+            full = (1 << len(ids)) - 1
+            level = {1 << i: adj[i] for i in range(len(ids))}  # set -> neighbours
+            out: list[tuple[str, ...]] = []
+            while level and full not in level:
+                out.extend(sorted(tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
+                                  for mask in level))
+                grown: dict[int, int] = {}
+                for mask, around in level.items():
+                    fresh = around & ~mask
+                    while fresh:
+                        low = fresh & -fresh
+                        fresh ^= low
+                        bigger = mask | low
+                        if bigger not in grown:
+                            grown[bigger] = around | adj[low.bit_length() - 1]
+                level = grown
             self._connected_subsets_cache = tuple(out)
         return self._connected_subsets_cache
 
@@ -277,19 +311,17 @@ class DualGraph:
     def from_json_dict(cls, data: Mapping, check: bool = True) -> "DualGraph":
         """Build a graph from its JSON form.
 
-        Genus, legs and ``n`` must be JSON integers: strings, booleans and
-        fractional numbers are refused with BAD_INPUT rather than coerced.
+        Genus, legs and ``n`` must be JSON integers, as the constructor
+        requires: strings, booleans and fractional numbers are refused with
+        BAD_INPUT rather than coerced.
         """
         try:
-            verts = [(v["id"], _json_int(v["genus"], "genus"),
-                      [_json_int(leg, "leg") for leg in v.get("legs", [])])
+            verts = [(v["id"], v["genus"], list(v.get("legs", [])))
                      for v in data["vertices"]]
             edges = [(a, b) for (a, b) in data["edges"]]
             n = data.get("n")
         except (KeyError, TypeError, ValueError) as exc:
             raise JacstabError("BAD_INPUT", f"malformed graph JSON: {exc}") from exc
-        if n is not None:
-            n = _json_int(n, "n")
         graph = cls(verts, edges, n=n)
         if check:
             violations = graph.validate()
@@ -310,8 +342,8 @@ class DualGraph:
         return f"DualGraph(g={self.g}, n={self.n}, V={len(self.ids)}, E={len(self.edges)})"
 
 
-def _json_int(value, what: str) -> int:
-    """``value`` itself if it is a JSON integer (not a boolean), else BAD_INPUT."""
+def _strict_int(value, what: str) -> int:
+    """``value`` itself if it is an ``int`` (not a ``bool``), else BAD_INPUT."""
     if type(value) is not int:
         raise JacstabError("BAD_INPUT", f"{what} must be an integer, got {value!r}")
     return value

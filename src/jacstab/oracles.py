@@ -2,7 +2,9 @@
 
 These deliberately avoid the main code paths they check: the Laplacian solve
 is exact Gaussian elimination instead of leaf peeling, the stable-multidegree
-search is a dumb box scan over all (not only connected) subcurves, and the
+search is a dumb box scan over all (not only connected) subcurves, the
+stability and balance verdicts test every proper subcurve from the
+definition instead of the connected ones through a shared table, and the
 exponential truncation is plain multiply-and-truncate of the formal series.
 """
 
@@ -15,7 +17,8 @@ from typing import Mapping
 from .errors import JacstabError
 from .graphs import DualGraph
 from .pushforward import FiberClass
-from .stability import Polarization, QSTABLE, STABLE, SEMISTABLE, resolve_basepoint
+from .stability import (Polarization, QSTABLE, STABLE, SEMISTABLE, BalanceVerdict,
+                        StabilityVerdict, check_tau, resolve_basepoint)
 
 
 def solve_twister(graph: DualGraph, m: Mapping[str, int], root: str) -> dict[str, int]:
@@ -81,6 +84,38 @@ def _subset_profiles(graph: DualGraph, pol: Polarization, mode: str,
         profiles.append((tuple(index[v] for v in Y), bound, strict))
     profiles.sort(key=lambda p: len(p[0]))
     return profiles
+
+
+def stability_exhaustive(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
+                         mode: str = QSTABLE,
+                         basepoint: str | None = None) -> StabilityVerdict:
+    """Stability verdict from every proper subcurve, connected or not.
+
+    The witness is the first violated subcurve in :func:`_subset_profiles`
+    order, which need not be the connected witness of ``check_stability``.
+    """
+    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
+    degrees = [m[v] for v in graph.ids]
+    for members, bound, strict in _subset_profiles(graph, pol, mode, base):
+        deg = sum(degrees[i] for i in members)
+        if deg < bound or (strict and deg == bound):
+            return StabilityVerdict(ok=False, mode=mode,
+                                    witness=tuple(graph.ids[i] for i in members),
+                                    degree=deg, bound=bound, strict=strict)
+    return StabilityVerdict(ok=True, mode=mode)
+
+
+def balanced_exhaustive(graph: DualGraph, tau: list[int], k: int) -> BalanceVerdict:
+    """Balance verdict from every proper subcurve, connected or not."""
+    t = check_tau(graph.g, tau, k, n=graph.n)
+    for Z in graph.proper_subsets():
+        leg_sum = sum(t[i - 1] for v in Z for i in graph.legs_of[v])
+        bound = k * graph.omega_degree(Z) - Fraction(graph.kappa(Z), 2)
+        strict = any(1 in graph.legs_of[v] for v in Z)
+        if leg_sum < bound or (strict and leg_sum == bound):
+            return BalanceVerdict(ok=False, witness=Z, leg_sum=leg_sum,
+                                  bound=bound, strict=strict)
+    return BalanceVerdict(ok=True)
 
 
 def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,

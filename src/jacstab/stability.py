@@ -12,15 +12,27 @@ floating point enters any verdict.
 Since q_Y, deg_Y and kappa_Y are all additive over the connected components of
 an induced subcurve, a violation on an arbitrary subcurve forces a violation
 on one of its components; checkers therefore iterate over connected subcurves
-only.  The equivalence with the exhaustive subset scan is asserted by the test
-suite on small graphs.
+only.  The equivalence with the exhaustive subset scan of ``oracles.py`` is
+asserted by the test suite on small graphs.
+
+:class:`StabilityTable` holds these inequalities for one graph, polarization,
+mode and basepoint, one row per connected subcurve.  A row stores the least
+integer degree the subcurve may carry, ``_min_degree`` of its threshold and
+strictness, so testing a multidegree against it is integer arithmetic only and
+stays exact for every polarization.  :func:`check_stability` and
+:func:`enumerate_stable` both read a table; the enumeration builds one and
+tests every candidate of its search against it, so each threshold is computed
+once per search instead of once per candidate.  Rows are filled on first use:
+a single check that fails early never computes the rows after its witness.
+The balanced inequalities of :func:`is_balanced` keep their own direct loop,
+since their equivalence with q-stability is a theorem the tests compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import JacstabError
 from .graphs import DualGraph
@@ -138,9 +150,89 @@ def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
     return v
 
 
+def _is_strict(mode: str, base: str | None, Y: Iterable[str]) -> bool:
+    """Whether the inequality on ``Y`` is strict in the given mode."""
+    if mode == STABLE:
+        return True
+    if mode == QSTABLE:
+        return base in Y
+    return False
+
+
+def _min_degree(bound: Fraction, strict: bool) -> int:
+    """Least integer d with d >= bound (or d > bound when strict)."""
+    if strict:
+        return bound.numerator // bound.denominator + 1
+    return -((-bound.numerator) // bound.denominator)
+
+
+class StabilityRow(NamedTuple):
+    """One connected subcurve's inequality.
+
+    ``members`` are the subcurve's positions in ``graph.ids``; a multidegree
+    violates the row exactly when its degree on them is below ``least``.
+    ``bound`` and ``strict`` are kept for the verdict.
+    """
+
+    members: tuple[int, ...]
+    least: int
+    bound: Fraction
+    strict: bool
+
+
+class StabilityTable:
+    """The inequalities of one (graph, polarization, mode, basepoint).
+
+    Rows follow :meth:`DualGraph.connected_subsets` and are computed on first
+    use, then kept: a lone check stops at its first violation without paying
+    for the rows after it, while a search that checks many candidates pays
+    for each row once.
+    """
+
+    def __init__(self, graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
+                 basepoint: str | None = None):
+        if mode not in MODES:
+            raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
+        self.graph = graph
+        self.pol = pol
+        self.mode = mode
+        self.base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
+        self._subsets = graph.connected_subsets()
+        self._index = {v: i for i, v in enumerate(graph.ids)}
+        self.rows: list[StabilityRow] = []
+
+    def _add_row(self) -> StabilityRow:
+        Y = self._subsets[len(self.rows)]
+        bound = threshold(self.graph, self.pol, Y)
+        strict = _is_strict(self.mode, self.base, Y)
+        row = StabilityRow(tuple(self._index[v] for v in Y),
+                           _min_degree(bound, strict), bound, strict)
+        self.rows.append(row)
+        return row
+
+    def first_violation(self, degrees: list[int]) -> StabilityRow | None:
+        """The first row that ``degrees`` (listed in ``graph.ids`` order) violates."""
+        # The loop bodies subtract the degrees from ``least`` in place: this
+        # is the inner loop of enumerate_stable, and the plain loop is several
+        # times faster than sum() over a comprehension.
+        for row in self.rows:
+            short = row.least
+            for i in row.members:
+                short -= degrees[i]
+            if short > 0:
+                return row
+        while len(self.rows) < len(self._subsets):
+            row = self._add_row()
+            short = row.least
+            for i in row.members:
+                short -= degrees[i]
+            if short > 0:
+                return row
+        return None
+
+
 def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
-                    mode: str = QSTABLE, basepoint: str | None = None,
-                    connected_only: bool = True) -> StabilityVerdict:
+                    mode: str = QSTABLE, basepoint: str | None = None) -> StabilityVerdict:
     """Test a multidegree against every proper subcurve inequality.
 
     Returns a PASS verdict, or a FAIL verdict carrying a violating subcurve
@@ -154,29 +246,13 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
     if total != target:
         raise JacstabError("DEGREE_MISMATCH",
                            f"multidegree total {total} != polarization degree {target}")
-    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
-    subsets: Iterable[tuple[str, ...]]
-    subsets = graph.connected_subsets() if connected_only else graph.proper_subsets()
-    for Y in subsets:
-        deg = sum(degrees[v] for v in Y)
-        bound = threshold(graph, pol, Y)
-        if mode == STABLE:
-            strict = True
-        elif mode == QSTABLE:
-            strict = base in Y
-        else:
-            strict = False
-        if deg < bound or (strict and deg == bound):
-            return StabilityVerdict(ok=False, mode=mode, witness=tuple(sorted(Y)),
-                                    degree=deg, bound=bound, strict=strict)
-    return StabilityVerdict(ok=True, mode=mode)
-
-
-def _min_degree(bound: Fraction, strict: bool) -> int:
-    """Least integer d with d >= bound (or d > bound when strict)."""
-    if strict:
-        return bound.numerator // bound.denominator + 1
-    return -((-bound.numerator) // bound.denominator)
+    row = StabilityTable(graph, pol, mode, basepoint).first_violation(list(degrees.values()))
+    if row is None:
+        return StabilityVerdict(ok=True, mode=mode)
+    return StabilityVerdict(ok=False, mode=mode,
+                            witness=tuple(graph.ids[i] for i in row.members),
+                            degree=sum(degrees[graph.ids[i]] for i in row.members),
+                            bound=row.bound, strict=row.strict)
 
 
 def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
@@ -185,8 +261,10 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
     The subcurve inequalities on singletons and their complements confine each
     vertex degree to a finite box; the box is searched with partial-sum
-    pruning and every candidate is verified with :func:`check_stability`.
-    Output is in deterministic sorted order.
+    pruning and every candidate is tested against one shared
+    :class:`StabilityTable`.  The search runs through the box in
+    lexicographic order, so the output is sorted by the degrees in
+    ``graph.ids`` order.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -194,20 +272,14 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     ids = graph.ids
     if len(ids) == 1:
         return [{ids[0]: target}]
-    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
+    table = StabilityTable(graph, pol, mode, basepoint)
 
     los, his = [], []
     for v in ids:
         single = (v,)
         comp = tuple(w for w in ids if w != v)
-        if mode == STABLE:
-            strict_single, strict_comp = True, True
-        elif mode == QSTABLE:
-            strict_single, strict_comp = (base == v), (base != v)
-        else:
-            strict_single, strict_comp = False, False
-        lo = _min_degree(threshold(graph, pol, single), strict_single)
-        hi = target - _min_degree(threshold(graph, pol, comp), strict_comp)
+        lo = _min_degree(threshold(graph, pol, single), _is_strict(mode, table.base, single))
+        hi = target - _min_degree(threshold(graph, pol, comp), _is_strict(mode, table.base, comp))
         if hi < lo:
             return []
         los.append(lo)
@@ -224,10 +296,8 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
     def search(i: int, acc: int) -> None:
         if i == len(ids):
-            if acc == target:
-                m = {ids[j]: stack[j] for j in range(len(ids))}
-                if check_stability(graph, pol, m, mode, basepoint=basepoint).ok:
-                    results.append(m)
+            if acc == target and table.first_violation(stack) is None:
+                results.append(dict(zip(ids, stack)))
             return
         rest_lo = suffix_lo[i + 1]
         rest_hi = suffix_hi[i + 1]
@@ -237,7 +307,6 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
                 search(i + 1, acc + d)
 
     search(0, 0)
-    results.sort(key=lambda m: tuple(m[v] for v in ids))
     return results
 
 
@@ -275,20 +344,18 @@ class BalanceVerdict:
         return out
 
 
-def is_balanced(graph: DualGraph, tau: Iterable[int], k: int,
-                connected_only: bool = True) -> BalanceVerdict:
+def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
     """Test the balanced inequalities on every proper subcurve.
 
     PASS means: for every proper non-empty Z, the sum of tau over legs in Z is
     at least k*omega_degree(Z) - kappa_Z/2, strictly whenever marking 1 lies
-    on Z.  This is checked directly from the definition, independently of
-    :func:`check_stability`; the equivalence with q-stability of the base
-    multidegree is a tested theorem, not an implementation shortcut.
+    on Z.  This is checked directly from the definition, on the connected
+    subcurves, independently of :func:`check_stability` and its table; the
+    equivalence with q-stability of the base multidegree is a tested theorem,
+    not an implementation shortcut.
     """
     t = check_tau(graph.g, tau, k, n=graph.n)
-    subsets: Iterable[tuple[str, ...]]
-    subsets = graph.connected_subsets() if connected_only else graph.proper_subsets()
-    for Z in subsets:
+    for Z in graph.connected_subsets():
         leg_sum = sum(t[i - 1] for v in Z for i in graph.legs_of[v])
         bound = k * graph.omega_degree(Z) - Fraction(graph.kappa(Z), 2)
         strict = any(1 in graph.legs_of[v] for v in Z)

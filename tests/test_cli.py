@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex
 BANANA = json.dumps(banana().to_json_dict())
 TREE = json.dumps(two_vertex_tree().to_json_dict())
 PATH3 = json.dumps(path3().to_json_dict())
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +196,22 @@ def test_graph_json_integer_fields_are_strict(capsys, where, value):
         data["vertices"][0][where] = value
     code, payload = run_json(capsys, "graph", "classify", "--graph", json.dumps(data))
     assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+def test_unhashable_edge_endpoint_is_bad_input(capsys):
+    data = {"vertices": [{"id": "a", "genus": 1, "legs": [1]}], "edges": [[["a"], "a"]]}
+    code, payload = run_json(capsys, "graph", "classify", "--graph", json.dumps(data))
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    probe = ("import sys, jacstab.cli; "
+             "print([m for m in ('jacstab.selftest', 'jacstab.oracles', 'jacstab.corpus') "
+             "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, tau", [

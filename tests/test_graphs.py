@@ -161,3 +161,62 @@ def test_json_rejects_malformed_payload():
 def test_unknown_edge_vertex_rejected():
     with pytest.raises(JacstabError):
         DualGraph([("a", 1, [1])], [("a", "zz")])
+
+
+def _mask_scan(g: DualGraph) -> tuple:
+    """Connected subsets the slow way: every mask, filtered, then sorted."""
+    V = len(g.ids)
+    found = [tuple(g.ids[i] for i in range(V) if mask >> i & 1)
+             for mask in range(1, (1 << V) - 1)]
+    found = [Y for Y in found if g.is_connected_subset(Y)]
+    return tuple(sorted(found, key=lambda Y: (len(Y), Y)))
+
+
+def test_connected_subsets_match_mask_scan():
+    ids5 = ["a", "b", "c", "d", "e"]
+    named = [
+        single_vertex(),
+        banana(),
+        tree_with_loop(),
+        path3(),
+        DualGraph([(v, 1, []) for v in ids5],                        # K_5
+                  [(a, b) for i, a in enumerate(ids5) for b in ids5[i + 1:]]),
+        DualGraph([(v, 1, []) for v in ids5],                        # path
+                  [(ids5[i], ids5[i + 1]) for i in range(4)]),
+        DualGraph([("a", 0, [1]), ("b", 0, [2]), ("c", 1, [])],      # multi-edges, loops
+                  [("a", "b"), ("a", "b"), ("b", "c"), ("b", "c"), ("b", "c"),
+                   ("c", "c"), ("a", "a")]),
+        DualGraph([("a", 1, [1]), ("b", 1, []), ("c", 1, []), ("d", 1, [])],
+                  [("a", "b"), ("c", "d"), ("c", "c")]),             # disconnected
+    ]
+    rng = random.Random(16)
+    for V in range(2, 11):
+        ids = [f"v{i}" for i in range(V)]
+        for _ in range(6):
+            edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, V)]
+            edges += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * V))]
+            edges += [(v, v) for v in ids if rng.random() < 0.2]
+            named.append(DualGraph([(v, 1, []) for v in ids], edges))
+    for g in named:
+        assert g.connected_subsets() == _mask_scan(g), g
+
+
+@pytest.mark.parametrize("vertices, edges, n", [
+    ([("a", 1.5, [1])], [], None),
+    ([("a", True, [1])], [], None),
+    ([("a", "1", [1])], [], None),
+    ([("a", 1, [1.7])], [], None),
+    ([("a", 1, [1])], [], "1"),
+    ([("a", 1, [1])], [], False),
+    ([("a", 1, 1)], [], None),
+    ([("a", 1)], [], None),
+    ([("a", 1, [1])], [(["a"], "a")], None),
+    ([("a", 1, [1])], [("a", 1)], None),
+    ([("a", 1, [1])], [("a",)], None),
+], ids=["float-genus", "bool-genus", "str-genus", "float-leg", "str-n", "bool-n",
+        "legs-not-iterable", "short-vertex", "unhashable-endpoint", "int-endpoint",
+        "short-edge"])
+def test_constructor_is_strict(vertices, edges, n):
+    with pytest.raises(JacstabError) as err:
+        DualGraph(vertices, edges, n=n)
+    assert err.value.code == "BAD_INPUT"

@@ -8,7 +8,8 @@ from jacstab import (DualGraph, JacstabError, Polarization, QSTABLE, SEMISTABLE,
                      base_multidegree, locus_membership,
                      BALANCED, TREELIKE, BOTH, INDETERMINACY)
 from jacstab.corpus import random_connected_graph, random_treelike_graph, random_tau
-from jacstab.oracles import brute_force_stable
+from jacstab.oracles import balanced_exhaustive, brute_force_stable, stability_exhaustive
+from jacstab.stability import StabilityTable, _min_degree
 from jacstab.twister import split_at_edge
 from common import banana, two_vertex_tree, path3
 
@@ -88,7 +89,7 @@ def test_connected_only_verdict_matches_exhaustive():
             drift = -sum(m.values())
             m[g.ids[0]] += drift
             fast = check_stability(g, CAN0, m, mode)
-            slow = check_stability(g, CAN0, m, mode, connected_only=False)
+            slow = stability_exhaustive(g, CAN0, m, mode)
             assert fast.ok == slow.ok
             cases += 1
     assert cases
@@ -272,6 +273,68 @@ def test_balanced_connected_only_matches_exhaustive():
         tau = random_tau(rng, g.n, k * (2 * g.g - 2), bound=4)
         if tau is None:
             continue
-        assert is_balanced(g, tau, k).ok == is_balanced(g, tau, k, connected_only=False).ok
+        assert is_balanced(g, tau, k).ok == balanced_exhaustive(g, tau, k).ok
         cases += 1
     assert cases >= 25
+
+
+def test_table_verdicts_match_exhaustive_oracle():
+    # every mode, both presets and explicit basepoints; a FAIL witness is a
+    # connected subcurve whose inequality really fails
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(60):
+        g = random_connected_graph(rng, max_vertices=6, max_genus=1)
+        for pol in (CAN0, GM1):
+            mode = rng.choice((SEMISTABLE, STABLE, QSTABLE))
+            base = rng.choice(g.ids) if rng.random() < 0.3 else None
+            m = {v: rng.randint(-2, 2) for v in g.ids}
+            m[rng.choice(g.ids)] += pol.target_degree(g) - sum(m.values())
+            verdict = check_stability(g, pol, m, mode, basepoint=base)
+            assert verdict.ok == stability_exhaustive(g, pol, m, mode, basepoint=base).ok
+            outcomes.add(verdict.ok)
+            if not verdict.ok:
+                assert g.is_connected_subset(verdict.witness)
+                assert verdict.degree == sum(m[v] for v in verdict.witness)
+                assert verdict.bound == threshold(g, pol, verdict.witness)
+                assert verdict.degree <= verdict.bound
+    assert outcomes == {True, False}
+
+
+def test_is_balanced_matches_exhaustive_oracle():
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(80):
+        g = random_connected_graph(rng, max_vertices=6)
+        k = rng.randint(-2, 2)
+        tau = random_tau(rng, g.n, k * (2 * g.g - 2), bound=6)
+        if tau is None:
+            continue
+        verdict = is_balanced(g, tau, k)
+        assert verdict.ok == balanced_exhaustive(g, tau, k).ok
+        outcomes.add(verdict.ok)
+    assert outcomes == {True, False}
+
+
+def test_enumerate_does_not_call_check_stability(monkeypatch):
+    import jacstab.stability as stability
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_stable called check_stability")
+
+    expected = enumerate_stable(banana(), CAN0, QSTABLE)
+    monkeypatch.setattr(stability, "check_stability", refuse)
+    assert stability.enumerate_stable(banana(), CAN0, QSTABLE) == expected
+
+
+def test_table_rows_are_filled_on_first_use():
+    g = path3()
+    table = StabilityTable(g, CAN0, QSTABLE)
+    assert table.rows == []
+    # v1 = -5 breaks the first row, the singleton v1
+    assert table.first_violation([-5, 2, 3]) is table.rows[0]
+    assert len(table.rows) == 1
+    assert table.first_violation([0, 0, 0]) is None
+    assert len(table.rows) == len(g.connected_subsets())
+    row = table.rows[0]
+    assert row.members == (0,) and row.least == _min_degree(row.bound, row.strict)
