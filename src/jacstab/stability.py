@@ -246,12 +246,13 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
     if total != target:
         raise JacstabError("DEGREE_MISMATCH",
                            f"multidegree total {total} != polarization degree {target}")
-    row = StabilityTable(graph, pol, mode, basepoint).first_violation(list(degrees.values()))
+    values = list(degrees.values())
+    row = StabilityTable(graph, pol, mode, basepoint).first_violation(values)
     if row is None:
         return StabilityVerdict(ok=True, mode=mode)
     return StabilityVerdict(ok=False, mode=mode,
                             witness=tuple(graph.ids[i] for i in row.members),
-                            degree=sum(degrees[graph.ids[i]] for i in row.members),
+                            degree=sum(values[i] for i in row.members),
                             bound=row.bound, strict=row.strict)
 
 
