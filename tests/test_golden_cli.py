@@ -1,0 +1,236 @@
+"""Byte-identity gate for every command, help text and usage error.
+
+``tests/test_golden.py`` pins ``stability enumerate`` and ``stability
+check``.  This file pins the rest of the command line: seeded command lines of
+every other command, ``--help`` for the root, every group and every leaf, and
+usage errors (unknown subcommand, missing required flag, bad choice, missing
+command, non-integer ``--g``).  Each case is run through ``cli.main``; the
+SHA-256 of its exit code, standard output and standard error must equal a
+digest recorded before the parser was rebuilt from a command table.
+
+Payloads are integers only, so rejecting non-integer payloads does not move
+the digest.  Help texts are wrapped at ``COLUMNS=80``; their layout is
+argparse's, checked here on Python 3.10 and 3.11.  If an intended output
+change ever breaks the digest, regenerate it with
+``python tests/test_golden_cli.py`` from the repository root, with ``src`` on
+``PYTHONPATH``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+
+from jacstab.cli import main
+from test_golden import _graph
+
+SEED = 20261019
+EXPECTED = "0792f39a05906125059eae7837c15140d46bf261349d9177122df2ae8e488a06"
+PRESETS = ("canonical0", "trivial-gm1")
+
+GROUPS = {
+    "graph": ("validate", "classify", "query"),
+    "stability": ("threshold", "check", "enumerate", "balanced", "locus"),
+    "twist": ("apply", "reduce", "coefficients", "boundary"),
+    "class": ("theta", "theta-gm1", "mueller", "c1", "compact-type-gm1",
+              "zero-section-shape"),
+}
+
+BANANA = json.dumps({"n": 2, "vertices": [{"id": "v1", "genus": 0, "legs": [1]},
+                                          {"id": "v2", "genus": 0, "legs": [2]}],
+                     "edges": [["v1", "v2"], ["v1", "v2"], ["v1", "v2"]]})
+
+
+def _tree(rng: random.Random) -> dict:
+    """A stable dual graph of compact type: a tree on 2-4 vertices, no loops."""
+    count = rng.choice((2, 2, 3, 4))
+    ids = [f"v{i}" for i in range(1, count + 1)]
+    edges = [[ids[rng.randrange(i)], ids[i]] for i in range(1, count)]
+    val = {v: sum(e.count(v) for e in edges) for v in ids}
+    vertices, label = [], 1
+    for v in ids:
+        genus = rng.randint(0, 2)
+        need = max(0, 1 - (2 * genus - 2 + val[v])) + rng.randint(0, 1)
+        vertices.append({"id": v, "genus": genus, "legs": list(range(label, label + need))})
+        label += need
+    if label == 1:
+        vertices[0]["legs"] = [1]
+        label = 2
+    return {"n": label - 1, "vertices": vertices, "edges": edges}
+
+
+def _genus(graph: dict) -> int:
+    return (sum(v["genus"] for v in graph["vertices"]) + len(graph["edges"])
+            - len(graph["vertices"]) + 1)
+
+
+def _vector(rng: random.Random, size: int, total: int) -> list[int]:
+    """``size`` small integers summing to ``total``."""
+    out = [rng.randint(-3, 3) for _ in range(size)]
+    out[rng.randrange(size)] += total - sum(out)
+    return out
+
+
+def _joined(values: list[int]) -> str:
+    return ",".join(str(x) for x in values)
+
+
+def _tau_flags(rng: random.Random, tau: list[int], k: int) -> list[str]:
+    """``--tau``/``--k`` in one of their spellings, or a ``--data`` payload."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        return ["--data", json.dumps({"tau": tau, "k": k})]
+    if pick == 1:
+        return [f"--tau={_joined(tau)}", f"--k={k}"]
+    return ["--tau", _joined(tau), "--k", str(k)]
+
+
+def _tail(rng: random.Random, ids: list[str] | None = None,
+          flag: str = "--basepoint") -> list[str]:
+    out = []
+    if ids is not None and rng.random() < 0.3:
+        out += [flag, rng.choice(ids + ["nowhere"])]
+    if rng.random() < 0.25:
+        out += ["--output", "text"]
+    return out
+
+
+def _graph_lines(rng: random.Random, graph: dict) -> list[list[str]]:
+    text = json.dumps(graph)
+    ids = [v["id"] for v in graph["vertices"]]
+    g, n = _genus(graph), graph["n"]
+    subcurve = ",".join(rng.sample(ids, rng.randint(1, max(1, len(ids) - 1))))
+    m = _vector(rng, len(ids), 0)
+    k = rng.randint(0, 2)
+    tau = _vector(rng, n, k * (2 * g - 2))
+    if rng.random() < 0.1:
+        tau[0] += 1  # TAU_SUM: exit 2
+    spec = {v: d for v, d in zip(ids, m)}
+    gamma = {v: rng.randint(-2, 2) for v in ids}
+    return [
+        ["graph", "validate", "--graph", text] + _tail(rng),
+        ["graph", "classify", "--graph", text] + _tail(rng),
+        ["graph", "query", "--graph", text, "--subcurve", subcurve] + _tail(rng),
+        ["stability", "threshold", "--graph", text, "--pol", rng.choice(PRESETS),
+         "--subcurve", subcurve] + _tail(rng),
+        ["stability", "balanced", "--graph", text] + _tau_flags(rng, tau, k) + _tail(rng),
+        ["stability", "locus", "--graph", text] + _tau_flags(rng, tau, k) + _tail(rng),
+        ["twist", "apply", "--graph", text, "--gamma",
+         json.dumps(gamma) if rng.random() < 0.5
+         else ",".join(f"{v}={d}" for v, d in gamma.items())] + _tail(rng),
+        ["twist", "reduce", "--graph", text, "--m",
+         ",".join(f"{v}={d}" for v, d in spec.items())] + _tail(rng, ids, "--root"),
+        ["twist", "coefficients", "--graph", text]
+        + _tau_flags(rng, tau, k) + _tail(rng, ids),
+        ["twist", "boundary", "--graph", text] + _tau_flags(rng, tau, k) + _tail(rng, ids),
+        ["class", "compact-type-gm1", "--graph", text] + _tail(rng, ids),
+    ]
+
+
+def _class_lines(rng: random.Random) -> list[list[str]]:
+    g, n = rng.randint(1, 4), rng.randint(1, 4)
+    k = rng.randint(0, 2)
+    tau = _vector(rng, n, k * (2 * g - 2))
+    tau0 = _vector(rng, n, 0)
+    gm1 = _vector(rng, n, g - 1)
+    small_g, small_n = rng.randint(1, 2), rng.randint(1, 3)
+    small = _vector(rng, small_n, 0)
+    small_gm1 = _vector(rng, small_n, small_g - 1)
+    return [
+        ["class", "theta", "--g", str(g), "--n", str(n), f"--tau={_joined(tau)}",
+         "--k", str(k)] + _tail(rng),
+        ["class", "theta", "--g", str(g), "--n", str(n), f"--tau={_joined(tau0)}",
+         "--method", "hain"] + _tail(rng),
+        ["class", "theta", "--g", str(small_g), "--n", str(small_n),
+         "--tau", _joined(small), "--k", "0", "--method", "derive"] + _tail(rng),
+        ["class", "theta-gm1", "--g", str(g), "--n", str(n),
+         f"--tau={_joined(gm1)}"] + _tail(rng),
+        ["class", "theta-gm1", "--g", str(small_g), "--n", str(small_n),
+         f"--tau={_joined(small_gm1)}", "--method", "derive"] + _tail(rng),
+        ["class", "mueller", "--g", str(g), "--n", str(n), f"--tau={_joined(gm1)}"]
+        + (["--exclude-empty"] if rng.random() < 0.5 else []) + _tail(rng),
+        ["class", "c1", "--g", str(g), "--n", str(n), f"--tau={_joined(tau)}",
+         f"--k={k}"] + _tail(rng),
+        ["class", "zero-section-shape", "--g", str(rng.randint(1, 5))] + _tail(rng),
+    ]
+
+
+def _help_lines() -> list[list[str]]:
+    lines = [["--help"], ["selftest", "--help"]]
+    for group, leaves in GROUPS.items():
+        lines.append([group, "--help"])
+        lines += [[group, leaf, "--help"] for leaf in leaves]
+    return lines
+
+
+def _usage_error_lines() -> list[list[str]]:
+    return [
+        [],
+        ["nosuch"],
+        ["graph"],
+        ["graph", "nosuch"],
+        ["class", "theta-gm2", "--g", "2"],
+        ["graph", "classify"],
+        ["graph", "query", "--graph", BANANA],
+        ["twist", "apply", "--graph", BANANA],
+        ["class", "theta", "--g", "2", "--n", "2"],
+        ["stability", "check", "--graph", BANANA, "--m", "v1=0,v2=0", "--mode", "bogus"],
+        ["stability", "enumerate", "--graph", BANANA, "--pol", "bogus"],
+        ["class", "theta", "--g", "x", "--n", "2", "--tau", "1,-1"],
+        ["stability", "check", "--graph", BANANA, "--m", "v1=0,v2=0", "--output", "xml"],
+        ["graph", "classify", "--graph", BANANA, "--bogus"],
+    ]
+
+
+def cases(seed: int = SEED) -> list[list[str]]:
+    rng = random.Random(seed)
+    lines = []
+    for i in range(16):
+        lines += _graph_lines(rng, _tree(rng) if i % 2 else _graph(rng))
+    for _ in range(10):
+        lines += _class_lines(rng)
+    unstable = json.dumps({"n": 0, "vertices": [{"id": "a", "genus": 0, "legs": []}],
+                           "edges": []})
+    lines += [["graph", "validate", "--graph", unstable],
+              ["graph", "validate", "--graph", unstable, "--output", "text"],
+              ["selftest", "--depth", "small"],
+              ["selftest", "--depth", "small", "--seed", "3", "--output", "text"]]
+    return lines + _help_lines() + _usage_error_lines()
+
+
+def digest(lines: list[list[str]]) -> str:
+    h = hashlib.sha256()
+    saved = {key: os.environ.get(key) for key in ("COLUMNS", "JACSTAB_SEED")}
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("JACSTAB_SEED", None)
+    try:
+        for argv in lines:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            h.update(f"{code}\n".encode())
+            h.update(out.getvalue().encode())
+            h.update(b"\0")
+            h.update(err.getvalue().encode())
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+    return h.hexdigest()
+
+
+def test_cli_surface_byte_identical():
+    lines = cases()
+    assert len(lines) == 16 * 11 + 10 * 8 + 4 + 24 + 14
+    assert digest(lines) == EXPECTED
+
+
+if __name__ == "__main__":
+    print(digest(cases()))
