@@ -1,7 +1,17 @@
 """Command-line surface: deterministic JSON/text reports over the library.
 
 Exit codes: 0 for PASS/success payloads, 1 for FAIL verdicts (not stable, not
-balanced, indeterminate locus, failed selftest), 2 for input errors.
+balanced, indeterminate locus, failed selftest), 2 for input errors, 3 for an
+internal error (``{"error": "INTERNAL", ...}`` on stdout, the traceback on
+stderr), so that a crash is never read as a FAIL verdict.
+
+Multidegree, twister and tau/k JSON payloads take JSON integers only; a float,
+a boolean or a string is rejected with BAD_INPUT.  The comma form ``v1=1,v2=-1``
+is read as text.
+
+Every command is one row of ``COMMANDS`` and every option one entry of
+``OPTIONS``; ``build_parser`` turns them into an argparse tree, which ``main``
+builds on its first call and reuses.
 """
 
 from __future__ import annotations
@@ -10,11 +20,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+import traceback
 from pathlib import Path
 
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
-from .errors import JacstabError
+from .errors import JacstabError, strict_int
 from .graphs import DualGraph
 from .pushforward import (c1_twisted_bundle, theta_via_pushforward,
                           theta_gm1_via_pushforward, compact_type_gm1_multidegree,
@@ -42,9 +52,9 @@ def _parse_int_map(value: str, what: str) -> dict[str, int]:
     if value.startswith("{"):
         try:
             data = json.loads(value)
-            return {str(k): int(v) for k, v in data.items()}
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except json.JSONDecodeError as exc:
             raise JacstabError("BAD_INPUT", f"malformed {what}: {exc}") from exc
+        return {str(k): strict_int(v, f"{what} entry {k!r}") for k, v in data.items()}
     out: dict[str, int] = {}
     for piece in value.split(","):
         if not piece:
@@ -75,8 +85,8 @@ def _resolve_tau_k(args) -> tuple[list[int], int]:
             text = path.read_text()
         try:
             payload = json.loads(text)
-            tau = [int(x) for x in payload["tau"]]
-            k = int(payload.get("k", 0))
+            tau = [strict_int(x, "tau entry") for x in payload["tau"]]
+            k = strict_int(payload.get("k", 0), "k")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise JacstabError("BAD_INPUT", f"malformed tau/k payload: {exc}") from exc
         return tau, k
@@ -306,153 +316,103 @@ def cmd_selftest(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# parser assembly
+# command table
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", choices=("json", "text"), default="json",
-                   help="payload format (default json)")
+# Every option once, as ``add_argument`` keywords.
+OPTIONS = {
+    "--graph": {"required": True},
+    "--subcurve": {"required": True},
+    "--pol": {"default": "canonical0", "choices": ("canonical0", "trivial-gm1")},
+    "--mode": {"default": "qstable", "choices": ("semistable", "stable", "qstable")},
+    "--m": {"required": True},
+    "--gamma": {"required": True, "help": "'v1=0,v2=1' or JSON object"},
+    "--root": {"default": None},
+    "--basepoint": {"default": None},
+    "--tau": {"default": None},
+    "--k": {"type": int, "default": 0},
+    "--data": {"default": None},
+    "--g": {"type": int, "required": True},
+    "--n": {"type": int, "required": True},
+    "--method": {"default": "closed", "choices": ("closed", "derive")},
+    "--exclude-empty": {"action": "store_true",
+                        "help": "drop A = empty terms from the correction"},
+    "--depth": {"default": "small", "choices": ("small", "full")},
+    "--seed": {"type": int, "default": 0, "help": "corpus seed (JACSTAB_SEED overrides)"},
+    "--output": {"choices": ("json", "text"), "default": "json",
+                 "help": "payload format (default json)"},
+}
+
+GROUPS = (
+    ("graph", "dual graph queries"),
+    ("stability", "multidegree stability"),
+    ("twist", "twister action and reduction"),
+    ("class", "divisor classes"),
+)
+
+TAU_K = ("--tau", "--k", "--data")
+CLASS_TAU = ("--g", "--n", ("--tau", {"required": True}))
+
+# (group or None for a top-level command, name, help, handler, options).  An
+# option is a flag of OPTIONS, or (flag, keywords) where the keywords replace
+# that flag's shared ones for this command.  Every command also takes --output.
+COMMANDS = (
+    ("graph", "validate", "report invariant violations", cmd_graph_validate,
+     (("--graph", {"help": "path, '-' for stdin, or inline JSON"}),)),
+    ("graph", "classify", "treelike / compact-type / banana flags", cmd_graph_classify,
+     ("--graph",)),
+    ("graph", "query", "kappa, dualizing degree and genus of a subcurve", cmd_graph_query,
+     ("--graph", ("--subcurve", {"help": "comma-separated vertex ids"}))),
+    ("stability", "threshold", "subcurve threshold for a polarization",
+     cmd_stability_threshold, ("--graph", "--pol", "--subcurve")),
+    ("stability", "check", "test one multidegree", cmd_stability_check,
+     ("--graph", "--pol", "--mode",
+      ("--m", {"help": "multidegree: 'v1=0,v2=1' or JSON object"}), "--basepoint")),
+    ("stability", "enumerate", "all stable multidegrees", cmd_stability_enumerate,
+     ("--graph", "--pol", "--mode", "--basepoint")),
+    ("stability", "balanced", "balanced inequalities for (tau, k)", cmd_stability_balanced,
+     ("--graph", ("--tau", {"help": "comma-separated integers"}), "--k",
+      ("--data", {"help": "JSON payload {\"tau\": [...], \"k\": int} (path or inline)"}))),
+    ("stability", "locus", "balanced / treelike locus membership", cmd_stability_locus,
+     ("--graph",) + TAU_K),
+    ("twist", "apply", "multidegree of a twister", cmd_twist_apply, ("--graph", "--gamma")),
+    ("twist", "reduce", "treelike reduction to the zero multidegree", cmd_twist_reduce,
+     ("--graph", "--m", "--root")),
+    ("twist", "coefficients", "per-edge twist coefficients", cmd_twist_coefficients,
+     ("--graph",) + TAU_K + ("--basepoint",)),
+    ("twist", "boundary", "fiber multidegree of the twisted bundle", cmd_twist_boundary,
+     ("--graph",) + TAU_K + ("--basepoint",)),
+    ("class", "theta", "theta pullback for (tau, k)", cmd_class_theta,
+     CLASS_TAU + ("--k", ("--method", {"choices": ("closed", "derive", "hain")}))),
+    ("class", "theta-gm1", "degree g-1 theta pullback", cmd_class_theta_gm1,
+     CLASS_TAU + ("--method",)),
+    ("class", "mueller", "effective-locus class in degree g-1", cmd_class_mueller,
+     CLASS_TAU + ("--exclude-empty",)),
+    ("class", "c1", "first Chern class of the twisted bundle", cmd_class_c1,
+     CLASS_TAU + ("--k",)),
+    ("class", "compact-type-gm1", "degree g-1 multidegree rule", cmd_class_compact_type,
+     ("--graph", "--basepoint")),
+    ("class", "zero-section-shape", "graded exponential truncation",
+     cmd_class_zero_section_shape, ("--g",)),
+    (None, "selftest", "cross-formula consistency suite", cmd_selftest,
+     ("--depth", "--seed")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse tree for every command of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="jacstab",
         description="dual-graph stability, twister reduction and divisor-class calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    graph = sub.add_parser("graph", help="dual graph queries").add_subparsers(
-        dest="subcommand", required=True)
-    p = graph.add_parser("validate", help="report invariant violations")
-    p.add_argument("--graph", required=True, help="path, '-' for stdin, or inline JSON")
-    _add_output(p)
-    p.set_defaults(func=cmd_graph_validate)
-    p = graph.add_parser("classify", help="treelike / compact-type / banana flags")
-    p.add_argument("--graph", required=True)
-    _add_output(p)
-    p.set_defaults(func=cmd_graph_classify)
-    p = graph.add_parser("query", help="kappa, dualizing degree and genus of a subcurve")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--subcurve", required=True, help="comma-separated vertex ids")
-    _add_output(p)
-    p.set_defaults(func=cmd_graph_query)
-
-    stab = sub.add_parser("stability", help="multidegree stability").add_subparsers(
-        dest="subcommand", required=True)
-    p = stab.add_parser("threshold", help="subcurve threshold for a polarization")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", default="canonical0", choices=("canonical0", "trivial-gm1"))
-    p.add_argument("--subcurve", required=True)
-    _add_output(p)
-    p.set_defaults(func=cmd_stability_threshold)
-    p = stab.add_parser("check", help="test one multidegree")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", default="canonical0", choices=("canonical0", "trivial-gm1"))
-    p.add_argument("--mode", default="qstable", choices=("semistable", "stable", "qstable"))
-    p.add_argument("--m", required=True, help="multidegree: 'v1=0,v2=1' or JSON object")
-    p.add_argument("--basepoint", default=None)
-    _add_output(p)
-    p.set_defaults(func=cmd_stability_check)
-    p = stab.add_parser("enumerate", help="all stable multidegrees")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pol", default="canonical0", choices=("canonical0", "trivial-gm1"))
-    p.add_argument("--mode", default="qstable", choices=("semistable", "stable", "qstable"))
-    p.add_argument("--basepoint", default=None)
-    _add_output(p)
-    p.set_defaults(func=cmd_stability_enumerate)
-    p = stab.add_parser("balanced", help="balanced inequalities for (tau, k)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tau", default=None, help="comma-separated integers")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--data", default=None,
-                   help="JSON payload {\"tau\": [...], \"k\": int} (path or inline)")
-    _add_output(p)
-    p.set_defaults(func=cmd_stability_balanced)
-    p = stab.add_parser("locus", help="balanced / treelike locus membership")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--data", default=None)
-    _add_output(p)
-    p.set_defaults(func=cmd_stability_locus)
-
-    twist = sub.add_parser("twist", help="twister action and reduction").add_subparsers(
-        dest="subcommand", required=True)
-    p = twist.add_parser("apply", help="multidegree of a twister")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--gamma", required=True, help="'v1=0,v2=1' or JSON object")
-    _add_output(p)
-    p.set_defaults(func=cmd_twist_apply)
-    p = twist.add_parser("reduce", help="treelike reduction to the zero multidegree")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--root", default=None)
-    _add_output(p)
-    p.set_defaults(func=cmd_twist_reduce)
-    p = twist.add_parser("coefficients", help="per-edge twist coefficients")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--data", default=None)
-    p.add_argument("--basepoint", default=None)
-    _add_output(p)
-    p.set_defaults(func=cmd_twist_coefficients)
-    p = twist.add_parser("boundary", help="fiber multidegree of the twisted bundle")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--data", default=None)
-    p.add_argument("--basepoint", default=None)
-    _add_output(p)
-    p.set_defaults(func=cmd_twist_boundary)
-
-    cls = sub.add_parser("class", help="divisor classes").add_subparsers(
-        dest="subcommand", required=True)
-    p = cls.add_parser("theta", help="theta pullback for (tau, k)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--method", default="closed", choices=("closed", "derive", "hain"))
-    _add_output(p)
-    p.set_defaults(func=cmd_class_theta)
-    p = cls.add_parser("theta-gm1", help="degree g-1 theta pullback")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--method", default="closed", choices=("closed", "derive"))
-    _add_output(p)
-    p.set_defaults(func=cmd_class_theta_gm1)
-    p = cls.add_parser("mueller", help="effective-locus class in degree g-1")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--exclude-empty", action="store_true",
-                   help="drop A = empty terms from the correction")
-    _add_output(p)
-    p.set_defaults(func=cmd_class_mueller)
-    p = cls.add_parser("c1", help="first Chern class of the twisted bundle")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--k", type=int, default=0)
-    _add_output(p)
-    p.set_defaults(func=cmd_class_c1)
-    p = cls.add_parser("compact-type-gm1", help="degree g-1 multidegree rule")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--basepoint", default=None)
-    _add_output(p)
-    p.set_defaults(func=cmd_class_compact_type)
-    p = cls.add_parser("zero-section-shape", help="graded exponential truncation")
-    p.add_argument("--g", type=int, required=True)
-    _add_output(p)
-    p.set_defaults(func=cmd_class_zero_section_shape)
-
-    p = sub.add_parser("selftest", help="cross-formula consistency suite")
-    p.add_argument("--depth", default="small", choices=("small", "full"))
-    p.add_argument("--seed", type=int, default=0,
-                   help="corpus seed (JACSTAB_SEED overrides)")
-    _add_output(p)
-    p.set_defaults(func=cmd_selftest)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {name: top.add_parser(name, help=text).add_subparsers(dest="subcommand",
+                                                                    required=True)
+              for name, text in GROUPS}
+    for group, name, text, func, options in COMMANDS:
+        p = (groups[group] if group else top).add_parser(name, help=text)
+        for option in options + ("--output",):
+            flag, override = (option, {}) if isinstance(option, str) else option
+            p.add_argument(flag, **{**OPTIONS[flag], **override})
+        p.set_defaults(func=func)
     return parser
 
 
@@ -472,14 +432,26 @@ def _attach_tau(argv: list[str]) -> list[str]:
     return out
 
 
+# Built by the first main() call, not at import, and never changed afterwards:
+# parse_args reads the tree and returns a new namespace for each call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_tau(sys.argv[1:] if argv is None else list(argv)))
+    """Run one command line (default ``sys.argv[1:]``) and return its exit code."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(_attach_tau(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except JacstabError as exc:
-        print(json.dumps(exc.to_json_dict(), sort_keys=True, indent=2))
+        _emit(args, exc.to_json_dict())
         return 2
+    except Exception as exc:  # a defect, not a verdict: report it apart from exit 1
+        traceback.print_exc()
+        _emit(args, JacstabError("INTERNAL", f"{type(exc).__name__}: {exc}").to_json_dict())
+        return 3
 
 
 if __name__ == "__main__":

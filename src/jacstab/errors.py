@@ -16,3 +16,10 @@ class JacstabError(Exception):
         if self.details:
             out["details"] = self.details
         return out
+
+
+def strict_int(value, what: str) -> int:
+    """``value`` itself if it is an ``int`` (not a ``bool``), else BAD_INPUT."""
+    if type(value) is not int:
+        raise JacstabError("BAD_INPUT", f"{what} must be an integer, got {value!r}")
+    return value

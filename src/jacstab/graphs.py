@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import JacstabError
+from .errors import JacstabError, strict_int
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ class DualGraph:
                 legs = tuple(legs)
             except (TypeError, ValueError) as exc:
                 raise JacstabError("BAD_INPUT", f"malformed vertex {item!r}: {exc}") from exc
-            verts.append((vid, _strict_int(genus, "genus"),
-                          frozenset(_strict_int(x, "leg") for x in legs)))
+            verts.append((vid, strict_int(genus, "genus"),
+                          frozenset(strict_int(x, "leg") for x in legs)))
         if n is not None:
-            n = _strict_int(n, "n")
+            n = strict_int(n, "n")
         for vid, _, _ in verts:
             if not isinstance(vid, str) or not vid:
                 raise JacstabError("BAD_INPUT", f"vertex id must be a non-empty string, got {vid!r}")
@@ -340,13 +340,6 @@ class DualGraph:
 
     def __repr__(self) -> str:
         return f"DualGraph(g={self.g}, n={self.n}, V={len(self.ids)}, E={len(self.edges)})"
-
-
-def _strict_int(value, what: str) -> int:
-    """``value`` itself if it is an ``int`` (not a ``bool``), else BAD_INPUT."""
-    if type(value) is not int:
-        raise JacstabError("BAD_INPUT", f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def validate(graph: DualGraph) -> list[dict]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import JacstabError
+from .errors import JacstabError, strict_int
 from .graphs import DualGraph
 
 SEMISTABLE = "semistable"
@@ -135,7 +135,7 @@ class StabilityVerdict:
 def check_multidegree(graph: DualGraph, m: Mapping[str, int]) -> dict[str, int]:
     if set(m) != set(graph.ids):
         raise JacstabError("BAD_MULTIDEGREE", "multidegree keys must match the graph's vertices")
-    return {v: int(m[v]) for v in graph.ids}
+    return {v: strict_int(m[v], f"degree of {v}") for v in graph.ids}
 
 
 def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
@@ -316,7 +316,8 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
 def check_tau(graph_g: int, tau: Iterable[int], k: int, n: int | None = None) -> list[int]:
     """Validate an integer twist vector: sum must equal k(2g-2)."""
-    t = [int(x) for x in tau]
+    t = [strict_int(x, "tau entry") for x in tau]
+    k = strict_int(k, "k")
     if n is not None and len(t) != n:
         raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
     want = k * (2 * graph_g - 2)

@@ -9,6 +9,7 @@ import pytest
 
 from jacstab import theta_via_pushforward
 from jacstab.pushforward import PUSH_RULES
+from jacstab import cli
 from jacstab.cli import main
 from jacstab.selftest import run as selftest_run
 from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex
@@ -196,6 +197,56 @@ def test_graph_json_integer_fields_are_strict(capsys, where, value):
         data["vertices"][0][where] = value
     code, payload = run_json(capsys, "graph", "classify", "--graph", json.dumps(data))
     assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "check", "--graph", BANANA, "--m", '{"v1": 0.7, "v2": -0.2}'],
+    ["stability", "balanced", "--graph", BANANA, "--data", '{"tau": [1.9, -1.9], "k": 0}'],
+    ["twist", "apply", "--graph", TREE, "--gamma", '{"v1": 0.5, "v2": true}'],
+], ids=["float-multidegree", "float-tau", "float-and-bool-gamma"])
+def test_json_payloads_take_integers_only(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "enumerate_stable", broken)
+    code = main(["stability", "enumerate", "--graph", BANANA, "--output", "text"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {"error": "INTERNAL", "message": "RuntimeError: boom"}
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    for argv in (["graph", "classify", "--graph", BANANA],
+                 ["stability", "check", "--graph", BANANA, "--m", "v1=0,v2=0"],
+                 ["class", "zero-section-shape", "--g", "2", "--output", "text"],
+                 ["twist", "apply", "--graph", TREE, "--gamma", "v1=0,v2=1"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) <= 1
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch):
+    argv = ("stability", "check", "--graph", BANANA, "--m", "v1=-1,v2=1")
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    flagged = run_cli(capsys, *argv, "--basepoint", "v2", "--output", "text")
+    after = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    fresh = run_cli(capsys, *argv)
+    assert after == fresh and flagged != fresh
 
 
 def test_unhashable_edge_endpoint_is_bad_input(capsys):
