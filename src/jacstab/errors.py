@@ -1,4 +1,8 @@
-"""Shared error type: domain failures carry a stable machine-readable code."""
+"""Shared error type: domain failures carry a stable machine-readable code.
+
+``strict_int`` is the integer check at the input boundary: JSON and library
+input is accepted only as a genuine ``int``, never coerced.
+"""
 
 from __future__ import annotations
 

@@ -308,6 +308,9 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
                 search(i + 1, acc + d)
 
     search(0, 0)
+    # the recursive closure is a reference cycle that holds every result and
+    # the table; break it, or they stay alive until the cyclic collector runs
+    del search
     return results
 
 

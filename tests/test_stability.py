@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -338,6 +339,19 @@ def test_enumerate_does_not_call_check_stability(monkeypatch):
     expected = enumerate_stable(banana(), CAN0, QSTABLE)
     monkeypatch.setattr(stability, "check_stability", refuse)
     assert stability.enumerate_stable(banana(), CAN0, QSTABLE) == expected
+
+
+def test_enumerate_leaves_no_cyclic_garbage():
+    graph = banana()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert enumerate_stable(graph, CAN0, QSTABLE)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_table_rows_are_filled_on_first_use():
