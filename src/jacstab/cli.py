@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
 
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
@@ -87,7 +86,7 @@ def _resolve_tau_k(args) -> tuple[list[int], int]:
             payload = json.loads(text)
             tau = [strict_int(x, "tau entry") for x in payload["tau"]]
             k = strict_int(payload.get("k", 0), "k")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise JacstabError("BAD_INPUT", f"malformed tau/k payload: {exc}") from exc
         return tau, k
     if args.tau is None:
@@ -449,6 +448,7 @@ def main(argv=None) -> int:
         _emit(args, exc.to_json_dict())
         return 2
     except Exception as exc:  # a defect, not a verdict: report it apart from exit 1
+        import traceback  # here, so that no answer pays for importing it
         traceback.print_exc()
         _emit(args, JacstabError("INTERNAL", f"{type(exc).__name__}: {exc}").to_json_dict())
         return 3
