@@ -21,19 +21,6 @@ GM1 = Polarization.trivial_gm1()
 # ----------------------------------------------------------------------
 # thresholds
 
-@pytest.mark.parametrize("call", [
-    lambda: check_stability(banana(), CAN0, {"v1": 0.5, "v2": -0.5}, QSTABLE),
-    lambda: check_stability(banana(), CAN0, {"v1": True, "v2": -1}, QSTABLE),
-    lambda: is_balanced(banana(), [1.0, -1.0], 0),
-    lambda: is_balanced(banana(), ["1", "-1"], 0),
-    lambda: locus_membership(banana(), [1, -1], 0.0),
-], ids=["float-degree", "bool-degree", "float-tau", "str-tau", "float-k"])
-def test_multidegrees_and_tau_are_strict(call):
-    with pytest.raises(JacstabError) as err:
-        call()
-    assert err.value.code == "BAD_INPUT"
-
-
 def test_threshold_canonical_zero_banana():
     assert threshold(banana(), CAN0, ["v1"]) == Fraction(-1)
 
@@ -107,6 +94,19 @@ def test_connected_only_verdict_matches_exhaustive():
             assert fast.ok == slow.ok
             cases += 1
     assert cases
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_stability(banana(), CAN0, {"v1": 0.5, "v2": -0.5}, QSTABLE),
+    lambda: check_stability(banana(), CAN0, {"v1": True, "v2": -1}, QSTABLE),
+    lambda: is_balanced(banana(), [1.0, -1.0], 0),
+    lambda: is_balanced(banana(), ["1", "-1"], 0),
+    lambda: locus_membership(banana(), [1, -1], 0.0),
+], ids=["float-degree", "bool-degree", "float-tau", "str-tau", "float-k"])
+def test_multidegrees_and_tau_are_strict(call):
+    with pytest.raises(JacstabError) as err:
+        call()
+    assert err.value.code == "BAD_INPUT"
 
 
 # ----------------------------------------------------------------------
