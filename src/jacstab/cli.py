@@ -34,15 +34,25 @@ from .twister import (twist_multidegree, reduce_treelike, branch_coefficients,
                       branch_side, boundary_multidegree)
 
 
+def _read_json_arg(value: str, what: str) -> str:
+    """Inline JSON as given, else the text of the file it names.
+
+    A missing file, one that cannot be read (a directory, say) and one that is
+    not UTF-8 are all BAD_INPUT.
+    """
+    if value.lstrip().startswith("{"):
+        return value
+    path = Path(value)
+    if not path.exists():
+        raise JacstabError("BAD_INPUT", f"{what} file not found: {value}")
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise JacstabError("BAD_INPUT", f"cannot read {what} file {value}: {exc}") from exc
+
+
 def _load_graph(source: str, check: bool = True) -> DualGraph:
-    text = source
-    if source == "-":
-        text = sys.stdin.read()
-    elif not source.lstrip().startswith("{"):
-        path = Path(source)
-        if not path.exists():
-            raise JacstabError("BAD_INPUT", f"graph file not found: {source}")
-        text = path.read_text()
+    text = sys.stdin.read() if source == "-" else _read_json_arg(source, "graph")
     return DualGraph.from_json(text, check=check)
 
 
@@ -76,12 +86,7 @@ def _parse_tau(value: str) -> list[int]:
 def _resolve_tau_k(args) -> tuple[list[int], int]:
     """Twist data from --tau/--k flags or a --data JSON payload."""
     if getattr(args, "data", None):
-        text = args.data
-        if not text.lstrip().startswith("{"):
-            path = Path(text)
-            if not path.exists():
-                raise JacstabError("BAD_INPUT", f"data file not found: {text}")
-            text = path.read_text()
+        text = _read_json_arg(args.data, "data")
         try:
             payload = json.loads(text)
             tau = [strict_int(x, "tau entry") for x in payload["tau"]]

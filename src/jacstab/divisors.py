@@ -1,8 +1,18 @@
 """Exact divisor classes on the moduli of stable n-marked genus-g curves.
 
-Classes live in the rational span of psi_1..psi_n, lambda1, kappa1t (the
-pushed-forward square of the relative canonical class), delta_irr and the
-separating boundary divisors delta_{h,A}.  Boundary indices are kept in a
+Every class of the package is a ``LinearClass``: an immutable sparse rational
+combination of monomials, ``coeffs`` mapping a monomial key to a non-zero
+``Fraction``.  It carries the shared algebra (``+``, ``-``, ``scale``,
+``is_zero``, ``==``, ``hash``) and the ``a + b - c`` text; a subclass names
+its space fields, the order and symbol of its keys, its JSON form and its
+validating constructor.  Results of the algebra are built by the trusted
+``_like``, which neither re-validates nor re-wraps coefficients.
+
+``DivisorClass`` lives in the rational span of psi_1..psi_n, lambda1, kappa1t
+(the pushed-forward square of the relative canonical class), delta_irr and the
+separating boundary divisors delta_{h,A}, keyed ("psi", i), ("lambda1",),
+("kappa1t",), ("delta_irr",) and ("delta", h, A) -- the term tags of
+``canonicalize``.  Boundary indices are kept in a
 canonical form under the identification delta_{h,A} = delta_{g-h,A^c}:
 either 2h < g, or 2h = g and marking 1 lies in A.  The conventions
 delta_{0,{i}} = -psi_i (and its mirror) are applied before validity checks.
@@ -19,9 +29,98 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import JacstabError
+from .errors import JacstabError, strict_int
+from .stability import check_tau
 
 Legs = tuple[int, ...]
+
+
+class LinearClass:
+    """Immutable sparse rational combination of monomials on one space."""
+
+    __slots__ = ("coeffs",)
+    _space: tuple[str, ...] = ()  # the fields naming the space, e.g. ("g", "n")
+
+    def _fill(self, space: tuple, coeffs: dict[tuple, Fraction]) -> None:
+        for field, value in zip(self._space, space):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, space: tuple, coeffs: dict[tuple, Fraction]) -> "LinearClass":
+        """A class from trusted parts: valid keys and non-zero ``Fraction`` values."""
+        out = object.__new__(cls)
+        out._fill(space, coeffs)
+        return out
+
+    def _like(self, coeffs: dict[tuple, Fraction]) -> "LinearClass":
+        """A class on this space from trusted coefficients (see ``_of``)."""
+        return self._of(self._where(), coeffs)
+
+    def _where(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._space)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # -- algebra ---------------------------------------------------------
+
+    def _check_same_space(self, other: "LinearClass") -> None:
+        if type(other) is not type(self) or other._where() != self._where():
+            raise JacstabError("BAD_INPUT", f"{type(self).__name__} operands live on different spaces")
+
+    def _combine(self, other: "LinearClass", sign: int) -> "LinearClass":
+        self._check_same_space(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            c = out.get(key, 0) + sign * c
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def scale(self, c) -> "LinearClass":
+        c = Fraction(c)
+        return self._like({key: c * v for key, v in self.coeffs.items()} if c else {})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other._where() == self._where()
+                and other.coeffs == self.coeffs)
+
+    def __hash__(self):
+        return hash((self._where(), frozenset(self.coeffs.items())))
+
+    # -- presentation ----------------------------------------------------
+
+    def _sorted_keys(self) -> list[tuple]:
+        return sorted(self.coeffs, key=self._order)
+
+    def text(self) -> str:
+        parts = []
+        for key in self._sorted_keys():
+            c, sym = self.coeffs[key], self._symbol(key)
+            piece = sym if c == 1 else (f"-{sym}" if c == -1 else f"{c}*{sym}")
+            if not parts:
+                parts.append(piece)
+            elif piece.startswith("-"):
+                parts.append(f"- {piece[1:]}")
+            else:
+                parts.append(f"+ {piece}")
+        return " ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        space = ", ".join(f"{field}={value}" for field, value in zip(self._space, self._where()))
+        return f"{type(self).__name__}({space}: {self.text()})"
 
 
 def _check_gn(g: int, n: int) -> None:
@@ -67,187 +166,116 @@ def canonical_indices(g: int, n: int) -> list[tuple[int, Legs]]:
     return out
 
 
-class DivisorClass:
-    """Immutable rational combination of tautological divisor classes."""
+_RANK = {"psi": 0, "lambda1": 1, "kappa1t": 2, "delta_irr": 3, "delta": 4}
+_ZERO = Fraction(0)
 
-    __slots__ = ("g", "n", "psi", "lambda1", "kappa1t", "delta_irr", "delta")
+
+class DivisorClass(LinearClass):
+    """Rational combination of psi_i, lambda1, kappa1t, delta_irr and delta_{h,A}."""
+
+    __slots__ = ("g", "n")
+    _space = ("g", "n")
 
     def __init__(self, g: int, n: int, psi=None, lambda1=0, kappa1t=0, delta_irr=0, delta=None):
         _check_gn(g, n)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
-        psi = {int(i): Fraction(c) for i, c in (psi or {}).items() if c}
-        if any(i < 1 or i > n for i in psi):
+        coeffs = {("psi", int(i)): Fraction(c) for i, c in (psi or {}).items() if c}
+        if any(not 1 <= key[1] <= n for key in coeffs):
             raise JacstabError("BAD_INPUT", "psi index outside 1..n")
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "lambda1", Fraction(lambda1))
-        object.__setattr__(self, "kappa1t", Fraction(kappa1t))
-        object.__setattr__(self, "delta_irr", Fraction(delta_irr))
-        object.__setattr__(self, "delta", {k: Fraction(c) for k, c in (delta or {}).items() if c})
+        for tag, c in (("lambda1", lambda1), ("kappa1t", kappa1t), ("delta_irr", delta_irr)):
+            if c:
+                coeffs[(tag,)] = Fraction(c)
+        coeffs.update((("delta", *key), Fraction(c)) for key, c in (delta or {}).items() if c)
+        self._fill((g, n), coeffs)
 
-    def __setattr__(self, *args):
-        raise AttributeError("DivisorClass is immutable")
+    # read-only views of ``coeffs`` by family
+    psi = property(lambda self: {k[1]: c for k, c in self.coeffs.items() if k[0] == "psi"})
+    delta = property(lambda self: {k[1:]: c for k, c in self.coeffs.items() if k[0] == "delta"})
+    lambda1 = property(lambda self: self.coeffs.get(("lambda1",), _ZERO))
+    kappa1t = property(lambda self: self.coeffs.get(("kappa1t",), _ZERO))
+    delta_irr = property(lambda self: self.coeffs.get(("delta_irr",), _ZERO))
 
-    # -- algebra ---------------------------------------------------------
+    @staticmethod
+    def _order(key: tuple) -> tuple:
+        return _RANK[key[0]], key[1:]
 
-    def _binary(self, other: "DivisorClass", sign: int) -> "DivisorClass":
-        if (self.g, self.n) != (other.g, other.n):
-            raise JacstabError("BAD_INPUT", "classes live on different moduli spaces")
-        psi = dict(self.psi)
-        for i, c in other.psi.items():
-            psi[i] = psi.get(i, Fraction(0)) + sign * c
-        delta = dict(self.delta)
-        for k, c in other.delta.items():
-            delta[k] = delta.get(k, Fraction(0)) + sign * c
-        return DivisorClass(self.g, self.n, psi=psi,
-                            lambda1=self.lambda1 + sign * other.lambda1,
-                            kappa1t=self.kappa1t + sign * other.kappa1t,
-                            delta_irr=self.delta_irr + sign * other.delta_irr,
-                            delta=delta)
-
-    def __add__(self, other):
-        return self._binary(other, 1)
-
-    def __sub__(self, other):
-        return self._binary(other, -1)
-
-    def scale(self, c) -> "DivisorClass":
-        c = Fraction(c)
-        return DivisorClass(self.g, self.n,
-                            psi={i: c * v for i, v in self.psi.items()},
-                            lambda1=c * self.lambda1, kappa1t=c * self.kappa1t,
-                            delta_irr=c * self.delta_irr,
-                            delta={k: c * v for k, v in self.delta.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, DivisorClass)
-                and (self.g, self.n) == (other.g, other.n)
-                and self.psi == other.psi and self.lambda1 == other.lambda1
-                and self.kappa1t == other.kappa1t and self.delta_irr == other.delta_irr
-                and self.delta == other.delta)
-
-    def __hash__(self):
-        return hash((self.g, self.n, tuple(sorted(self.psi.items())),
-                     self.lambda1, self.kappa1t, self.delta_irr,
-                     tuple(sorted(self.delta.items()))))
-
-    def is_zero(self) -> bool:
-        return (not self.psi and not self.delta and self.lambda1 == 0
-                and self.kappa1t == 0 and self.delta_irr == 0)
-
-    # -- presentation ----------------------------------------------------
+    @staticmethod
+    def _symbol(key: tuple) -> str:
+        tag = key[0]
+        if tag == "psi":
+            return f"psi_{key[1]}"
+        if tag == "delta":
+            legs = ",".join(str(i) for i in key[2])
+            return f"delta_{{{key[1]},{{{legs}}}}}"
+        return tag
 
     def to_json_dict(self) -> dict:
+        keys = self._sorted_keys()
         return {
-            "psi": {str(i): str(self.psi[i]) for i in sorted(self.psi)},
+            "psi": {str(k[1]): str(self.coeffs[k]) for k in keys if k[0] == "psi"},
             "lambda1": str(self.lambda1),
             "kappa1t": str(self.kappa1t),
             "delta_irr": str(self.delta_irr),
-            "delta": [
-                {"h": h, "A": list(A), "c": str(self.delta[(h, A)])}
-                for (h, A) in sorted(self.delta)
-            ],
+            "delta": [{"h": k[1], "A": list(k[2]), "c": str(self.coeffs[k])}
+                      for k in keys if k[0] == "delta"],
         }
-
-    def terms(self) -> list[tuple[str, Fraction]]:
-        out: list[tuple[str, Fraction]] = []
-        for i in sorted(self.psi):
-            out.append((f"psi_{i}", self.psi[i]))
-        if self.lambda1:
-            out.append(("lambda1", self.lambda1))
-        if self.kappa1t:
-            out.append(("kappa1t", self.kappa1t))
-        if self.delta_irr:
-            out.append(("delta_irr", self.delta_irr))
-        for (h, A) in sorted(self.delta):
-            legs = ",".join(str(i) for i in A)
-            out.append((f"delta_{{{h},{{{legs}}}}}", self.delta[(h, A)]))
-        return out
-
-    def text(self) -> str:
-        parts = []
-        for sym, c in self.terms():
-            if c == 1:
-                piece = sym
-            elif c == -1:
-                piece = f"-{sym}"
-            else:
-                piece = f"{c}*{sym}"
-            if not parts:
-                parts.append(piece)
-            elif piece.startswith("-"):
-                parts.append(f"- {piece[1:]}")
-            else:
-                parts.append(f"+ {piece}")
-        return " ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"DivisorClass(g={self.g}, n={self.n}: {self.text()})"
 
 
 def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
     """Build a class from raw terms, applying the psi conventions and folding.
 
     Terms are tagged tuples: ("psi", i, c), ("lambda1", c), ("kappa1t", c),
-    ("delta_irr", c), ("delta", h, A, c).  Boundary entries may use any
+    ("delta_irr", c), ("delta", h, A, c); without its coefficient a term is
+    its key in ``DivisorClass.coeffs``.  Boundary entries may use any
     representative, including the psi conventions (0,{i}) and (g,[n]-{i}).
     Indices that survive with a non-zero coefficient but fall outside the
     valid range are rejected.
     """
     _check_gn(g, n)
-    psi: dict[int, Fraction] = {}
-    delta: dict[tuple[int, Legs], Fraction] = {}
-    lambda1 = kappa1t = delta_irr = Fraction(0)
-    full = tuple(range(1, n + 1))
+    coeffs: dict[tuple, Fraction] = {}
     for term in terms:
         tag = term[0]
         if tag == "psi":
             _, i, c = term
-            psi[i] = psi.get(i, Fraction(0)) + Fraction(c)
-        elif tag == "lambda1":
-            lambda1 += Fraction(term[1])
-        elif tag == "kappa1t":
-            kappa1t += Fraction(term[1])
-        elif tag == "delta_irr":
-            delta_irr += Fraction(term[1])
+            key = ("psi", i)
         elif tag == "delta":
             _, h, A, c = term
             legs = tuple(sorted(set(int(i) for i in A)))
-            c = Fraction(c)
             if h == 0 and len(legs) == 1:
-                psi[legs[0]] = psi.get(legs[0], Fraction(0)) - c
+                key, c = ("psi", legs[0]), -Fraction(c)
             elif h == g and len(legs) == n - 1:
-                (i,) = tuple(sorted(set(full) - set(legs)))
-                psi[i] = psi.get(i, Fraction(0)) - c
+                (i,) = set(range(1, n + 1)).difference(legs)
+                key, c = ("psi", i), -Fraction(c)
             else:
-                key = canonical_pair(g, n, h, legs)
-                delta[key] = delta.get(key, Fraction(0)) + c
+                key = ("delta", *canonical_pair(g, n, h, legs))
+        elif tag in _RANK:
+            key, c = (tag,), term[1]
         else:
             raise JacstabError("BAD_INPUT", f"unknown term tag {tag!r}")
-    for (h, A), c in delta.items():
-        if c and not is_valid_index(g, n, h, A):
+        c = Fraction(c)
+        coeffs[key] = coeffs[key] + c if key in coeffs else c
+    coeffs = {key: c for key, c in coeffs.items() if c}
+    for key in coeffs:
+        if key[0] == "delta" and not is_valid_index(g, n, key[1], key[2]):
+            A = key[2]
             raise JacstabError("INVALID_INDEX",
-                               f"({h},{set(A) if A else '{}'}) is not a boundary divisor for g={g}, n={n}")
-    return DivisorClass(g, n, psi=psi, lambda1=lambda1, kappa1t=kappa1t,
-                        delta_irr=delta_irr, delta=delta)
+                               f"({key[1]},{set(A) if A else '{}'}) is not a boundary divisor for g={g}, n={n}")
+    if any(key[0] == "psi" and not 1 <= key[1] <= n for key in coeffs):
+        raise JacstabError("BAD_INPUT", "psi index outside 1..n")
+    return DivisorClass._of((g, n), coeffs)
 
 
 # ----------------------------------------------------------------------
 # closed-form pullback classes
 
 def _check_tau_theta(g: int, n: int, tau: Sequence[int], k: int) -> list[int]:
-    t = [int(x) for x in tau]
-    if len(t) != n:
-        raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
-    if sum(t) != k * (2 * g - 2):
-        raise JacstabError("TAU_SUM", f"sum(tau) = {sum(t)}, expected k(2g-2) = {k * (2 * g - 2)}")
+    t = check_tau(g, tau, k, n)
     if k == 0 and not any(t):
         raise JacstabError("TAU_SUM", "tau must be non-zero when k = 0")
     return t
 
 
 def _check_tau_gm1(g: int, n: int, tau: Sequence[int]) -> list[int]:
-    t = [int(x) for x in tau]
+    t = [strict_int(x, "tau entry") for x in tau]
     if len(t) != n:
         raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
     if sum(t) != g - 1:

@@ -3,7 +3,11 @@
 Fiber classes are exact-rational polynomials in the marked-section classes
 D_1..D_n, the relative canonical class K, and the vertical boundary symbols
 B_{h,A} (the boundary divisor whose genus-h side carries the legs A together
-with the moving point).  The ring normalization used throughout:
+with the moving point).  ``FiberClass`` and ``GradedAtomPoly`` are
+``LinearClass``es (see ``divisors``): the monomials are keyed ("const",),
+("D", i), ("K",), ("B", h, A), ("D2", i), ("K2",), ("KD", i), ("B2", h, A),
+("DB", i, h, A) and ("KB", h, A), and a graded atom product by its sorted
+(s, multiplicity) pairs.  The ring normalization used throughout:
 
 * K * D_i = -D_i^2
 * D_i * D_j = 0 for i != j (disjoint sections)
@@ -19,7 +23,9 @@ and degree-2 parts and forms only these families, so its work grows with the
 number of output terms, not with the number of monomial pairs.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
-the degree-2 monomials to divisor classes on the base via ``PUSH_RULES``; the
+the degree-2 monomials to divisor classes on the base via ``PUSH_RULES``.
+``pushforward`` applies the K*D rewrite itself, so the derivations push the
+raw ``mul_raw`` products and each product is normalized once, there; the
 rule table is module data so that corrupting it is observable (the selftest
 must catch a corrupted table).  D_i*B_{h,A} with i not in A is dropped there,
 not in the product.
@@ -33,7 +39,7 @@ from typing import Mapping, Sequence
 
 from .errors import JacstabError
 from .graphs import DualGraph
-from .divisors import (DivisorClass, canonical_indices, canonicalize,
+from .divisors import (DivisorClass, LinearClass, canonical_indices, canonicalize,
                        _check_gn, _check_tau_theta, _check_tau_gm1)
 from .stability import resolve_basepoint
 
@@ -62,15 +68,14 @@ def _families(coeffs: Mapping[tuple, Fraction]) -> tuple:
     return const, D, K, B, quadratic
 
 
-class FiberClass:
+class FiberClass(LinearClass):
     """Polynomial of degree <= 2 on the universal curve, exact coefficients."""
 
-    __slots__ = ("g", "n", "coeffs")
+    __slots__ = ("g", "n")
+    _space = ("g", "n")
 
     def __init__(self, g: int, n: int, coeffs: Mapping[tuple, Fraction] | None = None):
         _check_gn(g, n)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
         clean = {}
         for key, c in (coeffs or {}).items():
             c = Fraction(c)
@@ -78,10 +83,7 @@ class FiberClass:
                 if key[0] not in _DEGREE:
                     raise JacstabError("BAD_INPUT", f"unknown monomial {key}")
                 clean[key] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FiberClass is immutable")
+        self._fill((g, n), clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -105,31 +107,12 @@ class FiberClass:
 
     # -- ring operations ----------------------------------------------------
 
-    def _binary(self, other: "FiberClass", sign: int) -> "FiberClass":
-        if (self.g, self.n) != (other.g, other.n):
-            raise JacstabError("BAD_INPUT", "fiber classes live on different universal curves")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + sign * c
-        return FiberClass(self.g, self.n, out)
-
-    def __add__(self, other):
-        return self._binary(other, 1)
-
-    def __sub__(self, other):
-        return self._binary(other, -1)
-
-    def scale(self, c) -> "FiberClass":
-        c = Fraction(c)
-        return FiberClass(self.g, self.n, {k: c * v for k, v in self.coeffs.items()})
-
     def mul_raw(self, other: "FiberClass") -> "FiberClass":
         """Product without the K*D rewrite; may contain raw KD monomials.
 
         Forms the surviving product families of the module docstring only.
         """
-        if (self.g, self.n) != (other.g, other.n):
-            raise JacstabError("BAD_INPUT", "fiber classes live on different universal curves")
+        self._check_same_space(other)
         a0, aD, aK, aB, a2 = _families(self.coeffs)
         b0, bD, bK, bB, b2 = _families(other.coeffs)
         if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
@@ -168,31 +151,24 @@ class FiberClass:
         if aK:
             for (h, A), b in bB.items():
                 add(("KB", h, A), aK * b)
-        return FiberClass(self.g, self.n, out)
+        return self._like({key: c for key, c in out.items() if c})
 
     def normalized(self) -> "FiberClass":
         """Rewrite KD monomials to -D^2."""
         out: dict[tuple, Fraction] = {}
         for key, c in self.coeffs.items():
             if key[0] == "KD":
-                key2 = ("D2", key[1])
-                out[key2] = out.get(key2, Fraction(0)) - c
-            else:
-                out[key] = out.get(key, Fraction(0)) + c
-        return FiberClass(self.g, self.n, out)
+                key, c = ("D2", key[1]), -c
+            out[key] = out[key] + c if key in out else c
+        return self._like({key: c for key, c in out.items() if c})
 
     def __mul__(self, other):
         return self.mul_raw(other).normalized()
 
-    def __eq__(self, other):
-        return (isinstance(other, FiberClass)
-                and (self.g, self.n) == (other.g, other.n)
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.g, self.n, tuple(sorted(self.coeffs.items()))))
-
     # -- presentation ------------------------------------------------------
+
+    def _order(self, key: tuple) -> tuple:
+        return _DEGREE[key[0]], self._symbol(key)
 
     @staticmethod
     def _symbol(key: tuple) -> str:
@@ -223,29 +199,9 @@ class FiberClass:
             return f"K*B_{{{key[1]},{{{legs}}}}}"
         raise ValueError(key)
 
-    def _sorted_keys(self) -> list[tuple]:
-        return sorted(self.coeffs, key=lambda k: (_DEGREE[k[0]], self._symbol(k)))
-
-    def text(self) -> str:
-        parts = []
-        for key in self._sorted_keys():
-            c = self.coeffs[key]
-            sym = self._symbol(key)
-            piece = sym if c == 1 else (f"-{sym}" if c == -1 else f"{c}*{sym}")
-            if not parts:
-                parts.append(piece)
-            elif piece.startswith("-"):
-                parts.append(f"- {piece[1:]}")
-            else:
-                parts.append(f"+ {piece}")
-        return " ".join(parts) if parts else "0"
-
     def to_json_dict(self) -> dict:
         return {"terms": [{"monomial": self._symbol(k), "c": str(self.coeffs[k])}
                           for k in self._sorted_keys()]}
-
-    def __repr__(self):
-        return f"FiberClass(g={self.g}, n={self.n}: {self.text()})"
 
 
 # ----------------------------------------------------------------------
@@ -264,11 +220,10 @@ def pushforward(fc: FiberClass) -> DivisorClass:
     """Push a fiber class down to the base.
 
     Linear; degree 0 and 1 monomials push to zero, degree-2 monomials follow
-    ``PUSH_RULES`` after the K*D rewrite.
+    ``PUSH_RULES`` after the K*D rewrite, the one normalization of a product.
     """
-    fc = fc.normalized()
     terms: list[tuple] = []
-    for key, c in fc.coeffs.items():
+    for key, c in fc.normalized().coeffs.items():
         if _DEGREE[key[0]] < 2:
             continue
         rule = PUSH_RULES[key[0]]
@@ -305,7 +260,7 @@ def theta_via_pushforward(g: int, n: int, tau: Sequence[int], k: int) -> Divisor
     recorded as documentation rather than as a code path.
     """
     c1 = c1_twisted_bundle(g, n, tau, k)
-    return pushforward((c1 * c1).scale(Fraction(-1, 2)))
+    return pushforward(c1.mul_raw(c1).scale(Fraction(-1, 2)))
 
 
 def c1_gm1_bundle(g: int, n: int, tau: Sequence[int],
@@ -341,8 +296,8 @@ def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int],
     c1 = c1_gm1_bundle(g, n, tau, chi_convention=chi_convention)
     K = FiberClass.canonical(g, n)
     half = Fraction(1, 2)
-    return (pushforward((c1 * c1).scale(-half))
-            + pushforward((c1 * K).scale(half))
+    return (pushforward(c1.mul_raw(c1).scale(-half))
+            + pushforward(c1.mul_raw(K).scale(half))
             + DivisorClass(g, n, lambda1=Fraction(-1)))
 
 
@@ -363,57 +318,36 @@ def compact_type_gm1_multidegree(graph: DualGraph, basepoint: str | None = None)
 # ----------------------------------------------------------------------
 # zero-section shape: graded exponential truncation
 
-class GradedAtomPoly:
+class GradedAtomPoly(LinearClass):
     """Polynomial in abstract graded atoms C_1..C_g (C_s has degree s)."""
 
-    __slots__ = ("g", "terms")
+    __slots__ = ("g",)
+    _space = ("g",)
 
     def __init__(self, g: int, terms: Mapping[tuple[tuple[int, int], ...], Fraction] | None = None):
         if g < 1:
             raise JacstabError("BAD_INPUT", "graded truncation needs g >= 1")
-        object.__setattr__(self, "g", g)
         clean = {}
         for key, c in (terms or {}).items():
             c = Fraction(c)
             if c:
                 clean[tuple(sorted(key))] = c
-        object.__setattr__(self, "terms", clean)
+        self._fill((g,), clean)
 
-    def __setattr__(self, *args):
-        raise AttributeError("GradedAtomPoly is immutable")
+    terms = property(lambda self: self.coeffs)
 
-    def __eq__(self, other):
-        return (isinstance(other, GradedAtomPoly)
-                and self.g == other.g and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.g, tuple(sorted(self.terms.items()))))
+    @staticmethod
+    def _order(key: tuple[tuple[int, int], ...]) -> tuple:
+        return key
 
     @staticmethod
     def _symbol(key: tuple[tuple[int, int], ...]) -> str:
         return "*".join(f"C{s}^{m}" if m > 1 else f"C{s}" for s, m in key)
 
-    def text(self) -> str:
-        parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            sym = self._symbol(key)
-            piece = sym if c == 1 else (f"-{sym}" if c == -1 else f"{c}*{sym}")
-            if not parts:
-                parts.append(piece)
-            elif piece.startswith("-"):
-                parts.append(f"- {piece[1:]}")
-            else:
-                parts.append(f"+ {piece}")
-        return " ".join(parts) if parts else "0"
-
     def to_json_dict(self) -> dict:
         return {"degree": self.g,
-                "terms": [{"atoms": [[s, m] for s, m in key], "c": str(self.terms[key])}
-                          for key in sorted(self.terms)]}
-
-    def __repr__(self):
-        return f"GradedAtomPoly(g={self.g}: {self.text()})"
+                "terms": [{"atoms": [[s, m] for s, m in key], "c": str(self.coeffs[key])}
+                          for key in self._sorted_keys()]}
 
 
 def _partitions(total: int, max_part: int | None = None):

@@ -70,7 +70,8 @@ class Polarization:
     @classmethod
     def custom(cls, per_vertex_q: Mapping[str, Fraction], degree: int) -> "Polarization":
         items = tuple(sorted((v, Fraction(q)) for v, q in per_vertex_q.items()))
-        return cls(kind="custom", per_vertex_q=items, degree=int(degree))
+        return cls(kind="custom", per_vertex_q=items,
+                   degree=strict_int(degree, "polarization degree"))
 
     @classmethod
     def preset(cls, name: str) -> "Polarization":

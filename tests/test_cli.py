@@ -294,6 +294,20 @@ def test_graph_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0 and payload["banana_like"]
 
 
+@pytest.mark.parametrize("case", ["graph-directory", "graph-not-utf8", "data-directory"])
+def test_unreadable_path_is_bad_input(tmp_path, capsys, case):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    argv = {"graph-directory": ["graph", "classify", "--graph", str(tmp_path)],
+            "graph-not-utf8": ["graph", "classify", "--graph", str(latin)],
+            "data-directory": ["stability", "balanced", "--graph", BANANA,
+                               "--data", str(tmp_path)]}[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and json.loads(captured.out)["error"] == "BAD_INPUT"
+    assert "Traceback" not in captured.err
+
+
 # ----------------------------------------------------------------------
 # selftest
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from jacstab import (DivisorClass, JacstabError, canonicalize, canonical_pair,
+from jacstab import (DivisorClass, JacstabError, Polarization, canonicalize, canonical_pair,
                      canonical_indices, is_valid_index,
                      theta_pullback, theta_pullback_hain, theta_gm1_pullback,
                      mueller_class, mueller_correction)
@@ -246,6 +246,17 @@ def test_mueller_corrections_nonnegative_integers():
             assert all(isinstance(c, int) and c > 0 for c in corr.values())
         cases += 1
     assert cases >= 15
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theta_pullback(2, 2, [1.5, -1.5], 0),
+    lambda: theta_gm1_pullback(2, 2, [2.9, -1.9]),
+    lambda: Polarization.custom({"a": 0}, 2.7),
+], ids=["theta-float-tau", "theta-gm1-float-tau", "custom-float-degree"])
+def test_library_tau_and_degree_are_not_truncated(call):
+    with pytest.raises(JacstabError) as exc:
+        call()
+    assert exc.value.code == "BAD_INPUT"
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      pushforward, c1_twisted_bundle, theta_via_pushforward,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
-                     compact_type_gm1_multidegree, exp_truncate)
+                     compact_type_gm1_multidegree, exp_truncate, GradedAtomPoly)
 from jacstab.divisors import canonical_indices
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau
@@ -152,6 +152,51 @@ def test_mul_raw_matches_pairwise_reference():
             seen["degree 2 input"] += any(key[0] in QUADRATIC_TAGS
                                           for key in (*a.coeffs, *b.coeffs))
     assert seen["error"] >= 100 and seen["const"] >= 100 and seen["degree 2 input"] >= 30, seen
+
+
+# The three LinearClass kinds, each as (a, b, a class on another space).
+LINEAR_CASES = {
+    "divisor": lambda: (theta_gm1_pullback(2, 2, [3, -2]), theta_pullback(2, 2, [1, -1], 0),
+                        DivisorClass(3, 2, lambda1=1)),
+    "fiber": lambda: (c1_twisted_bundle(2, 2, [2, 0], 1), FiberClass.canonical(2, 2),
+                      FiberClass.canonical(2, 3)),
+    "graded": lambda: (exp_truncate(3), GradedAtomPoly(3, {((3, 1),): 2, ((1, 1), (2, 1)): 1}),
+                       exp_truncate(2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINEAR_CASES))
+def test_shared_linear_algebra(kind):
+    a, b, elsewhere = LINEAR_CASES[kind]()
+    again = LINEAR_CASES[kind]()[0]
+    assert a + b - b == a
+    assert a.scale(0).is_zero() and not a.is_zero()
+    assert again is not a and again == a and hash(again) == hash(a)
+    assert hash(a + b - b) == hash(a)
+    with pytest.raises(JacstabError) as exc:
+        a + elsewhere
+    assert exc.value.code == "BAD_INPUT"
+    with pytest.raises(AttributeError):
+        a.coeffs = {}
+    with pytest.raises(AttributeError):
+        a.g = 5
+    assert a.scale(0).text() == "0"
+
+
+def test_each_product_is_normalized_once(monkeypatch):
+    calls = []
+    real = FiberClass.normalized
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(FiberClass, "normalized", counting)
+    theta_via_pushforward(3, 3, [2, -1, -1], 0)
+    assert len(calls) == 1
+    calls.clear()
+    theta_gm1_via_pushforward(3, 3, [2, 1, -1])
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
