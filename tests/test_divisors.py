@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from jacstab import (DivisorClass, JacstabError, Polarization, canonicalize, canonical_pair,
+from jacstab import (DivisorClass, JacstabError, canonicalize, canonical_pair,
                      canonical_indices, is_valid_index,
                      theta_pullback, theta_pullback_hain, theta_gm1_pullback,
                      mueller_class, mueller_correction)
 from jacstab.corpus import random_tau
+from jacstab.stability import Polarization
 
 
 def zero_sum_grid(n, bound=5):

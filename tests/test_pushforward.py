@@ -9,8 +9,9 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      pushforward, c1_twisted_bundle, theta_via_pushforward,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
-                     compact_type_gm1_multidegree, exp_truncate, GradedAtomPoly)
+                     compact_type_gm1_multidegree, exp_truncate)
 from jacstab.divisors import canonical_indices
+from jacstab.pushforward import GradedAtomPoly
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau
 from common import banana, two_vertex_tree, path3
