@@ -10,8 +10,10 @@ a boolean or a string is rejected with BAD_INPUT.  The comma form ``v1=1,v2=-1``
 is read as text.
 
 Every command is one row of ``COMMANDS`` and every option one entry of
-``OPTIONS``; ``build_parser`` turns them into an argparse tree, which ``main``
-builds on its first call and reuses.
+``OPTIONS``, which also names the function converting its string;
+``build_parser`` turns them into an argparse tree, which ``main`` builds on its
+first call and reuses.  ``main`` converts the options, calls the handler and
+prints the (exit code, payload, text) answer it returns in the --output form.
 """
 
 from __future__ import annotations
@@ -37,15 +39,15 @@ from .twister import (twist_multidegree, reduce_treelike, branch_coefficients,
 def _read_json_arg(value: str, what: str) -> str:
     """Inline JSON as given, else the text of the file it names.
 
-    A missing file, one that cannot be read (a directory, say) and one that is
-    not UTF-8 are all BAD_INPUT.
+    A missing file, one that cannot be read (a directory, say), one that is
+    not UTF-8 and a name the system refuses (too long, say) are all BAD_INPUT.
     """
     if value.lstrip().startswith("{"):
         return value
     path = Path(value)
-    if not path.exists():
-        raise JacstabError("BAD_INPUT", f"{what} file not found: {value}")
     try:
+        if not path.exists():
+            raise JacstabError("BAD_INPUT", f"{what} file not found: {value}")
         return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise JacstabError("BAD_INPUT", f"cannot read {what} file {value}: {exc}") from exc
@@ -61,7 +63,7 @@ def _parse_int_map(value: str, what: str) -> dict[str, int]:
     if value.startswith("{"):
         try:
             data = json.loads(value)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise JacstabError("BAD_INPUT", f"malformed {what}: {exc}") from exc
         return {str(k): strict_int(v, f"{what} entry {k!r}") for k, v in data.items()}
     out: dict[str, int] = {}
@@ -85,13 +87,13 @@ def _parse_tau(value: str) -> list[int]:
 
 def _resolve_tau_k(args) -> tuple[list[int], int]:
     """Twist data from --tau/--k flags or a --data JSON payload."""
-    if getattr(args, "data", None):
+    if args.data:
         text = _read_json_arg(args.data, "data")
         try:
             payload = json.loads(text)
             tau = [strict_int(x, "tau entry") for x in payload["tau"]]
             k = strict_int(payload.get("k", 0), "k")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
             raise JacstabError("BAD_INPUT", f"malformed tau/k payload: {exc}") from exc
         return tau, k
     if args.tau is None:
@@ -103,41 +105,41 @@ def _parse_subcurve(value: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in value.split(",") if x.strip())
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    if getattr(args, "output", "json") == "text" and text is not None:
-        print(text)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-
-
 def _multidegree_text(m: dict[str, int]) -> str:
     return " ".join(f"{v}={m[v]}" for v in sorted(m))
 
 
 # ----------------------------------------------------------------------
+# Each handler gets its options already converted by their OPTIONS entries
+# and returns (exit code, JSON payload, text form); ``main`` prints one form.
+
+def _verdict(verdict) -> tuple[int, dict, str]:
+    return (0 if verdict.ok else 1, verdict.to_json_dict(),
+            "PASS" if verdict.ok else f"FAIL witness={','.join(verdict.witness)}")
+
+
+def _class(cls) -> tuple[int, dict, str]:
+    return 0, cls.to_json_dict(), cls.text()
+
+
+# ----------------------------------------------------------------------
 # graph commands
 
-def cmd_graph_validate(args) -> int:
-    graph = _load_graph(args.graph, check=False)
-    violations = graph.validate()
-    payload = {"ok": not violations, "g": graph.g, "n": graph.n,
+def cmd_graph_validate(args):
+    violations = args.graph.validate()
+    payload = {"ok": not violations, "g": args.graph.g, "n": args.graph.n,
                "violations": violations}
-    _emit(args, payload, "ok" if not violations else
-          "\n".join(v["message"] for v in violations))
-    return 0 if not violations else 1
+    return (1 if violations else 0, payload,
+            "\n".join(v["message"] for v in violations) if violations else "ok")
 
 
-def cmd_graph_classify(args) -> int:
-    graph = _load_graph(args.graph)
-    result = graph.classify()
-    payload = {"g": graph.g, "n": graph.n, **result.to_json_dict()}
-    _emit(args, payload, " ".join(f"{k}={v}" for k, v in sorted(payload.items())))
-    return 0
+def cmd_graph_classify(args):
+    payload = {"g": args.graph.g, "n": args.graph.n, **args.graph.classify().to_json_dict()}
+    return 0, payload, " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
 
 
-def cmd_graph_query(args) -> int:
-    graph = _load_graph(args.graph)
-    Y = _parse_subcurve(args.subcurve)
+def cmd_graph_query(args):
+    graph, Y = args.graph, args.subcurve
     payload = {
         "subcurve": sorted(Y),
         "omega_degree": graph.omega_degree(Y),
@@ -146,160 +148,108 @@ def cmd_graph_query(args) -> int:
     }
     if 0 < len(Y) < len(graph.ids):
         payload["kappa"] = graph.kappa(Y)
-    _emit(args, payload, " ".join(f"{k}={payload[k]}" for k in sorted(payload)))
-    return 0
+    return 0, payload, " ".join(f"{k}={payload[k]}" for k in sorted(payload))
 
 
 # ----------------------------------------------------------------------
 # stability commands
 
-def cmd_stability_threshold(args) -> int:
-    graph = _load_graph(args.graph)
-    pol = Polarization.preset(args.pol)
-    value = threshold(graph, pol, _parse_subcurve(args.subcurve))
-    _emit(args, {"threshold": str(value)}, str(value))
-    return 0
+def cmd_stability_threshold(args):
+    value = str(threshold(args.graph, args.pol, args.subcurve))
+    return 0, {"threshold": value}, value
 
 
-def cmd_stability_check(args) -> int:
-    graph = _load_graph(args.graph)
-    pol = Polarization.preset(args.pol)
-    m = _parse_int_map(args.m, "multidegree")
-    verdict = check_stability(graph, pol, m, args.mode, basepoint=args.basepoint)
-    _emit(args, verdict.to_json_dict(),
-          "PASS" if verdict.ok else f"FAIL witness={','.join(verdict.witness)}")
-    return 0 if verdict.ok else 1
+def cmd_stability_check(args):
+    return _verdict(check_stability(args.graph, args.pol, args.m, args.mode,
+                                    basepoint=args.basepoint))
 
 
-def cmd_stability_enumerate(args) -> int:
-    graph = _load_graph(args.graph)
-    pol = Polarization.preset(args.pol)
-    found = enumerate_stable(graph, pol, args.mode, basepoint=args.basepoint)
-    payload = {"count": len(found), "multidegrees": found}
-    _emit(args, payload, "\n".join(_multidegree_text(m) for m in found) or "(none)")
-    return 0
+def cmd_stability_enumerate(args):
+    found = enumerate_stable(args.graph, args.pol, args.mode, basepoint=args.basepoint)
+    return (0, {"count": len(found), "multidegrees": found},
+            "\n".join(_multidegree_text(m) for m in found) or "(none)")
 
 
-def cmd_stability_balanced(args) -> int:
-    graph = _load_graph(args.graph)
-    tau, k = _resolve_tau_k(args)
-    verdict = is_balanced(graph, tau, k)
-    _emit(args, verdict.to_json_dict(),
-          "PASS" if verdict.ok else f"FAIL witness={','.join(verdict.witness)}")
-    return 0 if verdict.ok else 1
+def cmd_stability_balanced(args):
+    return _verdict(is_balanced(args.graph, *_resolve_tau_k(args)))
 
 
-def cmd_stability_locus(args) -> int:
-    graph = _load_graph(args.graph)
-    tau, k = _resolve_tau_k(args)
-    result = locus_membership(graph, tau, k)
-    _emit(args, {"locus": result}, result)
-    return 0 if result != INDETERMINACY else 1
+def cmd_stability_locus(args):
+    result = locus_membership(args.graph, *_resolve_tau_k(args))
+    return (0 if result != INDETERMINACY else 1), {"locus": result}, result
 
 
 # ----------------------------------------------------------------------
 # twister commands
 
-def cmd_twist_apply(args) -> int:
-    graph = _load_graph(args.graph)
-    gamma = _parse_int_map(args.gamma, "gamma")
-    m = twist_multidegree(graph, gamma)
-    _emit(args, {"multidegree": m}, _multidegree_text(m))
-    return 0
+def cmd_twist_apply(args):
+    m = twist_multidegree(args.graph, args.gamma)
+    return 0, {"multidegree": m}, _multidegree_text(m)
 
 
-def cmd_twist_reduce(args) -> int:
-    graph = _load_graph(args.graph)
-    m = _parse_int_map(args.m, "multidegree")
-    result = reduce_treelike(graph, m, root=args.root)
-    _emit(args, result.to_json_dict(),
-          "gamma: " + _multidegree_text(result.gamma) + "\n"
-          + "\n".join(f"peel {s.leaf} coeff={s.coefficient} branch={','.join(s.branch)}"
-                      for s in result.trace))
-    return 0
+def cmd_twist_reduce(args):
+    result = reduce_treelike(args.graph, args.m, root=args.root)
+    return (0, result.to_json_dict(),
+            "gamma: " + _multidegree_text(result.gamma) + "\n"
+            + "\n".join(f"peel {s.leaf} coeff={s.coefficient} branch={','.join(s.branch)}"
+                        for s in result.trace))
 
 
-def cmd_twist_coefficients(args) -> int:
-    graph = _load_graph(args.graph)
-    tau, k = _resolve_tau_k(args)
-    coeffs = branch_coefficients(graph, tau, k, basepoint=args.basepoint)
-    entries = []
-    for edge in sorted(coeffs):
-        Z = branch_side(graph, edge, basepoint=args.basepoint)
-        entries.append({"edge": list(edge), "branch": sorted(Z),
-                        "coefficient": coeffs[edge]})
-    _emit(args, {"coefficients": entries},
-          "\n".join(f"{e['edge'][0]}--{e['edge'][1]}: {e['coefficient']}"
-                    for e in entries) or "(no separating edges)")
-    return 0
+def cmd_twist_coefficients(args):
+    graph, basepoint = args.graph, args.basepoint
+    coeffs = branch_coefficients(graph, *_resolve_tau_k(args), basepoint=basepoint)
+    entries = [{"edge": list(edge), "branch": sorted(branch_side(graph, edge, basepoint=basepoint)),
+                "coefficient": coeffs[edge]} for edge in sorted(coeffs)]
+    return (0, {"coefficients": entries},
+            "\n".join(f"{e['edge'][0]}--{e['edge'][1]}: {e['coefficient']}"
+                      for e in entries) or "(no separating edges)")
 
 
-def cmd_twist_boundary(args) -> int:
-    graph = _load_graph(args.graph)
-    tau, k = _resolve_tau_k(args)
-    m = boundary_multidegree(graph, tau, k, basepoint=args.basepoint)
-    payload = {"multidegree": m, "zero": all(v == 0 for v in m.values())}
-    _emit(args, payload, _multidegree_text(m))
-    return 0
+def cmd_twist_boundary(args):
+    m = boundary_multidegree(args.graph, *_resolve_tau_k(args), basepoint=args.basepoint)
+    return (0, {"multidegree": m, "zero": all(v == 0 for v in m.values())},
+            _multidegree_text(m))
 
 
 # ----------------------------------------------------------------------
 # class commands
 
-def cmd_class_theta(args) -> int:
-    tau = _parse_tau(args.tau)
+def cmd_class_theta(args):
     if args.method == "closed":
-        cls = theta_pullback(args.g, args.n, tau, args.k)
-    elif args.method == "derive":
-        cls = theta_via_pushforward(args.g, args.n, tau, args.k)
-    else:
-        if args.k != 0:
-            raise JacstabError("BAD_INPUT", "the hain method is the k = 0 case")
-        cls = theta_pullback_hain(args.g, args.n, tau)
-    _emit(args, cls.to_json_dict(), cls.text())
-    return 0
+        return _class(theta_pullback(args.g, args.n, args.tau, args.k))
+    if args.method == "derive":
+        return _class(theta_via_pushforward(args.g, args.n, args.tau, args.k))
+    if args.k != 0:
+        raise JacstabError("BAD_INPUT", "the hain method is the k = 0 case")
+    return _class(theta_pullback_hain(args.g, args.n, args.tau))
 
 
-def cmd_class_theta_gm1(args) -> int:
-    tau = _parse_tau(args.tau)
-    if args.method == "closed":
-        cls = theta_gm1_pullback(args.g, args.n, tau)
-    else:
-        cls = theta_gm1_via_pushforward(args.g, args.n, tau)
-    _emit(args, cls.to_json_dict(), cls.text())
-    return 0
+def cmd_class_theta_gm1(args):
+    method = theta_gm1_pullback if args.method == "closed" else theta_gm1_via_pushforward
+    return _class(method(args.g, args.n, args.tau))
 
 
-def cmd_class_mueller(args) -> int:
-    cls = mueller_class(args.g, args.n, _parse_tau(args.tau),
-                        include_empty=not args.exclude_empty)
-    _emit(args, cls.to_json_dict(), cls.text())
-    return 0
+def cmd_class_mueller(args):
+    return _class(mueller_class(args.g, args.n, args.tau, include_empty=not args.exclude_empty))
 
 
-def cmd_class_c1(args) -> int:
-    fc = c1_twisted_bundle(args.g, args.n, _parse_tau(args.tau), args.k)
-    _emit(args, fc.to_json_dict(), fc.text())
-    return 0
+def cmd_class_c1(args):
+    return _class(c1_twisted_bundle(args.g, args.n, args.tau, args.k))
 
 
-def cmd_class_compact_type(args) -> int:
-    graph = _load_graph(args.graph)
-    m = compact_type_gm1_multidegree(graph, basepoint=args.basepoint)
-    _emit(args, {"multidegree": m}, _multidegree_text(m))
-    return 0
+def cmd_class_compact_type(args):
+    m = compact_type_gm1_multidegree(args.graph, basepoint=args.basepoint)
+    return 0, {"multidegree": m}, _multidegree_text(m)
 
 
-def cmd_class_zero_section_shape(args) -> int:
-    poly = exp_truncate(args.g)
-    _emit(args, poly.to_json_dict(), poly.text())
-    return 0
+def cmd_class_zero_section_shape(args):
+    return _class(exp_truncate(args.g))
 
 
 # ----------------------------------------------------------------------
 # selftest
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     # imported here so that no other command loads the suite, its oracles
     # and its corpus
     from .selftest import run
@@ -315,21 +265,24 @@ def cmd_selftest(args) -> int:
     lines = [f"{c['name']}: {'ok' if c['ok'] else 'FAIL'} ({c['cases']} cases)"
              + (f" first counterexample: {c['counterexample']}" if c["counterexample"] else "")
              for c in report["checks"]]
-    _emit(args, report, "\n".join(lines + ["ok" if report["ok"] else "FAILED"]))
-    return 0 if report["ok"] else 1
+    return (0 if report["ok"] else 1, report,
+            "\n".join(lines + ["ok" if report["ok"] else "FAILED"]))
 
 
 # ----------------------------------------------------------------------
 # command table
 
-# Every option once, as ``add_argument`` keywords.
+# Every option once, as ``add_argument`` keywords plus, under "convert", the
+# function that turns its string into the value the handlers read.
 OPTIONS = {
-    "--graph": {"required": True},
-    "--subcurve": {"required": True},
-    "--pol": {"default": "canonical0", "choices": ("canonical0", "trivial-gm1")},
+    "--graph": {"required": True, "convert": _load_graph},
+    "--subcurve": {"required": True, "convert": _parse_subcurve},
+    "--pol": {"default": "canonical0", "choices": ("canonical0", "trivial-gm1"),
+              "convert": Polarization.preset},
     "--mode": {"default": "qstable", "choices": ("semistable", "stable", "qstable")},
-    "--m": {"required": True},
-    "--gamma": {"required": True, "help": "'v1=0,v2=1' or JSON object"},
+    "--m": {"required": True, "convert": lambda value: _parse_int_map(value, "multidegree")},
+    "--gamma": {"required": True, "help": "'v1=0,v2=1' or JSON object",
+                "convert": lambda value: _parse_int_map(value, "gamma")},
     "--root": {"default": None},
     "--basepoint": {"default": None},
     "--tau": {"default": None},
@@ -354,14 +307,15 @@ GROUPS = (
 )
 
 TAU_K = ("--tau", "--k", "--data")
-CLASS_TAU = ("--g", "--n", ("--tau", {"required": True}))
+CLASS_TAU = ("--g", "--n", ("--tau", {"required": True, "convert": _parse_tau}))
 
 # (group or None for a top-level command, name, help, handler, options).  An
 # option is a flag of OPTIONS, or (flag, keywords) where the keywords replace
 # that flag's shared ones for this command.  Every command also takes --output.
 COMMANDS = (
     ("graph", "validate", "report invariant violations", cmd_graph_validate,
-     (("--graph", {"help": "path, '-' for stdin, or inline JSON"}),)),
+     (("--graph", {"help": "path, '-' for stdin, or inline JSON",
+                   "convert": lambda source: _load_graph(source, check=False)}),)),
     ("graph", "classify", "treelike / compact-type / banana flags", cmd_graph_classify,
      ("--graph",)),
     ("graph", "query", "kappa, dualizing degree and genus of a subcurve", cmd_graph_query,
@@ -413,10 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
               for name, text in GROUPS}
     for group, name, text, func, options in COMMANDS:
         p = (groups[group] if group else top).add_parser(name, help=text)
+        converters = []
         for option in options + ("--output",):
             flag, override = (option, {}) if isinstance(option, str) else option
-            p.add_argument(flag, **{**OPTIONS[flag], **override})
-        p.set_defaults(func=func)
+            keywords = {**OPTIONS[flag], **override}
+            convert = keywords.pop("convert", None)
+            dest = p.add_argument(flag, **keywords).dest
+            if convert is not None:
+                converters.append((dest, convert))
+        p.set_defaults(func=func, converters=converters)
     return parser
 
 
@@ -439,6 +398,8 @@ def _attach_tau(argv: list[str]) -> list[str]:
 # Built by the first main() call, not at import, and never changed afterwards:
 # parse_args reads the tree and returns a new namespace for each call.
 _parser: argparse.ArgumentParser | None = None
+# json.dumps(payload, sort_keys=True, indent=2), without a new encoder per call
+_json = json.JSONEncoder(sort_keys=True, indent=2).encode
 
 
 def main(argv=None) -> int:
@@ -448,15 +409,21 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(_attach_tau(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        # in the order of the command's row, which fixes which bad option is reported
+        for dest, convert in args.converters:
+            setattr(args, dest, convert(getattr(args, dest)))
+        code, payload, text = args.func(args)
+        if args.output == "json":
+            text = _json(payload)
     except JacstabError as exc:
-        _emit(args, exc.to_json_dict())
-        return 2
+        code, text = 2, _json(exc.to_json_dict())
     except Exception as exc:  # a defect, not a verdict: report it apart from exit 1
         import traceback  # here, so that no answer pays for importing it
         traceback.print_exc()
-        _emit(args, JacstabError("INTERNAL", f"{type(exc).__name__}: {exc}").to_json_dict())
-        return 3
+        internal = JacstabError("INTERNAL", f"{type(exc).__name__}: {exc}")
+        code, text = 3, _json(internal.to_json_dict())
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

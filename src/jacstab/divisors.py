@@ -46,6 +46,14 @@ class LinearClass:
             object.__setattr__(self, field, value)
         object.__setattr__(self, "coeffs", coeffs)
 
+    def _fill_sum(self, space: tuple, terms: Iterable[tuple[tuple, object]]) -> None:
+        """Fill from checked (key, coefficient) pairs; equal keys add up."""
+        coeffs: dict[tuple, Fraction] = {}
+        for key, c in terms:
+            c = Fraction(c)
+            coeffs[key] = coeffs[key] + c if key in coeffs else c
+        self._fill(space, {key: c for key, c in coeffs.items() if c})
+
     @classmethod
     def _of(cls, space: tuple, coeffs: dict[tuple, Fraction]) -> "LinearClass":
         """A class from trusted parts: valid keys and non-zero ``Fraction`` values."""
@@ -138,9 +146,18 @@ def is_valid_index(g: int, n: int, h: int, A: Iterable[int]) -> bool:
     return 2 <= size <= g + n - 2
 
 
+def _legs(A: Iterable[int]) -> Legs:
+    """Sorted distinct markings, each an ``int``."""
+    return tuple(sorted({strict_int(i, "leg") for i in A}))
+
+
 def canonical_pair(g: int, n: int, h: int, A: Iterable[int]) -> tuple[int, Legs]:
     """Canonical representative of a boundary index under complementation."""
-    legs = tuple(sorted(set(int(i) for i in A)))
+    return _fold(g, n, strict_int(h, "h"), _legs(A))
+
+
+def _fold(g: int, n: int, h: int, legs: Legs) -> tuple[int, Legs]:
+    """``canonical_pair`` for legs already sorted, distinct and integer."""
     if any(i < 1 or i > n for i in legs):
         raise JacstabError("INVALID_INDEX", f"legs {legs} not within 1..{n}")
     if not 0 <= h <= g:
@@ -177,15 +194,15 @@ class DivisorClass(LinearClass):
     _space = ("g", "n")
 
     def __init__(self, g: int, n: int, psi=None, lambda1=0, kappa1t=0, delta_irr=0, delta=None):
-        _check_gn(g, n)
-        coeffs = {("psi", int(i)): Fraction(c) for i, c in (psi or {}).items() if c}
-        if any(not 1 <= key[1] <= n for key in coeffs):
-            raise JacstabError("BAD_INPUT", "psi index outside 1..n")
-        for tag, c in (("lambda1", lambda1), ("kappa1t", kappa1t), ("delta_irr", delta_irr)):
-            if c:
-                coeffs[(tag,)] = Fraction(c)
-        coeffs.update((("delta", *key), Fraction(c)) for key, c in (delta or {}).items() if c)
-        self._fill((g, n), coeffs)
+        """By family; ``delta`` maps any representative (h, A) to its coefficient.
+
+        The terms go through ``canonicalize``, so they are checked and folded
+        the way every other class is.
+        """
+        terms = [("psi", i, c) for i, c in (psi or {}).items()]
+        terms += [("lambda1", lambda1), ("kappa1t", kappa1t), ("delta_irr", delta_irr)]
+        terms += [("delta", h, A, c) for (h, A), c in (delta or {}).items()]
+        self._fill((g, n), canonicalize(g, n, terms).coeffs)
 
     # read-only views of ``coeffs`` by family
     psi = property(lambda self: {k[1]: c for k, c in self.coeffs.items() if k[0] == "psi"})
@@ -236,17 +253,17 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
         tag = term[0]
         if tag == "psi":
             _, i, c = term
-            key = ("psi", i)
+            key = ("psi", strict_int(i, "psi index"))
         elif tag == "delta":
             _, h, A, c = term
-            legs = tuple(sorted(set(int(i) for i in A)))
+            h, legs = strict_int(h, "h"), _legs(A)
             if h == 0 and len(legs) == 1:
                 key, c = ("psi", legs[0]), -Fraction(c)
             elif h == g and len(legs) == n - 1:
                 (i,) = set(range(1, n + 1)).difference(legs)
                 key, c = ("psi", i), -Fraction(c)
             else:
-                key = ("delta", *canonical_pair(g, n, h, legs))
+                key = ("delta", *_fold(g, n, h, legs))
         elif tag in _RANK:
             key, c = (tag,), term[1]
         else:

@@ -281,7 +281,8 @@ class DualGraph:
                     violations.append({"code": "LEGS_NOT_PARTITION", "leg": leg,
                                        "message": f"leg {leg} appears on {seen[leg]} and {v}"})
                 seen[leg] = v
-        if set(seen) != set(range(1, self.n + 1)):
+        # seen == {1..n}, without building 1..n: n comes from the input
+        if len(seen) != max(self.n, 0) or not all(1 <= leg <= self.n for leg in seen):
             violations.append({"code": "LEGS_NOT_PARTITION",
                                "message": f"legs {sorted(seen)} do not partition 1..{self.n}"})
         for v in self.ids:
@@ -334,7 +335,7 @@ class DualGraph:
     def from_json(cls, text: str, check: bool = True) -> "DualGraph":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise JacstabError("BAD_INPUT", f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data, check=check)
 

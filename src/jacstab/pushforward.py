@@ -37,14 +37,37 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import JacstabError
+from .errors import JacstabError, strict_int
 from .graphs import DualGraph
 from .divisors import (DivisorClass, LinearClass, canonical_indices, canonicalize,
-                       _check_gn, _check_tau_theta, _check_tau_gm1)
+                       _check_gn, _check_tau_theta, _check_tau_gm1, _legs)
 from .stability import resolve_basepoint
 
 _DEGREE = {"const": 0, "D": 1, "K": 1, "B": 1,
            "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2, "KD": 2}
+# The indices after each tag: i a marking, h a genus, A a set of markings.
+_INDICES = {"const": "", "D": "i", "K": "", "B": "hA",
+            "D2": "i", "K2": "", "B2": "hA", "DB": "ihA", "KB": "hA", "KD": "i"}
+
+
+def _monomial(g: int, n: int, key: tuple) -> tuple:
+    """``key`` checked against its tag's indices and ranges, its legs sorted."""
+    kinds = _INDICES.get(key[0]) if type(key) is tuple and key else None
+    if kinds is None or len(key) != 1 + len(kinds):
+        raise JacstabError("BAD_INPUT", f"unknown monomial {key}")
+    out = [key[0]]
+    for kind, x in zip(kinds, key[1:]):
+        if kind == "A":
+            x = _legs(x)
+            ok = all(1 <= i <= n for i in x)
+        else:
+            x = strict_int(x, "monomial index")
+            ok = 1 <= x <= n if kind == "i" else 0 <= x <= g
+        if not ok:
+            raise JacstabError("BAD_INPUT", f"monomial {key} has an index outside its range "
+                                            f"for g={g}, n={n}")
+        out.append(x)
+    return tuple(out)
 
 
 def _families(coeffs: Mapping[tuple, Fraction]) -> tuple:
@@ -76,14 +99,7 @@ class FiberClass(LinearClass):
 
     def __init__(self, g: int, n: int, coeffs: Mapping[tuple, Fraction] | None = None):
         _check_gn(g, n)
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                if key[0] not in _DEGREE:
-                    raise JacstabError("BAD_INPUT", f"unknown monomial {key}")
-                clean[key] = c
-        self._fill((g, n), clean)
+        self._fill_sum((g, n), ((_monomial(g, n, key), c) for key, c in (coeffs or {}).items()))
 
     # -- constructors ------------------------------------------------------
 
@@ -93,8 +109,6 @@ class FiberClass(LinearClass):
 
     @classmethod
     def section(cls, g: int, n: int, i: int) -> "FiberClass":
-        if not 1 <= i <= n:
-            raise JacstabError("BAD_INPUT", f"section index {i} outside 1..{n}")
         return cls(g, n, {("D", i): Fraction(1)})
 
     @classmethod
@@ -103,7 +117,7 @@ class FiberClass(LinearClass):
 
     @classmethod
     def boundary(cls, g: int, n: int, h: int, A: Sequence[int]) -> "FiberClass":
-        return cls(g, n, {("B", h, tuple(sorted(A))): Fraction(1)})
+        return cls(g, n, {("B", h, tuple(A)): Fraction(1)})
 
     # -- ring operations ----------------------------------------------------
 
@@ -327,12 +341,7 @@ class GradedAtomPoly(LinearClass):
     def __init__(self, g: int, terms: Mapping[tuple[tuple[int, int], ...], Fraction] | None = None):
         if g < 1:
             raise JacstabError("BAD_INPUT", "graded truncation needs g >= 1")
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(sorted(key))] = c
-        self._fill((g,), clean)
+        self._fill_sum((g,), ((tuple(sorted(key)), c) for key, c in (terms or {}).items()))
 
     terms = property(lambda self: self.coeffs)
 

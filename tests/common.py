@@ -1,6 +1,29 @@
-"""Small named graphs used across the test modules."""
+"""Small named graphs used across the test modules, and a capped child process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from jacstab import DualGraph
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CAP_BYTES = 1 << 30
+# Lowers the child's address-space limit before anything else runs, so that
+# unbounded allocation ends in MemoryError there instead of growing the runner.
+_CAP = ("import resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        f"cap = {CAP_BYTES} if hard == resource.RLIM_INFINITY else min({CAP_BYTES}, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n")
+
+
+def run_capped(code: str, *args: str, stdin: str = "",
+               timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run Python ``code`` with ``args`` in a child with ``src`` on its path
+    and at most ``CAP_BYTES`` of address space."""
+    return subprocess.run([sys.executable, "-c", _CAP + code, *args], input=stdin,
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=SRC))
 
 
 def banana(marking_on_first: bool = True) -> DualGraph:

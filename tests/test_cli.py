@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -13,11 +12,11 @@ from jacstab import cli
 from jacstab.cli import main
 from jacstab.selftest import run as selftest_run
 from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex
+from common import SRC, run_capped
 
 BANANA = json.dumps(banana().to_json_dict())
 TREE = json.dumps(two_vertex_tree().to_json_dict())
 PATH3 = json.dumps(path3().to_json_dict())
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +254,27 @@ def test_unhashable_edge_endpoint_is_bad_input(capsys):
     assert code == 2 and payload["error"] == "BAD_INPUT"
 
 
+def test_huge_n_is_rejected_without_building_1_to_n():
+    data = banana().to_json_dict()
+    data["n"] = 10 ** 30
+    proc = run_capped("import sys\nfrom jacstab.cli import main\nsys.exit(main(sys.argv[1:]))",
+                      "graph", "classify", "--graph", json.dumps(data))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "INVALID_GRAPH"
+    assert [v["code"] for v in payload["details"]["violations"]] == ["LEGS_NOT_PARTITION"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "classify", "--graph", '{"n": ' + "9" * 5000 + "}"],
+    ["stability", "check", "--graph", BANANA, "--m", '{"v1": ' + "9" * 5000 + "}"],
+    ["stability", "balanced", "--graph", BANANA, "--data", '{"tau": [' + "9" * 5000 + "]}"],
+], ids=["graph", "multidegree", "data"])
+def test_integer_over_the_digit_limit_is_bad_input(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
 def test_cli_import_leaves_selftest_unloaded():
     probe = ("import sys, jacstab.cli; "
              "print([m for m in ('jacstab.selftest', 'jacstab.oracles', 'jacstab.corpus') "
@@ -294,14 +314,16 @@ def test_graph_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0 and payload["banana_like"]
 
 
-@pytest.mark.parametrize("case", ["graph-directory", "graph-not-utf8", "data-directory"])
+@pytest.mark.parametrize("case", ["graph-directory", "graph-not-utf8", "data-directory",
+                                  "graph-name-too-long"])
 def test_unreadable_path_is_bad_input(tmp_path, capsys, case):
     latin = tmp_path / "latin1.json"
     latin.write_bytes(b"\xff\xfe{}")
     argv = {"graph-directory": ["graph", "classify", "--graph", str(tmp_path)],
             "graph-not-utf8": ["graph", "classify", "--graph", str(latin)],
             "data-directory": ["stability", "balanced", "--graph", BANANA,
-                               "--data", str(tmp_path)]}[case]
+                               "--data", str(tmp_path)],
+            "graph-name-too-long": ["graph", "classify", "--graph", "9" * 5000]}[case]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and json.loads(captured.out)["error"] == "BAD_INPUT"

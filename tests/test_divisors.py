@@ -260,6 +260,33 @@ def test_library_tau_and_degree_are_not_truncated(call):
     assert exc.value.code == "BAD_INPUT"
 
 
+def test_keyword_constructor_follows_canonicalize():
+    # delta_{1,{2}} and delta_{1,{1}} are one divisor for g = 2, n = 2
+    assert DivisorClass(2, 2, delta={(1, (2,)): 1}) == DivisorClass(2, 2, delta={(1, (1,)): 1})
+    assert DivisorClass(2, 2, delta={(0, (1,)): 3}) == DivisorClass(2, 2, psi={1: -3})
+    assert DivisorClass(2, 2, psi={1: 2, 2: 0}, lambda1=0).coeffs == {("psi", 1): 2}
+    for kwargs, code in (({"delta": {(7, (9,)): 1}}, "INVALID_INDEX"),
+                         ({"delta": {(1, ()): 1}}, "INVALID_INDEX"),
+                         ({"psi": {3: 1}}, "BAD_INPUT"),
+                         ({"psi": {1.5: 1}}, "BAD_INPUT")):
+        with pytest.raises(JacstabError) as err:
+            DivisorClass(2, 2, **kwargs)
+        assert err.value.code == code, kwargs
+
+
+@pytest.mark.parametrize("call", [
+    lambda: canonical_pair(2, 2, 1, [1.7]),
+    lambda: canonical_pair(2, 2, 0.5, [1]),
+    lambda: canonicalize(2, 2, [("psi", 1.5, 1)]),
+    lambda: canonicalize(2, 2, [("delta", 1, (True,), 1)]),
+    lambda: canonicalize(2, 2, [("delta", 1.0, (1,), 1)]),
+], ids=["pair-float-leg", "pair-float-h", "psi-float-index", "delta-bool-leg", "delta-float-h"])
+def test_library_indices_are_not_truncated(call):
+    with pytest.raises(JacstabError) as exc:
+        call()
+    assert exc.value.code == "BAD_INPUT"
+
+
 # ----------------------------------------------------------------------
 # presentation
 

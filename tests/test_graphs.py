@@ -35,6 +35,21 @@ def test_validate_reports_disconnected_and_bad_legs():
     assert "LEGS_NOT_PARTITION" in codes
 
 
+def test_leg_partition_check_matches_the_set_rule_for_every_n():
+    # validate compares the legs with 1..n without building 1..n; its
+    # violations must be those of the plain set comparison, n <= 0 included
+    for legs_a, legs_b in (([1], [2]), ([1, 2], []), ([2], [3]), ([], []), ([1], [1])):
+        seen = set(legs_a) | set(legs_b)
+        for n in range(-2, 5):
+            graph = DualGraph([("a", 1, legs_a), ("b", 1, legs_b)], [("a", "b")], n=n)
+            found = [v for v in graph.validate()
+                     if v["code"] == "LEGS_NOT_PARTITION" and "leg" not in v]
+            want = ([{"code": "LEGS_NOT_PARTITION",
+                      "message": f"legs {sorted(seen)} do not partition 1..{n}"}]
+                    if seen != set(range(1, n + 1)) else [])
+            assert found == want, (legs_a, legs_b, n)
+
+
 def test_kappa_banana():
     assert banana().kappa(["v1"]) == 2
 

@@ -155,6 +155,29 @@ def test_mul_raw_matches_pairwise_reference():
     assert seen["error"] >= 100 and seen["const"] >= 100 and seen["degree 2 input"] >= 30, seen
 
 
+def test_fiber_constructor_sorts_legs_and_adds_equal_keys():
+    unsorted = FiberClass(2, 2, {("B", 1, (2, 1)): 1})
+    assert unsorted == FiberClass.boundary(2, 2, 1, (1, 2))
+    assert (unsorted + FiberClass.boundary(2, 2, 1, (1, 2))).text() == "2*B_{1,{1,2}}"
+    both = FiberClass(2, 2, {("DB", 1, 1, (2, 1)): 1, ("DB", 1, 1, (1, 2)): 2})
+    assert both.coeffs == {("DB", 1, 1, (1, 2)): 3}
+
+
+@pytest.mark.parametrize("key", [
+    ("D", 99), ("D", 0), ("D2",), ("K", 1), ("B", 1), ("B", 3, (1,)), ("B", 1, (5,)),
+    ("DB", 1, 1), ("DB", 3, 1, (1,)), ("KD", 1.0), ("Q", 1), (), "D"])
+def test_fiber_constructor_rejects_malformed_monomials(key):
+    with pytest.raises(JacstabError) as err:
+        FiberClass(2, 2, {key: 1})
+    assert err.value.code == "BAD_INPUT"
+
+
+def test_graded_keys_that_sort_equal_add():
+    poly = GradedAtomPoly(3, {((1, 1), (2, 1)): 1, ((2, 1), (1, 1)): 1})
+    assert poly.terms == {((1, 1), (2, 1)): Fraction(2)}
+    assert GradedAtomPoly(3, {((1, 1), (2, 1)): 1, ((2, 1), (1, 1)): -1}).is_zero()
+
+
 # The three LinearClass kinds, each as (a, b, a class on another space).
 LINEAR_CASES = {
     "divisor": lambda: (theta_gm1_pullback(2, 2, [3, -2]), theta_pullback(2, 2, [1, -1], 0),
