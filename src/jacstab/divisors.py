@@ -285,6 +285,7 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
 # closed-form pullback classes
 
 def _check_tau_theta(g: int, n: int, tau: Sequence[int], k: int) -> list[int]:
+    _check_gn(g, n)
     t = check_tau(g, tau, k, n)
     if k == 0 and not any(t):
         raise JacstabError("TAU_SUM", "tau must be non-zero when k = 0")
@@ -292,6 +293,7 @@ def _check_tau_theta(g: int, n: int, tau: Sequence[int], k: int) -> list[int]:
 
 
 def _check_tau_gm1(g: int, n: int, tau: Sequence[int]) -> list[int]:
+    _check_gn(g, n)
     t = [strict_int(x, "tau entry") for x in tau]
     if len(t) != n:
         raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
@@ -307,7 +309,6 @@ def theta_pullback_hain(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     1 <= h+|A| <= g+n-1, then canonicalizes: complementary pairs merge and the
     psi conventions apply.
     """
-    _check_gn(g, n)
     t = _check_tau_theta(g, n, tau, 0)
     terms = []
     for h in range(0, g + 1):
@@ -340,7 +341,6 @@ def theta_pullback(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
 
 def theta_gm1_pullback(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     """Degree g-1 theta pullback for a total-degree g-1 twist vector."""
-    _check_gn(g, n)
     t = _check_tau_gm1(g, n, tau)
     terms: list[tuple] = [("lambda1", Fraction(-1))]
     for i, ti in enumerate(t, start=1):

@@ -120,15 +120,6 @@ class DualGraph:
         """Number of edge endpoints at ``v`` (a loop counts twice)."""
         return self._nonloop_val[v] + 2 * self._loops[v]
 
-    def nonloop_val(self, v: str) -> int:
-        return self._nonloop_val[v]
-
-    def loops_at(self, v: str) -> int:
-        return self._loops[v]
-
-    def legs_at(self, v: str) -> frozenset[int]:
-        return self.legs_of[v]
-
     def neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(sorted(self._adj[v]))
 

@@ -162,7 +162,7 @@ def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
 
 _MONOMIAL_DEGREE = {"const": 0, "D": 1, "K": 1, "B": 1,
-                    "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2, "KD": 2}
+                    "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2}
 
 
 def _mul_monomials(k1: tuple, k2: tuple) -> list[tuple]:
@@ -178,7 +178,7 @@ def _mul_monomials(k1: tuple, k2: tuple) -> list[tuple]:
     if a[0] == "D" and b[0] == "D":
         return [(("D2", a[1]), 1)] if a[1] == b[1] else []
     if a[0] == "D" and b[0] == "K":
-        return [(("KD", a[1]), 1)]
+        return [(("D2", a[1]), -1)]  # K*D_i = -D_i^2
     if a[0] == "B" and b[0] == "D":
         return [(("DB", b[1], a[1], a[2]), 1)]
     if a[0] == "K" and b[0] == "K":
@@ -191,7 +191,7 @@ def _mul_monomials(k1: tuple, k2: tuple) -> list[tuple]:
 
 
 def fiber_product_pairwise(a: FiberClass, b: FiberClass) -> FiberClass:
-    """Raw product (K*D kept) of two fiber classes, one monomial pair at a time.
+    """Product of two fiber classes, one monomial pair at a time.
 
     The reference for ``FiberClass.mul_raw``: every pair of monomials goes
     through the ring rules one by one, raising on the first pair whose

@@ -5,30 +5,30 @@ D_1..D_n, the relative canonical class K, and the vertical boundary symbols
 B_{h,A} (the boundary divisor whose genus-h side carries the legs A together
 with the moving point).  ``FiberClass`` and ``GradedAtomPoly`` are
 ``LinearClass``es (see ``divisors``): the monomials are keyed ("const",),
-("D", i), ("K",), ("B", h, A), ("D2", i), ("K2",), ("KD", i), ("B2", h, A),
+("D", i), ("K",), ("B", h, A), ("D2", i), ("K2",), ("B2", h, A),
 ("DB", i, h, A) and ("KB", h, A), and a graded atom product by its sorted
-(s, multiplicity) pairs.  The ring normalization used throughout:
+(s, multiplicity) pairs.  The ring rules of the product:
 
 * K * D_i = -D_i^2
 * D_i * D_j = 0 for i != j (disjoint sections)
 * B_{h,A} * B_{l,B} = 0 for distinct indices
 * D_i * B_{h,A} stays symbolic until pushforward
 
-A product of two degree-1 monomials is therefore non-zero only in six
-families: D_i^2, K*D_i (kept raw until ``normalized``), K^2, B_{h,A}^2 (one
-index on both sides), K*B_{h,A}, and D_i*B_{h,A} for every i.  The constant
-multiplies every term, and every other pair exceeds degree 2.
-``FiberClass.mul_raw`` splits each factor into its constant, D_i, K, B_{h,A}
-and degree-2 parts and forms only these families, so its work grows with the
-number of output terms, not with the number of monomial pairs.
+A product of two degree-1 monomials is therefore non-zero only in five
+families: D_i^2 (K*D_i lands here), K^2, B_{h,A}^2 (one index on both sides),
+K*B_{h,A}, and D_i*B_{h,A} for every i.  The constant multiplies every term,
+and every other pair exceeds degree 2.  ``FiberClass.mul_raw`` splits each
+factor into its constant, D_i, K, B_{h,A} and degree-2 parts and forms only
+these families, so its work grows with the number of output terms, not with
+the number of monomial pairs.  Every fiber class is thus in normal form, and
+``==`` on fiber classes is equality of the classes.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
-the degree-2 monomials to divisor classes on the base via ``PUSH_RULES``.
-``pushforward`` applies the K*D rewrite itself, so the derivations push the
-raw ``mul_raw`` products and each product is normalized once, there; the
-rule table is module data so that corrupting it is observable (the selftest
-must catch a corrupted table).  D_i*B_{h,A} with i not in A is dropped there,
-not in the product.
+the degree-2 monomials to divisor classes on the base via ``PUSH_RULES``, with
+no rewriting of its own: each derivation forms one product and pushes it
+once.  The rule table is module data so that corrupting it is observable (the
+selftest must catch a corrupted table).  D_i*B_{h,A} with i not in A is
+dropped there, not in the product.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from .divisors import (DivisorClass, LinearClass, canonical_indices, canonicaliz
 from .stability import resolve_basepoint
 
 _DEGREE = {"const": 0, "D": 1, "K": 1, "B": 1,
-           "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2, "KD": 2}
+           "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2}
 # The indices after each tag: i a marking, h a genus, A a set of markings.
 _INDICES = {"const": "", "D": "i", "K": "", "B": "hA",
-            "D2": "i", "K2": "", "B2": "hA", "DB": "ihA", "KB": "hA", "KD": "i"}
+            "D2": "i", "K2": "", "B2": "hA", "DB": "ihA", "KB": "hA"}
 
 
 def _monomial(g: int, n: int, key: tuple) -> tuple:
@@ -121,11 +121,10 @@ class FiberClass(LinearClass):
 
     # -- ring operations ----------------------------------------------------
 
+    # The one product; it keeps the name ``mul_raw`` because the benchmark
+    # tracer (``bench/tracing.py``) wraps ``FiberClass.mul_raw`` by name.
     def mul_raw(self, other: "FiberClass") -> "FiberClass":
-        """Product without the K*D rewrite; may contain raw KD monomials.
-
-        Forms the surviving product families of the module docstring only.
-        """
+        """Product in normal form, forming only the surviving families of the module docstring."""
         self._check_same_space(other)
         a0, aD, aK, aB, a2 = _families(self.coeffs)
         b0, bD, bK, bB, b2 = _families(other.coeffs)
@@ -147,12 +146,12 @@ class FiberClass(LinearClass):
             if i in bD:
                 add(("D2", i), c * bD[i])
             if bK:
-                add(("KD", i), c * bK)
+                add(("D2", i), -c * bK)  # K*D_i = -D_i^2
             for (h, A), b in bB.items():
                 add(("DB", i, h, A), b * c)
         for i, c in bD.items():
             if aK:
-                add(("KD", i), aK * c)
+                add(("D2", i), -aK * c)
             for (h, A), a in aB.items():
                 add(("DB", i, h, A), a * c)
         if aK and bK:
@@ -167,17 +166,7 @@ class FiberClass(LinearClass):
                 add(("KB", h, A), aK * b)
         return self._like({key: c for key, c in out.items() if c})
 
-    def normalized(self) -> "FiberClass":
-        """Rewrite KD monomials to -D^2."""
-        out: dict[tuple, Fraction] = {}
-        for key, c in self.coeffs.items():
-            if key[0] == "KD":
-                key, c = ("D2", key[1]), -c
-            out[key] = out[key] + c if key in out else c
-        return self._like({key: c for key, c in out.items() if c})
-
-    def __mul__(self, other):
-        return self.mul_raw(other).normalized()
+    __mul__ = mul_raw
 
     # -- presentation ------------------------------------------------------
 
@@ -200,8 +189,6 @@ class FiberClass(LinearClass):
             return f"D_{key[1]}^2"
         if tag == "K2":
             return "K^2"
-        if tag == "KD":
-            return f"K*D_{key[1]}"
         if tag == "B2":
             legs = ",".join(str(i) for i in key[2])
             return f"B_{{{key[1]},{{{legs}}}}}^2"
@@ -234,10 +221,10 @@ def pushforward(fc: FiberClass) -> DivisorClass:
     """Push a fiber class down to the base.
 
     Linear; degree 0 and 1 monomials push to zero, degree-2 monomials follow
-    ``PUSH_RULES`` after the K*D rewrite, the one normalization of a product.
+    ``PUSH_RULES``.
     """
     terms: list[tuple] = []
-    for key, c in fc.normalized().coeffs.items():
+    for key, c in fc.coeffs.items():
         if _DEGREE[key[0]] < 2:
             continue
         rule = PUSH_RULES[key[0]]
@@ -249,20 +236,22 @@ def pushforward(fc: FiberClass) -> DivisorClass:
 # ----------------------------------------------------------------------
 # first Chern classes of the extended sections and their theta pullbacks
 
+def _c1(g: int, n: int, t: list[int], kc: int, boundary) -> FiberClass:
+    """sum t_i D_i + kc K + sum boundary(h, A, s) B_{h,A}, s the sum of t over A.
+
+    The constructor drops the zero coefficients.
+    """
+    coeffs: dict[tuple, int] = {("D", i): ti for i, ti in enumerate(t, start=1)}
+    coeffs[("K",)] = kc
+    for (h, A) in canonical_indices(g, n):
+        coeffs[("B", h, A)] = boundary(h, A, sum(t[i - 1] for i in A))
+    return FiberClass(g, n, coeffs)
+
+
 def c1_twisted_bundle(g: int, n: int, tau: Sequence[int], k: int) -> FiberClass:
     """c1 of the twisted degree-0 bundle on the universal curve."""
     t = _check_tau_theta(g, n, tau, k)
-    coeffs: dict[tuple, Fraction] = {}
-    for i, ti in enumerate(t, start=1):
-        if ti:
-            coeffs[("D", i)] = Fraction(ti)
-    if k:
-        coeffs[("K",)] = Fraction(-k)
-    for (h, A) in canonical_indices(g, n):
-        c = k * (1 - 2 * h) + sum(t[i - 1] for i in A)
-        if c:
-            coeffs[("B", h, A)] = Fraction(c)
-    return FiberClass(g, n, coeffs)
+    return _c1(g, n, t, -k, lambda h, A, s: k * (1 - 2 * h) + s)
 
 
 def theta_via_pushforward(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
@@ -288,31 +277,20 @@ def c1_gm1_bundle(g: int, n: int, tau: Sequence[int],
     t = _check_tau_gm1(g, n, tau)
     if chi_convention not in ("complement", "member"):
         raise JacstabError("BAD_INPUT", f"unknown chi convention {chi_convention!r}")
-    coeffs: dict[tuple, Fraction] = {}
-    for i, ti in enumerate(t, start=1):
-        if ti:
-            coeffs[("D", i)] = Fraction(ti)
-    for (h, A) in canonical_indices(g, n):
-        s = sum(t[i - 1] for i in A)
-        e = (1 not in A) if chi_convention == "complement" else (1 in A)
-        c = s - h + int(e)
-        if c:
-            coeffs[("B", h, A)] = Fraction(c)
-    return FiberClass(g, n, coeffs)
+    member = chi_convention == "member"
+    return _c1(g, n, t, 0, lambda h, A, s: s - h + int((1 in A) == member))
 
 
 def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int],
                               chi_convention: str = "complement") -> DivisorClass:
     """Degree g-1 theta pullback from first principles.
 
-    Minus the class equals push(c1^2/2) - push(c1*K/2) + lambda1.
+    Minus the class equals push(c1*(c1 - K))/2 + lambda1: by bilinearity the
+    one product stands for push(c1^2)/2 - push(c1*K)/2, and it is pushed once.
     """
     c1 = c1_gm1_bundle(g, n, tau, chi_convention=chi_convention)
-    K = FiberClass.canonical(g, n)
-    half = Fraction(1, 2)
-    return (pushforward(c1.mul_raw(c1).scale(-half))
-            + pushforward(c1.mul_raw(K).scale(half))
-            + DivisorClass(g, n, lambda1=Fraction(-1)))
+    product = c1.mul_raw(c1 - FiberClass.canonical(g, n)).scale(Fraction(-1, 2))
+    return pushforward(product) + DivisorClass(g, n, lambda1=Fraction(-1))
 
 
 def compact_type_gm1_multidegree(graph: DualGraph, basepoint: str | None = None) -> dict[str, int]:

@@ -69,8 +69,10 @@ class Polarization:
 
     @classmethod
     def custom(cls, per_vertex_q: Mapping[str, Fraction], degree: int) -> "Polarization":
-        items = tuple(sorted((v, Fraction(q)) for v, q in per_vertex_q.items()))
-        return cls(kind="custom", per_vertex_q=items,
+        """Exact data only: each q an ``int`` or a ``Fraction``, the degree an ``int``."""
+        exact = {v: q if type(q) is Fraction else Fraction(strict_int(q, f"q of {v!r}"))
+                 for v, q in per_vertex_q.items()}
+        return cls(kind="custom", per_vertex_q=tuple(sorted(exact.items())),
                    degree=strict_int(degree, "polarization degree"))
 
     @classmethod

@@ -186,6 +186,21 @@ def test_input_errors_exit_2(capsys):
     assert code == 2 and payload["error"] == "INVALID_GRAPH"
 
 
+def test_bad_genus_gets_one_error_code_from_every_method(capsys):
+    # g = 0 is outside every class command's range, and tau = (1, 1) has the
+    # wrong sum too: the range check comes first, whichever method runs
+    data = ["--g", "0", "--n", "2", "--tau=1,1"]
+    lines = [["class", "theta", *data, "--k", "0", "--method", method]
+             for method in ("closed", "derive", "hain")]
+    lines += [["class", "theta-gm1", *data, "--method", method] for method in ("closed", "derive")]
+    lines += [["class", "c1", *data, "--k", "0"], ["class", "mueller", *data]]
+    answers = []
+    for argv in lines:
+        code, payload = run_json(capsys, *argv)
+        answers.append((code, payload["error"]))
+    assert answers == [(2, "BAD_INPUT")] * len(lines)
+
+
 @pytest.mark.parametrize("where, value", [
     ("genus", "x"), ("genus", 0.5), ("genus", True), ("legs", [1, 1.7]), ("n", "x")])
 def test_graph_json_integer_fields_are_strict(capsys, where, value):

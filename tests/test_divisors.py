@@ -253,7 +253,10 @@ def test_mueller_corrections_nonnegative_integers():
     lambda: theta_pullback(2, 2, [1.5, -1.5], 0),
     lambda: theta_gm1_pullback(2, 2, [2.9, -1.9]),
     lambda: Polarization.custom({"a": 0}, 2.7),
-], ids=["theta-float-tau", "theta-gm1-float-tau", "custom-float-degree"])
+    lambda: Polarization.custom({"v1": 0.1, "v2": 0}, 0),
+    lambda: Polarization.custom({"v1": Fraction(1, 2), "v2": True}, 0),
+], ids=["theta-float-tau", "theta-gm1-float-tau", "custom-float-degree", "custom-float-q",
+        "custom-bool-q"])
 def test_library_tau_and_degree_are_not_truncated(call):
     with pytest.raises(JacstabError) as exc:
         call()
