@@ -2,11 +2,14 @@
 
 Every class of the package is a ``LinearClass``: an immutable sparse rational
 combination of monomials, ``coeffs`` mapping a monomial key to a non-zero
-``Fraction``.  It carries the shared algebra (``+``, ``-``, ``scale``,
-``is_zero``, ``==``, ``hash``) and the ``a + b - c`` text; a subclass names
-its space fields, the order and symbol of its keys, its JSON form and its
-validating constructor.  Results of the algebra are built by the trusted
-``_like``, which neither re-validates nor re-wraps coefficients.
+exact number: an ``int`` or a ``Fraction``, which print, compare and hash
+alike when equal, so integral work stays on ``int``s without changing a byte
+of output (``exact`` rejects anything else).  It carries the shared algebra
+(``+``, ``-``, ``scale``, ``is_zero``, ``==``, ``hash``) and the ``a + b - c``
+text; a subclass names its space fields, the order and symbol of its keys,
+its JSON form and its validating constructor.  Results of the algebra are
+built by the trusted ``_like``, which neither re-validates nor converts
+coefficients.
 
 ``DivisorClass`` lives in the rational span of psi_1..psi_n, lambda1, kappa1t
 (the pushed-forward square of the relative canonical class), delta_irr and the
@@ -33,35 +36,43 @@ from .errors import JacstabError, strict_int
 from .stability import check_tau
 
 Legs = tuple[int, ...]
+Exact = int | Fraction
+
+
+def exact(c, what: str = "coefficient") -> Exact:
+    """``c`` itself if its type is ``int`` or ``Fraction``, else BAD_INPUT (bools and floats too)."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    raise JacstabError("BAD_INPUT", f"{what} must be an int or a Fraction, got {c!r}")
 
 
 class LinearClass:
-    """Immutable sparse rational combination of monomials on one space."""
+    """Immutable sparse combination of monomials with exact (int or Fraction) coefficients."""
 
     __slots__ = ("coeffs",)
     _space: tuple[str, ...] = ()  # the fields naming the space, e.g. ("g", "n")
 
-    def _fill(self, space: tuple, coeffs: dict[tuple, Fraction]) -> None:
+    def _fill(self, space: tuple, coeffs: dict[tuple, Exact]) -> None:
         for field, value in zip(self._space, space):
             object.__setattr__(self, field, value)
         object.__setattr__(self, "coeffs", coeffs)
 
     def _fill_sum(self, space: tuple, terms: Iterable[tuple[tuple, object]]) -> None:
-        """Fill from checked (key, coefficient) pairs; equal keys add up."""
-        coeffs: dict[tuple, Fraction] = {}
+        """Fill from checked keys and exact coefficients; equal keys add up."""
+        coeffs: dict[tuple, Exact] = {}
         for key, c in terms:
-            c = Fraction(c)
+            c = exact(c)
             coeffs[key] = coeffs[key] + c if key in coeffs else c
         self._fill(space, {key: c for key, c in coeffs.items() if c})
 
     @classmethod
-    def _of(cls, space: tuple, coeffs: dict[tuple, Fraction]) -> "LinearClass":
-        """A class from trusted parts: valid keys and non-zero ``Fraction`` values."""
+    def _of(cls, space: tuple, coeffs: dict[tuple, Exact]) -> "LinearClass":
+        """A class from trusted parts: valid keys and non-zero exact values."""
         out = object.__new__(cls)
         out._fill(space, coeffs)
         return out
 
-    def _like(self, coeffs: dict[tuple, Fraction]) -> "LinearClass":
+    def _like(self, coeffs: dict[tuple, Exact]) -> "LinearClass":
         """A class on this space from trusted coefficients (see ``_of``)."""
         return self._of(self._where(), coeffs)
 
@@ -94,8 +105,8 @@ class LinearClass:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def scale(self, c) -> "LinearClass":
-        c = Fraction(c)
+    def scale(self, c: Exact) -> "LinearClass":
+        c = exact(c, "scale factor")
         return self._like({key: c * v for key, v in self.coeffs.items()} if c else {})
 
     def is_zero(self) -> bool:
@@ -184,7 +195,6 @@ def canonical_indices(g: int, n: int) -> list[tuple[int, Legs]]:
 
 
 _RANK = {"psi": 0, "lambda1": 1, "kappa1t": 2, "delta_irr": 3, "delta": 4}
-_ZERO = Fraction(0)
 
 
 class DivisorClass(LinearClass):
@@ -207,9 +217,9 @@ class DivisorClass(LinearClass):
     # read-only views of ``coeffs`` by family
     psi = property(lambda self: {k[1]: c for k, c in self.coeffs.items() if k[0] == "psi"})
     delta = property(lambda self: {k[1:]: c for k, c in self.coeffs.items() if k[0] == "delta"})
-    lambda1 = property(lambda self: self.coeffs.get(("lambda1",), _ZERO))
-    kappa1t = property(lambda self: self.coeffs.get(("kappa1t",), _ZERO))
-    delta_irr = property(lambda self: self.coeffs.get(("delta_irr",), _ZERO))
+    lambda1 = property(lambda self: self.coeffs.get(("lambda1",), 0))
+    kappa1t = property(lambda self: self.coeffs.get(("kappa1t",), 0))
+    delta_irr = property(lambda self: self.coeffs.get(("delta_irr",), 0))
 
     @staticmethod
     def _order(key: tuple) -> tuple:
@@ -248,7 +258,7 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
     valid range are rejected.
     """
     _check_gn(g, n)
-    coeffs: dict[tuple, Fraction] = {}
+    coeffs: dict[tuple, Exact] = {}
     for term in terms:
         tag = term[0]
         if tag == "psi":
@@ -258,17 +268,17 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
             _, h, A, c = term
             h, legs = strict_int(h, "h"), _legs(A)
             if h == 0 and len(legs) == 1:
-                key, c = ("psi", legs[0]), -Fraction(c)
+                key, c = ("psi", legs[0]), -exact(c)
             elif h == g and len(legs) == n - 1:
                 (i,) = set(range(1, n + 1)).difference(legs)
-                key, c = ("psi", i), -Fraction(c)
+                key, c = ("psi", i), -exact(c)
             else:
                 key = ("delta", *_fold(g, n, h, legs))
         elif tag in _RANK:
             key, c = (tag,), term[1]
         else:
             raise JacstabError("BAD_INPUT", f"unknown term tag {tag!r}")
-        c = Fraction(c)
+        c = exact(c)
         coeffs[key] = coeffs[key] + c if key in coeffs else c
     coeffs = {key: c for key, c in coeffs.items() if c}
     for key in coeffs:

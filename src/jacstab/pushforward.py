@@ -1,6 +1,6 @@
 """Degree <= 2 classes on the universal curve and their pushforwards.
 
-Fiber classes are exact-rational polynomials in the marked-section classes
+Fiber classes are exact polynomials in the marked-section classes
 D_1..D_n, the relative canonical class K, and the vertical boundary symbols
 B_{h,A} (the boundary divisor whose genus-h side carries the legs A together
 with the moving point).  ``FiberClass`` and ``GradedAtomPoly`` are
@@ -18,10 +18,11 @@ A product of two degree-1 monomials is therefore non-zero only in five
 families: D_i^2 (K*D_i lands here), K^2, B_{h,A}^2 (one index on both sides),
 K*B_{h,A}, and D_i*B_{h,A} for every i.  The constant multiplies every term,
 and every other pair exceeds degree 2.  ``FiberClass.mul_raw`` splits each
-factor into its constant, D_i, K, B_{h,A} and degree-2 parts and forms only
-these families, so its work grows with the number of output terms, not with
-the number of monomial pairs.  Every fiber class is thus in normal form, and
-``==`` on fiber classes is equality of the classes.
+factor into its constant, D_i, K, B_{h,A} and degree-2 parts, pairs the two
+factors' coefficients index by index and forms only these families, so its
+work grows with the number of family terms, not with the number of monomial
+pairs.  Every fiber class is thus in normal form, and ``==`` on fiber classes
+is equality of the classes.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
 the degree-2 monomials to divisor classes on the base via ``PUSH_RULES``, with
@@ -29,6 +30,10 @@ no rewriting of its own: each derivation forms one product and pushes it
 once.  The rule table is module data so that corrupting it is observable (the
 selftest must catch a corrupted table).  D_i*B_{h,A} with i not in A is
 dropped there, not in the product.
+
+The derivations run on ``int``s: c1 has integer coefficients (tau and k are
+integers), so has its product, and so has every rule.  The one ``Fraction``
+step is the final halving of the pushed class, once per output term.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Mapping, Sequence
 
 from .errors import JacstabError, strict_int
 from .graphs import DualGraph
-from .divisors import (DivisorClass, LinearClass, canonical_indices, canonicalize,
+from .divisors import (DivisorClass, Exact, LinearClass, canonical_indices, canonicalize,
                        _check_gn, _check_tau_theta, _check_tau_gm1, _legs)
 from .stability import resolve_basepoint
 
@@ -70,12 +75,12 @@ def _monomial(g: int, n: int, key: tuple) -> tuple:
     return tuple(out)
 
 
-def _families(coeffs: Mapping[tuple, Fraction]) -> tuple:
+def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
     """Split coefficients into (constant, {i: D_i}, K, {(h, A): B_{h,A}}, degree-2 part)."""
-    const = K = Fraction(0)
-    D: dict[int, Fraction] = {}
-    B: dict[tuple, Fraction] = {}
-    quadratic: dict[tuple, Fraction] = {}
+    const = K = 0
+    D: dict[int, Exact] = {}
+    B: dict[tuple, Exact] = {}
+    quadratic: dict[tuple, Exact] = {}
     for key, c in coeffs.items():
         tag = key[0]
         if tag == "B":
@@ -92,12 +97,12 @@ def _families(coeffs: Mapping[tuple, Fraction]) -> tuple:
 
 
 class FiberClass(LinearClass):
-    """Polynomial of degree <= 2 on the universal curve, exact coefficients."""
+    """Polynomial of degree <= 2 on the universal curve, int or Fraction coefficients."""
 
     __slots__ = ("g", "n")
     _space = ("g", "n")
 
-    def __init__(self, g: int, n: int, coeffs: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, g: int, n: int, coeffs: Mapping[tuple, Exact] | None = None):
         _check_gn(g, n)
         self._fill_sum((g, n), ((_monomial(g, n, key), c) for key, c in (coeffs or {}).items()))
 
@@ -109,15 +114,15 @@ class FiberClass(LinearClass):
 
     @classmethod
     def section(cls, g: int, n: int, i: int) -> "FiberClass":
-        return cls(g, n, {("D", i): Fraction(1)})
+        return cls(g, n, {("D", i): 1})
 
     @classmethod
     def canonical(cls, g: int, n: int) -> "FiberClass":
-        return cls(g, n, {("K",): Fraction(1)})
+        return cls(g, n, {("K",): 1})
 
     @classmethod
     def boundary(cls, g: int, n: int, h: int, A: Sequence[int]) -> "FiberClass":
-        return cls(g, n, {("B", h, tuple(A)): Fraction(1)})
+        return cls(g, n, {("B", h, tuple(A)): 1})
 
     # -- ring operations ----------------------------------------------------
 
@@ -130,40 +135,22 @@ class FiberClass(LinearClass):
         b0, bD, bK, bB, b2 = _families(other.coeffs)
         if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
             raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
-        out: dict[tuple, Fraction] = {}
-
-        def add(key: tuple, c: Fraction) -> None:
-            out[key] = out[key] + c if key in out else c
-
-        if a0:
-            for key, c in other.coeffs.items():
-                add(key, a0 * c)
-        if b0:
-            for key, c in self.coeffs.items():
-                if key != ("const",):  # const * const is counted above
-                    add(key, c * b0)
-        for i, c in aD.items():
-            if i in bD:
-                add(("D2", i), c * bD[i])
-            if bK:
-                add(("D2", i), -c * bK)  # K*D_i = -D_i^2
-            for (h, A), b in bB.items():
-                add(("DB", i, h, A), b * c)
-        for i, c in bD.items():
-            if aK:
-                add(("D2", i), -aK * c)
-            for (h, A), a in aB.items():
-                add(("DB", i, h, A), a * c)
-        if aK and bK:
-            add(("K2",), aK * bK)
-        for (h, A), a in aB.items():
-            if (h, A) in bB:
-                add(("B2", h, A), a * bB[(h, A)])
-            if bK:
-                add(("KB", h, A), a * bK)
-        if aK:
-            for (h, A), b in bB.items():
-                add(("KB", h, A), aK * b)
+        # Each family coefficient is bilinear in one index's pair of factor
+        # coefficients, and no two family terms share a key.
+        D = {i: (aD.get(i, 0), bD.get(i, 0)) for i in aD.keys() | bD.keys()}
+        B = {hA: (aB.get(hA, 0), bB.get(hA, 0)) for hA in aB.keys() | bB.keys()}
+        out: dict[tuple, Exact] = {("K2",): aK * bK}
+        for i, (a, b) in D.items():
+            out[("D2", i)] = a * b - a * bK - aK * b  # K*D_i = -D_i^2
+            out.update({("DB", i, h, A): a * y + x * b for (h, A), (x, y) in B.items()})
+        for (h, A), (a, b) in B.items():
+            out[("B2", h, A)] = a * b
+            out[("KB", h, A)] = a * bK + aK * b
+        if a0 or b0:  # each constant scales the other factor, const * const once
+            for key in self.coeffs.keys() | other.coeffs.keys():
+                c = (a0 * b0 if key == ("const",)
+                     else a0 * other.coeffs.get(key, 0) + self.coeffs.get(key, 0) * b0)
+                out[key] = out.get(key, 0) + c
         return self._like({key: c for key, c in out.items() if c})
 
     __mul__ = mul_raw
@@ -208,12 +195,14 @@ class FiberClass(LinearClass):
 # ----------------------------------------------------------------------
 # pushforward rules
 
+# Each rule maps a degree-2 monomial's indices to ``canonicalize`` terms with
+# integer coefficients.
 PUSH_RULES = {
-    "D2": lambda i: [("psi", i, Fraction(-1))],
-    "K2": lambda: [("kappa1t", Fraction(1))],
-    "B2": lambda h, A: [("delta", h, A, Fraction(-1))],
-    "DB": lambda i, h, A: ([("delta", h, A, Fraction(1))] if i in A else []),
-    "KB": lambda h, A: [("delta", h, A, Fraction(2 * h - 1))],
+    "D2": lambda i: [("psi", i, -1)],
+    "K2": lambda: [("kappa1t", 1)],
+    "B2": lambda h, A: [("delta", h, A, -1)],
+    "DB": lambda i, h, A: ([("delta", h, A, 1)] if i in A else []),
+    "KB": lambda h, A: [("delta", h, A, 2 * h - 1)],
 }
 
 
@@ -221,16 +210,16 @@ def pushforward(fc: FiberClass) -> DivisorClass:
     """Push a fiber class down to the base.
 
     Linear; degree 0 and 1 monomials push to zero, degree-2 monomials follow
-    ``PUSH_RULES``.
+    ``PUSH_RULES``.  The pushed coefficients are summed per term key first, so
+    ``canonicalize`` gets one non-zero term per key.
     """
-    terms: list[tuple] = []
+    pushed: dict[tuple, Exact] = {}
     for key, c in fc.coeffs.items():
-        if _DEGREE[key[0]] < 2:
-            continue
-        rule = PUSH_RULES[key[0]]
-        for tag, *rest in rule(*key[1:]):
-            terms.append((tag, *rest[:-1], c * rest[-1]))
-    return canonicalize(fc.g, fc.n, terms)
+        if _DEGREE[key[0]] == 2:
+            for term in PUSH_RULES[key[0]](*key[1:]):
+                head = term[:-1]
+                pushed[head] = pushed.get(head, 0) + c * term[-1]
+    return canonicalize(fc.g, fc.n, [(*head, c) for head, c in pushed.items() if c])
 
 
 # ----------------------------------------------------------------------
@@ -239,13 +228,14 @@ def pushforward(fc: FiberClass) -> DivisorClass:
 def _c1(g: int, n: int, t: list[int], kc: int, boundary) -> FiberClass:
     """sum t_i D_i + kc K + sum boundary(h, A, s) B_{h,A}, s the sum of t over A.
 
-    The constructor drops the zero coefficients.
+    The keys are valid by construction and the coefficients ``int``s, so the
+    class is built from trusted parts, without its zero coefficients.
     """
     coeffs: dict[tuple, int] = {("D", i): ti for i, ti in enumerate(t, start=1)}
     coeffs[("K",)] = kc
     for (h, A) in canonical_indices(g, n):
         coeffs[("B", h, A)] = boundary(h, A, sum(t[i - 1] for i in A))
-    return FiberClass(g, n, coeffs)
+    return FiberClass._of((g, n), {key: c for key, c in coeffs.items() if c})
 
 
 def c1_twisted_bundle(g: int, n: int, tau: Sequence[int], k: int) -> FiberClass:
@@ -263,7 +253,7 @@ def theta_via_pushforward(g: int, n: int, tau: Sequence[int], k: int) -> Divisor
     recorded as documentation rather than as a code path.
     """
     c1 = c1_twisted_bundle(g, n, tau, k)
-    return pushforward(c1.mul_raw(c1).scale(Fraction(-1, 2)))
+    return pushforward(c1.mul_raw(c1)).scale(Fraction(-1, 2))
 
 
 def c1_gm1_bundle(g: int, n: int, tau: Sequence[int],
@@ -286,11 +276,11 @@ def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int],
     """Degree g-1 theta pullback from first principles.
 
     Minus the class equals push(c1*(c1 - K))/2 + lambda1: by bilinearity the
-    one product stands for push(c1^2)/2 - push(c1*K)/2, and it is pushed once.
+    one product stands for push(c1^2)/2 - push(c1*K)/2; it is pushed once, then halved.
     """
     c1 = c1_gm1_bundle(g, n, tau, chi_convention=chi_convention)
-    product = c1.mul_raw(c1 - FiberClass.canonical(g, n)).scale(Fraction(-1, 2))
-    return pushforward(product) + DivisorClass(g, n, lambda1=Fraction(-1))
+    pushed = pushforward(c1.mul_raw(c1 - FiberClass.canonical(g, n)))
+    return pushed.scale(Fraction(-1, 2)) + DivisorClass(g, n, lambda1=-1)
 
 
 def compact_type_gm1_multidegree(graph: DualGraph, basepoint: str | None = None) -> dict[str, int]:

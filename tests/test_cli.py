@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ import time
 import pytest
 
 from jacstab import theta_via_pushforward
+from jacstab.corpus import random_tau
 from jacstab.pushforward import PUSH_RULES
 from jacstab import cli
 from jacstab.cli import main
@@ -146,6 +148,27 @@ def test_twist_apply_coefficients_boundary(capsys):
     code, payload = run_json(capsys, "twist", "boundary", "--graph", TREE,
                              "--tau", "5,-3", "--k", "1")
     assert payload == {"multidegree": {"v1": 0, "v2": 0}, "zero": True}
+
+
+@pytest.mark.parametrize("g, n", [(6, 7), (7, 7), (8, 8)])
+def test_derive_and_closed_print_the_same_bytes(capsys, g, n):
+    # the derive workload's largest cells, both classes, both output forms
+    rng = random.Random(f"derive-bytes/{g}/{n}")
+    lines = []
+    for _ in range(2):
+        k = rng.choice((-1, 1, 2))
+        tau = random_tau(rng, n, k * (2 * g - 2), bound=3 * abs(k) + 2)
+        lines.append(["class", "theta", "--g", str(g), "--n", str(n),
+                      f"--tau={','.join(map(str, tau))}", "--k", str(k)])
+        tau = random_tau(rng, n, g - 1, bound=3)
+        lines.append(["class", "theta-gm1", "--g", str(g), "--n", str(n),
+                      f"--tau={','.join(map(str, tau))}"])
+    for argv in lines:
+        for output in ("json", "text"):
+            answers = [run_cli(capsys, *argv, "--method", method, "--output", output)
+                       for method in ("derive", "closed")]
+            assert answers[0] == answers[1] and answers[0][0] == 0, argv
+            assert len(answers[0][1]) > 100
 
 
 def test_class_commands(capsys):

@@ -9,6 +9,7 @@ from jacstab import (DivisorClass, JacstabError, canonicalize, canonical_pair,
                      theta_pullback, theta_pullback_hain, theta_gm1_pullback,
                      mueller_class, mueller_correction)
 from jacstab.corpus import random_tau
+from jacstab.pushforward import FiberClass, GradedAtomPoly
 from jacstab.stability import Polarization
 
 
@@ -288,6 +289,36 @@ def test_library_indices_are_not_truncated(call):
     with pytest.raises(JacstabError) as exc:
         call()
     assert exc.value.code == "BAD_INPUT"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: FiberClass(2, 2, {("D", 1): 0.1}),
+    lambda: DivisorClass(2, 2, lambda1=True),
+    lambda: canonicalize(2, 2, [("psi", 1, 0.5)]),
+    lambda: canonicalize(2, 2, [("delta", 0, (1,), 0.5)]),
+    lambda: GradedAtomPoly(2, {((2, 1),): 1.0}),
+    lambda: FiberClass.section(2, 2, 1).scale(0.1),
+    lambda: theta_pullback(2, 2, [1, -1], 0).scale(True),
+], ids=["fiber-float", "divisor-bool", "canonicalize-float", "psi-convention-float",
+        "graded-float", "scale-float", "scale-bool"])
+def test_coefficients_are_exact_only(call):
+    with pytest.raises(JacstabError) as exc:
+        call()
+    assert exc.value.code == "BAD_INPUT"
+
+
+def test_int_coefficients_stay_int():
+    classes = [FiberClass(2, 2, {("D", 1): 3, ("B", 1, (2, 1)): 1, ("B", 1, (1, 2)): 1}),
+               DivisorClass(2, 2, lambda1=2, delta={(0, (1,)): 3}),
+               canonicalize(2, 2, [("psi", 1, 1), ("psi", 1, 4), ("kappa1t", -1)]),
+               FiberClass.section(2, 2, 1).scale(-3)]
+    for cls in classes:
+        assert cls.coeffs and all(type(c) is int for c in cls.coeffs.values()), cls
+    # an int and an equal Fraction print, compare and hash alike
+    whole = DivisorClass(2, 2, lambda1=2, psi={1: -1})
+    same = DivisorClass(2, 2, lambda1=Fraction(2), psi={1: Fraction(-1)})
+    assert whole == same and hash(whole) == hash(same)
+    assert whole.text() == same.text() and whole.to_json_dict() == same.to_json_dict()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
                      compact_type_gm1_multidegree, exp_truncate)
-from jacstab.divisors import canonical_indices
+from jacstab.divisors import canonical_indices, canonicalize
 from jacstab.pushforward import GradedAtomPoly
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau
@@ -223,6 +223,42 @@ def test_each_derivation_multiplies_and_pushes_once(monkeypatch):
     calls.clear()
     theta_gm1_via_pushforward(3, 3, [2, 1, -1])
     assert calls == {"mul_raw": 1, "pushforward": 1}
+
+
+# The derivations' inputs: (g, n, tau, k) for theta, (g, n, tau) for degree g-1.
+INTEGRAL_CASES = [((2, 2, [2, 0], 1), (2, 2, [3, -2])),
+                  ((4, 3, [3, 1, 2], 1), (4, 3, [5, -1, -1])),
+                  ((5, 4, [1, -3, 2, 0], 0), (5, 4, [2, 2, -1, 1]))]
+
+
+@pytest.mark.parametrize("theta, gm1", INTEGRAL_CASES)
+def test_derivations_multiply_and_push_on_ints(theta, gm1):
+    c1 = c1_twisted_bundle(*theta)
+    c1_gm1 = c1_gm1_bundle(*gm1)
+    K = FiberClass.canonical(*gm1[:2])
+    products = [c1 * c1, c1_gm1 * (c1_gm1 - K)]
+    for cls in [c1, c1_gm1, *products, *map(pushforward, products)]:
+        assert cls.coeffs and all(type(c) is int for c in cls.coeffs.values()), cls
+
+
+@pytest.mark.parametrize("theta, gm1", INTEGRAL_CASES)
+def test_pushforward_canonicalizes_one_term_per_key(monkeypatch, theta, gm1):
+    module = importlib.import_module("jacstab.pushforward")
+    seen = []
+
+    def recording(g, n, terms):
+        seen.append(list(terms))
+        return canonicalize(g, n, seen[-1])
+
+    monkeypatch.setattr(module, "canonicalize", recording)
+    c1 = c1_twisted_bundle(*theta)
+    c1_gm1 = c1_gm1_bundle(*gm1)
+    K = FiberClass.canonical(*gm1[:2])
+    for product in (c1 * c1, c1_gm1 * (c1_gm1 - K)):
+        pushed = pushforward(product)
+        terms = seen.pop()
+        assert len(terms) == len({term[:-1] for term in terms}) == len(pushed.coeffs)
+        assert len(terms) < len(product.coeffs)
 
 
 # ----------------------------------------------------------------------
