@@ -58,24 +58,34 @@ def _load_graph(source: str, check: bool = True) -> DualGraph:
     return DualGraph.from_json(text, check=check)
 
 
+def _unique_keys(pairs, what: str) -> dict:
+    """A dict of ``(key, value)`` pairs in which no key repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise JacstabError("BAD_INPUT", f"{what} names vertex {key!r} more than once")
+        out[key] = value
+    return out
+
+
 def _parse_int_map(value: str, what: str) -> dict[str, int]:
     value = value.strip()
     if value.startswith("{"):
         try:
-            data = json.loads(value)
+            data = json.loads(value, object_pairs_hook=lambda pairs: _unique_keys(pairs, what))
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise JacstabError("BAD_INPUT", f"malformed {what}: {exc}") from exc
         return {str(k): strict_int(v, f"{what} entry {k!r}") for k, v in data.items()}
-    out: dict[str, int] = {}
+    pairs = []
     for piece in value.split(","):
         if not piece:
             continue
         try:
             key, num = piece.split("=")
-            out[key.strip()] = int(num)
+            pairs.append((key.strip(), int(num)))
         except ValueError as exc:
             raise JacstabError("BAD_INPUT", f"malformed {what} entry {piece!r}") from exc
-    return out
+    return _unique_keys(pairs, what)
 
 
 def _parse_tau(value: str) -> list[int]:

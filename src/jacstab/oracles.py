@@ -4,8 +4,8 @@ These deliberately avoid the main code paths they check: the Laplacian solve
 is exact Gaussian elimination instead of leaf peeling, the stable-multidegree
 search is a dumb box scan over all (not only connected) subcurves, the
 stability and balance verdicts test every proper subcurve from the
-definition instead of the connected ones through a shared table, and the
-exponential truncation is plain multiply-and-truncate of the formal series.
+definition instead of the connected ones, and the exponential truncation is
+plain multiply-and-truncate of the formal series.
 """
 
 from __future__ import annotations

@@ -15,24 +15,25 @@ on one of its components; checkers therefore iterate over connected subcurves
 only.  The equivalence with the exhaustive subset scan of ``oracles.py`` is
 asserted by the test suite on small graphs.
 
-:class:`StabilityTable` holds these inequalities for one graph, polarization,
-mode and basepoint, one row per connected subcurve.  A row stores the least
-integer degree the subcurve may carry, ``_min_degree`` of its threshold and
-strictness, so testing a multidegree against it is integer arithmetic only and
-stays exact for every polarization.  :func:`check_stability` and
-:func:`enumerate_stable` both read a table; the enumeration builds one and
-tests every candidate of its search against it, so each threshold is computed
-once per search instead of once per candidate.  Rows are filled on first use:
-a single check that fails early never computes the rows after its witness.
+Each inequality is one row: :func:`_least` turns a subcurve's threshold and
+strictness into the least integer degree the subcurve may carry, so testing a
+multidegree against a row is integer arithmetic only and stays exact for every
+polarization.  :func:`_rows` yields the rows lazily, one per connected
+subcurve.  :func:`check_stability` stops at its first violated row, so a check
+that fails early never computes the rows after its witness;
+:func:`enumerate_stable` lists the rows once and tests every candidate of its
+search against that list, so each threshold is computed once per search
+instead of once per candidate, and takes its box bounds from :func:`_least`.
 The balanced inequalities of :func:`is_balanced` keep their own direct loop,
 since their equivalence with q-stability is a theorem the tests compare.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 from .errors import JacstabError, strict_int
 from .graphs import DualGraph
@@ -153,93 +154,37 @@ def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
     return v
 
 
-def _is_strict(mode: str, base: str | None, Y: Iterable[str]) -> bool:
-    """Whether the inequality on ``Y`` is strict in the given mode."""
-    if mode == STABLE:
-        return True
-    if mode == QSTABLE:
-        return base in Y
-    return False
+def _least(graph: DualGraph, pol: Polarization, mode: str, base: str | None,
+           Y: Iterable[str]) -> tuple[int, Fraction, bool]:
+    """Least integer degree ``Y`` may carry, with its threshold and strictness.
 
-
-def _min_degree(bound: Fraction, strict: bool) -> int:
-    """Least integer d with d >= bound (or d > bound when strict)."""
-    if strict:
-        return bound.numerator // bound.denominator + 1
-    return -((-bound.numerator) // bound.denominator)
-
-
-class StabilityRow(NamedTuple):
-    """One connected subcurve's inequality.
-
-    ``members`` are the subcurve's positions in ``graph.ids``; a multidegree
-    violates the row exactly when its degree on them is below ``least``.
-    ``bound`` and ``strict`` are kept for the verdict.
+    The inequality is strict on every subcurve when stable and on those
+    containing the basepoint ``base`` when q-stable.
     """
-
-    members: tuple[int, ...]
-    least: int
-    bound: Fraction
-    strict: bool
+    bound = threshold(graph, pol, Y)
+    strict = mode == STABLE or (mode == QSTABLE and base in Y)
+    return (math.floor(bound) + 1 if strict else math.ceil(bound)), bound, strict
 
 
-class StabilityTable:
-    """The inequalities of one (graph, polarization, mode, basepoint).
+def _rows(graph: DualGraph, pol: Polarization, mode: str,
+          base: str | None) -> Iterator[tuple[tuple[int, ...], int, Fraction, bool]]:
+    """One ``(members, least, bound, strict)`` per connected subcurve.
 
-    Rows follow :meth:`DualGraph.connected_subsets` and are computed on first
-    use, then kept: a lone check stops at its first violation without paying
-    for the rows after it, while a search that checks many candidates pays
-    for each row once.
+    Rows follow :meth:`DualGraph.connected_subsets`; ``members`` are the
+    subcurve's positions in ``graph.ids``, and a multidegree violates the row
+    exactly when its degree on them is below ``least``.
     """
-
-    def __init__(self, graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
-                 basepoint: str | None = None):
-        if mode not in MODES:
-            raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
-        self.graph = graph
-        self.pol = pol
-        self.mode = mode
-        self.base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
-        self._subsets = graph.connected_subsets()
-        self._index = {v: i for i, v in enumerate(graph.ids)}
-        self.rows: list[StabilityRow] = []
-
-    def _add_row(self) -> StabilityRow:
-        Y = self._subsets[len(self.rows)]
-        bound = threshold(self.graph, self.pol, Y)
-        strict = _is_strict(self.mode, self.base, Y)
-        row = StabilityRow(tuple(self._index[v] for v in Y),
-                           _min_degree(bound, strict), bound, strict)
-        self.rows.append(row)
-        return row
-
-    def first_violation(self, degrees: list[int]) -> StabilityRow | None:
-        """The first row that ``degrees`` (listed in ``graph.ids`` order) violates."""
-        # The loop bodies subtract the degrees from ``least`` in place: this
-        # is the inner loop of enumerate_stable, and the plain loop is several
-        # times faster than sum() over a comprehension.
-        for row in self.rows:
-            short = row.least
-            for i in row.members:
-                short -= degrees[i]
-            if short > 0:
-                return row
-        while len(self.rows) < len(self._subsets):
-            row = self._add_row()
-            short = row.least
-            for i in row.members:
-                short -= degrees[i]
-            if short > 0:
-                return row
-        return None
+    index = {v: i for i, v in enumerate(graph.ids)}
+    for Y in graph.connected_subsets():
+        yield (tuple(index[v] for v in Y), *_least(graph, pol, mode, base, Y))
 
 
 def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
                     mode: str = QSTABLE, basepoint: str | None = None) -> StabilityVerdict:
     """Test a multidegree against every proper subcurve inequality.
 
-    Returns a PASS verdict, or a FAIL verdict carrying a violating subcurve
-    together with the failed bound.
+    Returns a PASS verdict, or a FAIL verdict carrying the first violating
+    connected subcurve together with the failed bound.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -249,14 +194,15 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
     if total != target:
         raise JacstabError("DEGREE_MISMATCH",
                            f"multidegree total {total} != polarization degree {target}")
+    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
     values = list(degrees.values())
-    row = StabilityTable(graph, pol, mode, basepoint).first_violation(values)
-    if row is None:
-        return StabilityVerdict(ok=True, mode=mode)
-    return StabilityVerdict(ok=False, mode=mode,
-                            witness=tuple(graph.ids[i] for i in row.members),
-                            degree=sum(values[i] for i in row.members),
-                            bound=row.bound, strict=row.strict)
+    for members, least, bound, strict in _rows(graph, pol, mode, base):
+        degree = sum(values[i] for i in members)
+        if degree < least:
+            return StabilityVerdict(ok=False, mode=mode,
+                                    witness=tuple(graph.ids[i] for i in members),
+                                    degree=degree, bound=bound, strict=strict)
+    return StabilityVerdict(ok=True, mode=mode)
 
 
 def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
@@ -265,10 +211,9 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
     The subcurve inequalities on singletons and their complements confine each
     vertex degree to a finite box; the box is searched with partial-sum
-    pruning and every candidate is tested against one shared
-    :class:`StabilityTable`.  The search runs through the box in
-    lexicographic order, so the output is sorted by the degrees in
-    ``graph.ids`` order.
+    pruning and every candidate is tested against one list of the rows of
+    :func:`_rows`.  The search runs through the box in lexicographic order, so
+    the output is sorted by the degrees in ``graph.ids`` order.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -276,18 +221,17 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     ids = graph.ids
     if len(ids) == 1:
         return [{ids[0]: target}]
-    table = StabilityTable(graph, pol, mode, basepoint)
+    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
 
     los, his = [], []
     for v in ids:
-        single = (v,)
-        comp = tuple(w for w in ids if w != v)
-        lo = _min_degree(threshold(graph, pol, single), _is_strict(mode, table.base, single))
-        hi = target - _min_degree(threshold(graph, pol, comp), _is_strict(mode, table.base, comp))
+        lo = _least(graph, pol, mode, base, (v,))[0]
+        hi = target - _least(graph, pol, mode, base, tuple(w for w in ids if w != v))[0]
         if hi < lo:
             return []
         los.append(lo)
         his.append(hi)
+    rows = [(members, least) for members, least, _, _ in _rows(graph, pol, mode, base)]
 
     suffix_lo = [0] * (len(ids) + 1)
     suffix_hi = [0] * (len(ids) + 1)
@@ -300,8 +244,16 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
     def search(i: int, acc: int) -> None:
         if i == len(ids):
-            if acc == target and table.first_violation(stack) is None:
-                results.append(dict(zip(ids, stack)))
+            if acc != target:
+                return
+            # subtracting in place is several times faster than sum() over a
+            # comprehension, and this is the search's inner loop
+            for members, short in rows:
+                for j in members:
+                    short -= stack[j]
+                if short > 0:
+                    return
+            results.append(dict(zip(ids, stack)))
             return
         rest_lo = suffix_lo[i + 1]
         rest_hi = suffix_hi[i + 1]
@@ -312,7 +264,7 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
     search(0, 0)
     # the recursive closure is a reference cycle that holds every result and
-    # the table; break it, or they stay alive until the cyclic collector runs
+    # the rows; break it, or they stay alive until the cyclic collector runs
     del search
     return results
 
@@ -358,7 +310,7 @@ def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
     PASS means: for every proper non-empty Z, the sum of tau over legs in Z is
     at least k*omega_degree(Z) - kappa_Z/2, strictly whenever marking 1 lies
     on Z.  This is checked directly from the definition, on the connected
-    subcurves, independently of :func:`check_stability` and its table; the
+    subcurves, independently of :func:`check_stability` and its rows; the
     equivalence with q-stability of the base multidegree is a tested theorem,
     not an implementation shortcut.
     """

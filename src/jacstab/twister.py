@@ -63,8 +63,19 @@ class ReduceResult:
 
 
 def split_at_edge(graph: DualGraph, edge: tuple[str, str]) -> tuple[frozenset[str], frozenset[str]]:
-    """Vertex sets of the two components obtained by deleting one separating edge."""
+    """Vertex sets of the two components obtained by deleting one separating edge.
+
+    A pair that is not an edge is ``BAD_INPUT``; a loop, a multiple edge or an
+    edge on a cycle is ``NOT_TREELIKE``.
+    """
     a, b = edge
+    if a not in graph._adj or b not in graph._adj:
+        raise JacstabError("BAD_INPUT", f"edge {edge} has an endpoint that is not a vertex")
+    copies = graph._loops[a] if a == b else graph._adj[a].get(b, 0)
+    if not copies:
+        raise JacstabError("BAD_INPUT", f"{edge} is not an edge of the graph")
+    if a == b or copies > 1:
+        raise JacstabError("NOT_TREELIKE", f"edge {edge} is a loop or a multiple edge")
     side: set[str] = {a}
     stack = [a]
     while stack:
@@ -72,8 +83,7 @@ def split_at_edge(graph: DualGraph, edge: tuple[str, str]) -> tuple[frozenset[st
         for w in graph.neighbors(u):
             if w in side:
                 continue
-            # skip exactly one copy of the removed edge; treelike graphs have
-            # no parallel edges, so skipping the pair is equivalent
+            # the removed edge is its pair's only copy, so skip the pair
             if {u, w} == {a, b}:
                 continue
             side.add(w)

@@ -207,6 +207,14 @@ def test_input_errors_exit_2(capsys):
     bad = json.dumps(single_vertex(genus=0, legs=[]).to_json_dict())
     code, payload = run_json(capsys, "stability", "enumerate", "--graph", bad)
     assert code == 2 and payload["error"] == "INVALID_GRAPH"
+    # a repeated vertex key is refused, not resolved to its last value
+    for m in ("v1=5,v1=1,v2=-1", '{"v1": 5, "v1": 1, "v2": -1}'):
+        code, payload = run_json(capsys, "stability", "check", "--graph", BANANA,
+                                 "--pol", "canonical0", "--m", m)
+        assert code == 2 and payload["error"] == "BAD_INPUT"
+    code, payload = run_json(capsys, "twist", "apply", "--graph", TREE,
+                             "--gamma", "v1=0,v2=1,v2=0")
+    assert code == 2 and payload["error"] == "BAD_INPUT"
 
 
 def test_bad_genus_gets_one_error_code_from_every_method(capsys):

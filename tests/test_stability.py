@@ -10,7 +10,7 @@ from jacstab import (DualGraph, JacstabError, Polarization, QSTABLE, SEMISTABLE,
                      BALANCED, TREELIKE, BOTH, INDETERMINACY)
 from jacstab.corpus import random_connected_graph, random_treelike_graph, random_tau
 from jacstab.oracles import balanced_exhaustive, brute_force_stable, stability_exhaustive
-from jacstab.stability import StabilityTable, _min_degree
+import jacstab.stability as stability
 from jacstab.twister import split_at_edge
 from common import banana, two_vertex_tree, path3
 
@@ -331,8 +331,6 @@ def test_is_balanced_matches_exhaustive_oracle():
 
 
 def test_enumerate_does_not_call_check_stability(monkeypatch):
-    import jacstab.stability as stability
-
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_stable called check_stability")
 
@@ -354,14 +352,40 @@ def test_enumerate_leaves_no_cyclic_garbage():
             gc.enable()
 
 
-def test_table_rows_are_filled_on_first_use():
+def count_thresholds(monkeypatch) -> list:
+    """Record every call of ``stability.threshold`` from now on."""
+    calls = []
+    real = stability.threshold
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stability, "threshold", counted)
+    return calls
+
+
+def test_check_computes_rows_up_to_its_witness_only(monkeypatch):
     g = path3()
-    table = StabilityTable(g, CAN0, QSTABLE)
-    assert table.rows == []
+    calls = count_thresholds(monkeypatch)
     # v1 = -5 breaks the first row, the singleton v1
-    assert table.first_violation([-5, 2, 3]) is table.rows[0]
-    assert len(table.rows) == 1
-    assert table.first_violation([0, 0, 0]) is None
-    assert len(table.rows) == len(g.connected_subsets())
-    row = table.rows[0]
-    assert row.members == (0,) and row.least == _min_degree(row.bound, row.strict)
+    verdict = check_stability(g, CAN0, {"v1": -5, "v2": 2, "v3": 3}, QSTABLE)
+    assert verdict.witness == ("v1",) and len(calls) == 1
+
+
+def test_passing_check_computes_one_threshold_per_connected_subset(monkeypatch):
+    g = path3()
+    calls = count_thresholds(monkeypatch)
+    assert check_stability(g, CAN0, {"v1": 0, "v2": 0, "v3": 0}, QSTABLE).ok
+    assert len(calls) == len(g.connected_subsets())
+
+
+def test_enumerate_computes_each_row_once(monkeypatch):
+    # K_4 with every edge doubled: 2V box bounds plus one threshold per row,
+    # however many candidates the search tests
+    ids = ("a", "b", "c", "d")
+    g = DualGraph([(v, 0, [1] if v == "a" else []) for v in ids],
+                  [(v, w) for i, v in enumerate(ids) for w in ids[i + 1:]] * 2)
+    calls = count_thresholds(monkeypatch)
+    assert len(enumerate_stable(g, CAN0, QSTABLE)) > 1
+    assert len(calls) == 2 * len(ids) + len(g.connected_subsets()) == 22

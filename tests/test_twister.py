@@ -9,6 +9,7 @@ from jacstab import (DualGraph, JacstabError, Polarization, QSTABLE,
 from jacstab.corpus import (random_connected_graph, random_treelike_graph,
                             random_zero_sum, random_tau)
 from jacstab.oracles import solve_twister
+from jacstab.twister import split_at_edge
 from common import banana, two_vertex_tree, path3, star, tree_with_loop
 
 
@@ -174,6 +175,23 @@ def test_branch_coefficients_errors():
         branch_coefficients(two_vertex_tree(), [1, 0], 0)
     assert err.value.code == "TAU_SUM"
 
+
+TRIANGLE = DualGraph([("a", 1, [1]), ("b", 1, []), ("c", 1, [])],
+                     [("a", "b"), ("b", "c"), ("a", "c")])
+
+
+@pytest.mark.parametrize("graph, edge, code", [
+    (two_vertex_tree(), ("v1", "v3"), "BAD_INPUT"),
+    (path3(), ("v1", "v3"), "BAD_INPUT"),
+    (banana(), ("v1", "v2"), "NOT_TREELIKE"),
+    (tree_with_loop(), ("b", "b"), "NOT_TREELIKE"),
+    (TRIANGLE, ("a", "b"), "NOT_TREELIKE"),
+], ids=["endpoint-not-a-vertex", "not-an-edge", "doubled-edge", "loop", "cycle-edge"])
+def test_split_needs_one_separating_edge(graph, edge, code):
+    for split in (split_at_edge, branch_side):
+        with pytest.raises(JacstabError) as err:
+            split(graph, edge)
+        assert err.value.code == code
 
 def test_boundary_multidegree_is_zero():
     g = two_vertex_tree(g1=1, g2=1)
