@@ -7,7 +7,9 @@ stderr), so that a crash is never read as a FAIL verdict.
 
 Multidegree, twister and tau/k JSON payloads take JSON integers only; a float,
 a boolean or a string is rejected with BAD_INPUT.  The comma form ``v1=1,v2=-1``
-is read as text.
+is read as text.  Every JSON input, the graph included, is read by
+``errors.load_json``, so a key repeated in one object is BAD_INPUT, as is a
+vertex repeated in the comma form.
 
 Every command is one row of ``COMMANDS`` and every option one entry of
 ``OPTIONS``, which also names the function converting its string;
@@ -25,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
-from .errors import JacstabError, strict_int
+from .errors import JacstabError, load_json, strict_int, _unique_keys
 from .graphs import DualGraph
 from .pushforward import (c1_twisted_bundle, theta_via_pushforward,
                           theta_gm1_via_pushforward, compact_type_gm1_multidegree,
@@ -58,23 +60,10 @@ def _load_graph(source: str, check: bool = True) -> DualGraph:
     return DualGraph.from_json(text, check=check)
 
 
-def _unique_keys(pairs, what: str) -> dict:
-    """A dict of ``(key, value)`` pairs in which no key repeats."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise JacstabError("BAD_INPUT", f"{what} names vertex {key!r} more than once")
-        out[key] = value
-    return out
-
-
 def _parse_int_map(value: str, what: str) -> dict[str, int]:
     value = value.strip()
     if value.startswith("{"):
-        try:
-            data = json.loads(value, object_pairs_hook=lambda pairs: _unique_keys(pairs, what))
-        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-            raise JacstabError("BAD_INPUT", f"malformed {what}: {exc}") from exc
+        data = load_json(value, what)
         return {str(k): strict_int(v, f"{what} entry {k!r}") for k, v in data.items()}
     pairs = []
     for piece in value.split(","):
@@ -98,12 +87,11 @@ def _parse_tau(value: str) -> list[int]:
 def _resolve_tau_k(args) -> tuple[list[int], int]:
     """Twist data from --tau/--k flags or a --data JSON payload."""
     if args.data:
-        text = _read_json_arg(args.data, "data")
+        payload = load_json(_read_json_arg(args.data, "data"), "tau/k payload")
         try:
-            payload = json.loads(text)
             tau = [strict_int(x, "tau entry") for x in payload["tau"]]
             k = strict_int(payload.get("k", 0), "k")
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
+        except (KeyError, TypeError) as exc:
             raise JacstabError("BAD_INPUT", f"malformed tau/k payload: {exc}") from exc
         return tau, k
     if args.tau is None:

@@ -24,11 +24,18 @@ An index is a genuine boundary divisor here exactly when
 2 <= h + |A| <= g + n - 2, read through the identification; note this range
 excludes the classes of shape delta_{1,empty} on purpose, matching the ranges
 of all the closed formulas below.
+
+Terms from outside are checked once, by ``canonicalize``: ``DivisorClass(...)``,
+``pushforward`` and ``theta_pullback_hain`` (whose folding is its algorithm) go
+through it.  ``theta_pullback``, ``theta_gm1_pullback`` and ``mueller_class``
+check their twist data, then build on trusted keys: those of
+``canonical_indices`` are canonical, in range and never of psi shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -332,6 +339,17 @@ def theta_pullback_hain(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     return canonicalize(g, n, terms)
 
 
+def _closed(g: int, n: int, t: list[int], head: dict[tuple, Exact], delta) -> DivisorClass:
+    """Non-zero ``head`` terms plus ``delta(h, s)`` on each canonical (h, A), s = sum of t over A."""
+    coeffs = {key: c for key, c in head.items() if c}
+    delta = cache(delta)  # few distinct (h, s), so few Fractions
+    for (h, A) in canonical_indices(g, n):
+        c = delta(h, sum(t[i - 1] for i in A))
+        if c:
+            coeffs[("delta", h, A)] = c
+    return DivisorClass._of((g, n), coeffs)
+
+
 def theta_pullback(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
     """Closed-form theta pullback for twist data (tau, k).
 
@@ -339,26 +357,17 @@ def theta_pullback(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
     counted once, not once per representative.
     """
     t = _check_tau_theta(g, n, tau, k)
-    terms: list[tuple] = []
-    for i, ti in enumerate(t, start=1):
-        terms.append(("psi", i, Fraction(ti * ti, 2) + k * ti))
-    terms.append(("kappa1t", Fraction(-k * k, 2)))
-    for (h, A) in canonical_indices(g, n):
-        c = k * (1 - 2 * h) + sum(t[i - 1] for i in A)
-        terms.append(("delta", h, A, Fraction(-c * c, 2)))
-    return canonicalize(g, n, terms)
+    head = {("psi", i): Fraction(ti * ti, 2) + k * ti for i, ti in enumerate(t, start=1)}
+    head[("kappa1t",)] = Fraction(-k * k, 2)
+    return _closed(g, n, t, head, lambda h, s: Fraction(-(k * (1 - 2 * h) + s) ** 2, 2))
 
 
 def theta_gm1_pullback(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     """Degree g-1 theta pullback for a total-degree g-1 twist vector."""
     t = _check_tau_gm1(g, n, tau)
-    terms: list[tuple] = [("lambda1", Fraction(-1))]
-    for i, ti in enumerate(t, start=1):
-        terms.append(("psi", i, Fraction(ti * (ti + 1), 2)))
-    for (h, A) in canonical_indices(g, n):
-        s = sum(t[i - 1] for i in A)
-        terms.append(("delta", h, A, Fraction(-(s - h) * (s - h + 1), 2)))
-    return canonicalize(g, n, terms)
+    head = {("psi", i): Fraction(ti * (ti + 1), 2) for i, ti in enumerate(t, start=1)}
+    head[("lambda1",)] = Fraction(-1)
+    return _closed(g, n, t, head, lambda h, s: Fraction(-(s - h) * (s - h + 1), 2))
 
 
 def mueller_correction(g: int, n: int, tau: Sequence[int],
@@ -373,20 +382,12 @@ def mueller_correction(g: int, n: int, tau: Sequence[int],
     t = _check_tau_gm1(g, n, tau)
     out: dict[tuple[int, Legs], int] = {}
     for h in range(0, g // 2 + 1):
-        for r in range(0, n + 1):
-            if r == 0 and not include_empty:
-                continue
+        for r in range(0 if include_empty else 1, n + 1):
             for A in combinations(range(1, n + 1), r):
-                if not is_valid_index(g, n, h, A):
-                    continue
-                if any(t[i - 1] <= 0 for i in A):
-                    continue
                 s = sum(t[i - 1] for i in A)
-                if h < s:
-                    continue
-                if h - s:
-                    key = canonical_pair(g, n, h, A)
-                    out[key] = out.get(key, 0) + (h - s)
+                if s < h and is_valid_index(g, n, h, A) and all(t[i - 1] > 0 for i in A):
+                    key = _fold(g, n, h, A)  # A is sorted, distinct and in range
+                    out[key] = out.get(key, 0) + h - s
     return out
 
 
@@ -403,5 +404,4 @@ def mueller_class(g: int, n: int, tau: Sequence[int],
         raise JacstabError("NO_NEGATIVE_ENTRY", "at least one tau entry must be negative")
     base = theta_gm1_pullback(g, n, t)
     corr = mueller_correction(g, n, t, include_empty=include_empty)
-    terms = [("delta", h, A, Fraction(-c)) for (h, A), c in corr.items()]
-    return base + canonicalize(g, n, terms)
+    return base - DivisorClass._of((g, n), {("delta", *hA): c for hA, c in corr.items()})

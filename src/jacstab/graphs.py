@@ -14,11 +14,10 @@ refused.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import JacstabError, strict_int
+from .errors import JacstabError, load_json, strict_int
 
 
 @dataclass(frozen=True)
@@ -324,11 +323,7 @@ class DualGraph:
 
     @classmethod
     def from_json(cls, text: str, check: bool = True) -> "DualGraph":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-            raise JacstabError("BAD_INPUT", f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data, check=check)
+        return cls.from_json_dict(load_json(text, "graph JSON"), check=check)
 
     def __repr__(self) -> str:
         return f"DualGraph(g={self.g}, n={self.n}, V={len(self.ids)}, E={len(self.edges)})"

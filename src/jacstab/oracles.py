@@ -119,8 +119,7 @@ def balanced_exhaustive(graph: DualGraph, tau: list[int], k: int) -> BalanceVerd
 
 
 def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
-                       basepoint: str | None = None,
-                       half_width: int | None = None) -> list[dict[str, int]]:
+                       basepoint: str | None = None) -> list[dict[str, int]]:
     """Scan the box prod_v [-g-#edges, g+#edges] for stable multidegrees.
 
     Feasibility pruning uses only the running total (pure arithmetic); every
@@ -132,8 +131,8 @@ def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
         return [{ids[0]: target}]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
     profiles = _subset_profiles(graph, pol, mode, base)
-    width = half_width if half_width is not None else graph.g + len(graph.edges)
-    lo, hi = -width, width
+    hi = graph.g + len(graph.edges)
+    lo = -hi
     results: list[dict[str, int]] = []
     stack = [0] * len(ids)
 

@@ -256,29 +256,24 @@ def theta_via_pushforward(g: int, n: int, tau: Sequence[int], k: int) -> Divisor
     return pushforward(c1.mul_raw(c1)).scale(Fraction(-1, 2))
 
 
-def c1_gm1_bundle(g: int, n: int, tau: Sequence[int],
-                  chi_convention: str = "complement") -> FiberClass:
+def c1_gm1_bundle(g: int, n: int, tau: Sequence[int]) -> FiberClass:
     """c1 of the degree g-1 section bundle on the universal curve.
 
-    The boundary coefficient carries an indicator for the basepoint side; the
-    two readings ("complement": 1 when marking 1 is off A, "member": 1 when it
-    is on A) give the same pushed-forward class, which the tests assert.
+    The boundary coefficient carries an indicator for the basepoint side, 1
+    when marking 1 is off A; reading it as 1 when marking 1 is on A gives
+    the same pushed-forward class, which the tests assert.
     """
     t = _check_tau_gm1(g, n, tau)
-    if chi_convention not in ("complement", "member"):
-        raise JacstabError("BAD_INPUT", f"unknown chi convention {chi_convention!r}")
-    member = chi_convention == "member"
-    return _c1(g, n, t, 0, lambda h, A, s: s - h + int((1 in A) == member))
+    return _c1(g, n, t, 0, lambda h, A, s: s - h + int(1 not in A))
 
 
-def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int],
-                              chi_convention: str = "complement") -> DivisorClass:
+def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     """Degree g-1 theta pullback from first principles.
 
     Minus the class equals push(c1*(c1 - K))/2 + lambda1: by bilinearity the
     one product stands for push(c1^2)/2 - push(c1*K)/2; it is pushed once, then halved.
     """
-    c1 = c1_gm1_bundle(g, n, tau, chi_convention=chi_convention)
+    c1 = c1_gm1_bundle(g, n, tau)
     pushed = pushforward(c1.mul_raw(c1 - FiberClass.canonical(g, n)))
     return pushed.scale(Fraction(-1, 2)) + DivisorClass(g, n, lambda1=-1)
 

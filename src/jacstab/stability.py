@@ -272,11 +272,11 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 # ----------------------------------------------------------------------
 # balanced twist data
 
-def check_tau(graph_g: int, tau: Iterable[int], k: int, n: int | None = None) -> list[int]:
-    """Validate an integer twist vector: sum must equal k(2g-2)."""
+def check_tau(graph_g: int, tau: Iterable[int], k: int, n: int) -> list[int]:
+    """Validate an integer twist vector: n entries summing to k(2g-2)."""
     t = [strict_int(x, "tau entry") for x in tau]
     k = strict_int(k, "k")
-    if n is not None and len(t) != n:
+    if len(t) != n:
         raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
     want = k * (2 * graph_g - 2)
     if sum(t) != want:

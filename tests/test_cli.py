@@ -217,6 +217,22 @@ def test_input_errors_exit_2(capsys):
     assert code == 2 and payload["error"] == "BAD_INPUT"
 
 
+def test_repeated_json_keys_are_refused(capsys):
+    # every JSON input goes through one loader, which refuses a repeated key
+    # instead of keeping its last value (tau = (1, -1), an edgeless graph)
+    code, payload = run_json(capsys, "twist", "coefficients", "--graph", TREE,
+                             "--data", '{"tau":[5,-5],"k":0,"tau":[1,-1]}')
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+    assert "repeats key 'tau'" in payload["message"]
+    assert TREE.endswith(', "edges": [["v1", "v2"]]}')
+    code, payload = run_json(capsys, "graph", "classify", "--graph", TREE[:-1] + ', "edges": []}')
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+    assert "repeats key 'edges'" in payload["message"]
+    nested = TREE.replace('"genus": 1,', '"genus": 1, "genus": 0,', 1)
+    code, payload = run_json(capsys, "graph", "validate", "--graph", nested)
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
 def test_bad_genus_gets_one_error_code_from_every_method(capsys):
     # g = 0 is outside every class command's range, and tau = (1, 1) has the
     # wrong sum too: the range check comes first, whichever method runs

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -248,6 +249,33 @@ def test_mueller_corrections_nonnegative_integers():
             assert all(isinstance(c, int) and c > 0 for c in corr.values())
         cases += 1
     assert cases >= 15
+
+
+def test_closed_forms_build_only_canonical_terms():
+    # the closed forms skip canonicalize: their keys must already be what it
+    # would return, so re-canonicalizing their terms changes nothing
+    rng = random.Random(61)
+    seen = Counter()
+    for g in range(1, 7):
+        for n in range(1, 7):
+            indices = {("delta", h, A) for h, A in canonical_indices(g, n)}
+            classes = []
+            for k in (0, 1, -1):
+                tau = random_tau(rng, n, k * (2 * g - 2), bound=4)
+                if tau is not None and any(tau):
+                    classes.append(("theta", theta_pullback(g, n, tau, k)))
+            tau = random_tau(rng, n, g - 1, bound=4)
+            if tau is not None:
+                classes.append(("theta_gm1", theta_gm1_pullback(g, n, tau)))
+                if any(x < 0 for x in tau):
+                    classes += [("mueller", mueller_class(g, n, tau, include_empty=flag))
+                                for flag in (True, False)]
+            for name, cls in classes:
+                assert all(key in indices for key in cls.coeffs if key[0] == "delta")
+                assert all(cls.coeffs.values())
+                assert canonicalize(g, n, [(*key, c) for key, c in cls.coeffs.items()]) == cls
+                seen[name] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("call", [

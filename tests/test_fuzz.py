@@ -7,7 +7,9 @@ mutations put wrong types, unknown ids, missing and extra keys and huge
 integers (``10**30``, and literals over Python's 4,300-digit conversion
 limit) anywhere in the document.  Every answer must exit 0, 1 or 2 with one
 JSON document on stdout and no traceback on stderr; exit 3, an internal
-error, fails.
+error, fails.  A second test gives each line one JSON object that names one
+of its keys twice, written into the text since a dict cannot hold it; every
+such line must answer BAD_INPUT with exit 2.
 
 All cases run in one child process under an address-space cap, so that an
 input which makes the CLI allocate without bound fails here instead of
@@ -79,8 +81,8 @@ def _as_json(flag: str, text: str):
     return json.loads(text)
 
 
-def cases(seed: int = SEED) -> list[list[str]]:
-    rng = random.Random(seed)
+def _lines(rng: random.Random) -> list[list[str]]:
+    """The golden-style command lines, JSON output only."""
     lines = []
     for i in range(24):
         graph = _tree(rng) if i % 2 else _graph(rng)
@@ -96,12 +98,50 @@ def cases(seed: int = SEED) -> list[list[str]]:
         while "--output" in argv:  # only the JSON form is checked here
             at = argv.index("--output")
             argv = argv[:at] + argv[at + 2:]
+        out.append(argv)
+    return out
+
+
+def cases(seed: int = SEED) -> list[list[str]]:
+    rng = random.Random(seed)
+    out = []
+    for argv in _lines(rng):
         targets = [i for i, arg in enumerate(argv) if arg in TARGETS]
         for _ in range(3):
             at = rng.choice(targets) + 1
             value = _mutate(rng, _as_json(argv[at - 1], argv[at]))
             text = json.dumps(value).replace(json.dumps(DIGITS), "9" * 5000)
             out.append(argv[:at] + [text] + argv[at + 1:])
+    return out
+
+
+REPEAT = "__REPEAT__"  # a key that stands for a second copy of an existing key
+
+
+def _repeat_key(rng: random.Random, value) -> str:
+    """JSON text of ``value`` with one object naming one of its keys twice.
+
+    A Python dict cannot hold the repeat, so the copy goes in under a
+    stand-in key that is renamed in the text.
+    """
+    objects = [parent[key] if parent is not None else value
+               for parent, key in _slots(value)]
+    target = rng.choice([obj for obj in objects if isinstance(obj, dict) and obj])
+    key = rng.choice(list(target))
+    target[REPEAT] = rng.choice((target[key], rng.choice(JUNK)))
+    text = json.dumps(value).replace(json.dumps(REPEAT), json.dumps(key))
+    return text.replace(json.dumps(DIGITS), "9" * 5000)
+
+
+def repeat_cases(seed: int = SEED) -> list[list[str]]:
+    """One line per golden-style line, one of its JSON inputs given a repeated key."""
+    rng = random.Random(seed)
+    out = []
+    for argv in _lines(rng):
+        targets = [i + 1 for i, arg in enumerate(argv) if arg in TARGETS]
+        at = rng.choice(targets)
+        out.append(argv[:at] + [_repeat_key(rng, _as_json(argv[at - 1], argv[at]))]
+                   + argv[at + 1:])
     return out
 
 
@@ -121,4 +161,16 @@ def test_mutated_json_inputs_get_an_answer():
         if code not in (0, 1, 2) or not parsed or "Traceback" in err:
             failures.append((code, out[-300:], err[-300:], argv))
     assert len(results) == len(lines)
+    assert not failures, f"{len(failures)} failures, first: {failures[0]}"
+
+
+def test_repeated_json_keys_answer_bad_input():
+    lines = repeat_cases()
+    assert len(lines) == 24 * 13
+    proc = run_capped(CHILD, stdin=json.dumps(lines), timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    results = json.loads(proc.stdout)
+    assert len(results) == len(lines)
+    failures = [(code, out[-300:], argv) for argv, (code, out, _) in zip(lines, results)
+                if code != 2 or json.loads(out)["error"] != "BAD_INPUT"]
     assert not failures, f"{len(failures)} failures, first: {failures[0]}"

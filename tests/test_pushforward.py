@@ -12,7 +12,7 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      theta_pullback, theta_gm1_pullback,
                      compact_type_gm1_multidegree, exp_truncate)
 from jacstab.divisors import canonical_indices, canonicalize
-from jacstab.pushforward import GradedAtomPoly
+from jacstab.pushforward import GradedAtomPoly, _c1
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau
 from common import banana, two_vertex_tree, path3
@@ -329,9 +329,12 @@ def test_derive_theta_gm1_chi_convention_independent():
         tau = random_tau(rng, n, g - 1, bound=5)
         if tau is None:
             continue
-        a = theta_gm1_via_pushforward(g, n, tau, chi_convention="complement")
-        b = theta_gm1_via_pushforward(g, n, tau, chi_convention="member")
-        assert a == b
+        # the library reads the indicator as "marking 1 is off A"; build the
+        # "marking 1 is on A" reading here and push it the same way
+        c1 = _c1(g, n, tau, 0, lambda h, A, s: s - h + int(1 in A))
+        member = pushforward(c1.mul_raw(c1 - FiberClass.canonical(g, n)))
+        b = member.scale(Fraction(-1, 2)) + DivisorClass(g, n, lambda1=-1)
+        assert theta_gm1_via_pushforward(g, n, tau) == b
         cases += 1
     assert cases >= 10
 
