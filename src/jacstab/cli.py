@@ -9,21 +9,26 @@ Multidegree, twister and tau/k JSON payloads take JSON integers only; a float,
 a boolean or a string is rejected with BAD_INPUT.  The comma form ``v1=1,v2=-1``
 is read as text.  Every JSON input, the graph included, is read by
 ``errors.load_json``, so a key repeated in one object is BAD_INPUT, as is a
-vertex repeated in the comma form.
+vertex repeated in the comma form or in ``--subcurve``.  ``--data`` replaces
+``--tau`` and ``--k``, so naming it with either (a non-zero ``--k``) is
+BAD_INPUT.
 
 Every command is one row of ``COMMANDS`` and every option one entry of
 ``OPTIONS``, which also names the function converting its string;
 ``build_parser`` turns them into an argparse tree, which ``main`` builds on its
 first call and reuses.  ``main`` converts the options, calls the handler and
 prints the (exit code, payload, text) answer it returns in the --output form.
+A result record of the library enters a payload through ``_payload``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
@@ -85,8 +90,10 @@ def _parse_tau(value: str) -> list[int]:
 
 
 def _resolve_tau_k(args) -> tuple[list[int], int]:
-    """Twist data from --tau/--k flags or a --data JSON payload."""
+    """Twist data from --tau/--k flags or a --data JSON payload, not both."""
     if args.data:
+        if args.tau is not None or args.k != 0:
+            raise JacstabError("BAD_INPUT", "--data excludes --tau and a non-zero --k")
         payload = load_json(_read_json_arg(args.data, "data"), "tau/k payload")
         try:
             tau = [strict_int(x, "tau entry") for x in payload["tau"]]
@@ -100,7 +107,8 @@ def _resolve_tau_k(args) -> tuple[list[int], int]:
 
 
 def _parse_subcurve(value: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in value.split(",") if x.strip())
+    names = (x.strip() for x in value.split(","))
+    return tuple(_unique_keys(((x, None) for x in names if x), "subcurve"))
 
 
 def _multidegree_text(m: dict[str, int]) -> str:
@@ -111,8 +119,19 @@ def _multidegree_text(m: dict[str, int]) -> str:
 # Each handler gets its options already converted by their OPTIONS entries
 # and returns (exit code, JSON payload, text form); ``main`` prints one form.
 
+def _payload(value):
+    """A result record's JSON form: a dataclass as its fields that are not
+    None, a tuple as a list, a Fraction as its text, recursively."""
+    if dataclasses.is_dataclass(value):
+        return {field.name: _payload(getattr(value, field.name))
+                for field in dataclasses.fields(value) if getattr(value, field.name) is not None}
+    if type(value) is tuple:
+        return [_payload(x) for x in value]
+    return str(value) if type(value) is Fraction else value
+
+
 def _verdict(verdict) -> tuple[int, dict, str]:
-    return (0 if verdict.ok else 1, verdict.to_json_dict(),
+    return (0 if verdict.ok else 1, _payload(verdict),
             "PASS" if verdict.ok else f"FAIL witness={','.join(verdict.witness)}")
 
 
@@ -132,7 +151,7 @@ def cmd_graph_validate(args):
 
 
 def cmd_graph_classify(args):
-    payload = {"g": args.graph.g, "n": args.graph.n, **args.graph.classify().to_json_dict()}
+    payload = {"g": args.graph.g, "n": args.graph.n, **_payload(args.graph.classify())}
     return 0, payload, " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
 
 
@@ -187,7 +206,7 @@ def cmd_twist_apply(args):
 
 def cmd_twist_reduce(args):
     result = reduce_treelike(args.graph, args.m, root=args.root)
-    return (0, result.to_json_dict(),
+    return (0, _payload(result),
             "gamma: " + _multidegree_text(result.gamma) + "\n"
             + "\n".join(f"peel {s.leaf} coeff={s.coefficient} branch={','.join(s.branch)}"
                         for s in result.trace))

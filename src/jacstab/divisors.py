@@ -6,16 +6,20 @@ exact number: an ``int`` or a ``Fraction``, which print, compare and hash
 alike when equal, so integral work stays on ``int``s without changing a byte
 of output (``exact`` rejects anything else).  It carries the shared algebra
 (``+``, ``-``, ``scale``, ``is_zero``, ``==``, ``hash``) and the ``a + b - c``
-text; a subclass names its space fields, the order and symbol of its keys,
-its JSON form and its validating constructor.  Results of the algebra are
-built by the trusted ``_like``, which neither re-validates nor converts
-coefficients.
+text; a subclass names its space fields, the order of its keys, its JSON form
+and its validating constructor.  A subclass whose keys start with a tag
+declares each tag once, in its ``_TAGS`` table: tag -> (rank, index kinds,
+renderer), the kinds ``i`` a marking, ``h`` a genus and ``A`` a set of
+markings, the renderer an f-string of the indices that ``_symbol`` calls.
+Results of the algebra are built by the trusted ``_like``, which neither
+re-validates nor converts coefficients.
 
 ``DivisorClass`` lives in the rational span of psi_1..psi_n, lambda1, kappa1t
 (the pushed-forward square of the relative canonical class), delta_irr and the
 separating boundary divisors delta_{h,A}, keyed ("psi", i), ("lambda1",),
-("kappa1t",), ("delta_irr",) and ("delta", h, A) -- the term tags of
-``canonicalize``.  Boundary indices are kept in a
+("kappa1t",), ("delta_irr",) and ("delta", h, A) -- the rows of its
+``_TAGS``, in their printed order, and the term tags of ``canonicalize``.
+Boundary indices are kept in a
 canonical form under the identification delta_{h,A} = delta_{g-h,A^c}:
 either 2h < g, or 2h = g and marking 1 lies in A.  The conventions
 delta_{0,{i}} = -psi_i (and its mirror) are applied before validity checks.
@@ -58,6 +62,7 @@ class LinearClass:
 
     __slots__ = ("coeffs",)
     _space: tuple[str, ...] = ()  # the fields naming the space, e.g. ("g", "n")
+    _TAGS: dict[str, tuple] = {}  # tag -> (rank, index kinds, renderer)
 
     def _fill(self, space: tuple, coeffs: dict[tuple, Exact]) -> None:
         for field, value in zip(self._space, space):
@@ -131,6 +136,9 @@ class LinearClass:
     def _sorted_keys(self) -> list[tuple]:
         return sorted(self.coeffs, key=self._order)
 
+    def _symbol(self, key: tuple) -> str:
+        return self._TAGS[key[0]][2](*key[1:])
+
     def text(self) -> str:
         parts = []
         for key in self._sorted_keys():
@@ -162,6 +170,10 @@ def is_valid_index(g: int, n: int, h: int, A: Iterable[int]) -> bool:
     """
     size = h + len(tuple(A))
     return 2 <= size <= g + n - 2
+
+
+def _joined(A: Legs) -> str:
+    return ",".join(map(str, A))
 
 
 def _legs(A: Iterable[int]) -> Legs:
@@ -201,14 +213,18 @@ def canonical_indices(g: int, n: int) -> list[tuple[int, Legs]]:
     return out
 
 
-_RANK = {"psi": 0, "lambda1": 1, "kappa1t": 2, "delta_irr": 3, "delta": 4}
-
-
 class DivisorClass(LinearClass):
     """Rational combination of psi_i, lambda1, kappa1t, delta_irr and delta_{h,A}."""
 
     __slots__ = ("g", "n")
     _space = ("g", "n")
+    _TAGS = {
+        "psi": (0, "i", lambda i: f"psi_{i}"),
+        "lambda1": (1, "", lambda: "lambda1"),
+        "kappa1t": (2, "", lambda: "kappa1t"),
+        "delta_irr": (3, "", lambda: "delta_irr"),
+        "delta": (4, "hA", lambda h, A: f"delta_{{{h},{{{_joined(A)}}}}}"),
+    }
 
     def __init__(self, g: int, n: int, psi=None, lambda1=0, kappa1t=0, delta_irr=0, delta=None):
         """By family; ``delta`` maps any representative (h, A) to its coefficient.
@@ -228,19 +244,8 @@ class DivisorClass(LinearClass):
     kappa1t = property(lambda self: self.coeffs.get(("kappa1t",), 0))
     delta_irr = property(lambda self: self.coeffs.get(("delta_irr",), 0))
 
-    @staticmethod
-    def _order(key: tuple) -> tuple:
-        return _RANK[key[0]], key[1:]
-
-    @staticmethod
-    def _symbol(key: tuple) -> str:
-        tag = key[0]
-        if tag == "psi":
-            return f"psi_{key[1]}"
-        if tag == "delta":
-            legs = ",".join(str(i) for i in key[2])
-            return f"delta_{{{key[1]},{{{legs}}}}}"
-        return tag
+    def _order(self, key: tuple) -> tuple:
+        return self._TAGS[key[0]][0], key[1:]
 
     def to_json_dict(self) -> dict:
         keys = self._sorted_keys()
@@ -262,12 +267,16 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
     its key in ``DivisorClass.coeffs``.  Boundary entries may use any
     representative, including the psi conventions (0,{i}) and (g,[n]-{i}).
     Indices that survive with a non-zero coefficient but fall outside the
-    valid range are rejected.
+    valid range are rejected, as is a term whose tag or length is unknown.
     """
     _check_gn(g, n)
     coeffs: dict[tuple, Exact] = {}
+    tags = DivisorClass._TAGS
     for term in terms:
         tag = term[0]
+        row = tags.get(tag)
+        if row is None or len(term) != len(row[1]) + 2:
+            raise JacstabError("BAD_INPUT", f"malformed term {term!r}")
         if tag == "psi":
             _, i, c = term
             key = ("psi", strict_int(i, "psi index"))
@@ -281,10 +290,8 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
                 key, c = ("psi", i), -exact(c)
             else:
                 key = ("delta", *_fold(g, n, h, legs))
-        elif tag in _RANK:
-            key, c = (tag,), term[1]
         else:
-            raise JacstabError("BAD_INPUT", f"unknown term tag {tag!r}")
+            key, c = (tag,), term[1]
         c = exact(c)
         coeffs[key] = coeffs[key] + c if key in coeffs else c
     coeffs = {key: c for key, c in coeffs.items() if c}

@@ -28,13 +28,6 @@ class ClassifyResult:
     compact_type: bool
     banana_like: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "treelike": self.treelike,
-            "compact_type": self.compact_type,
-            "banana_like": self.banana_like,
-        }
-
 
 class DualGraph:
     """Weighted multigraph with legs.

@@ -4,10 +4,13 @@ Fiber classes are exact polynomials in the marked-section classes
 D_1..D_n, the relative canonical class K, and the vertical boundary symbols
 B_{h,A} (the boundary divisor whose genus-h side carries the legs A together
 with the moving point).  ``FiberClass`` and ``GradedAtomPoly`` are
-``LinearClass``es (see ``divisors``): the monomials are keyed ("const",),
-("D", i), ("K",), ("B", h, A), ("D2", i), ("K2",), ("B2", h, A),
-("DB", i, h, A) and ("KB", h, A), and a graded atom product by its sorted
-(s, multiplicity) pairs.  The ring rules of the product:
+``LinearClass``es (see ``divisors``).  A fiber monomial is keyed by a tag
+and its indices, ("const",), ("D", i), ("K",), ("B", h, A), ("D2", i),
+("K2",), ("B2", h, A), ("DB", i, h, A) and ("KB", h, A), each declared once
+in ``FiberClass._TAGS`` with its degree, index kinds and symbol; terms print
+by degree, then by symbol text (so D_10 comes before D_2).  A graded atom
+product is keyed by its sorted (s, multiplicity) pairs and prints by its own
+rules.  The ring rules of the product:
 
 * K * D_i = -D_i^2
 * D_i * D_j = 0 for i != j (disjoint sections)
@@ -25,9 +28,9 @@ pairs.  Every fiber class is thus in normal form, and ``==`` on fiber classes
 is equality of the classes.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
-the degree-2 monomials to divisor classes on the base via ``PUSH_RULES``, with
-no rewriting of its own: each derivation forms one product and pushes it
-once.  The rule table is module data so that corrupting it is observable (the
+the degree-2 monomials (the rank-2 rows of ``_TAGS``) to divisor classes on
+the base via ``PUSH_RULES``, with no rewriting of its own: each derivation
+forms one product and pushes it once.  The rule table is module data so that corrupting it is observable (the
 selftest must catch a corrupted table).  D_i*B_{h,A} with i not in A is
 dropped there, not in the product.
 
@@ -45,35 +48,8 @@ from typing import Mapping, Sequence
 from .errors import JacstabError, strict_int
 from .graphs import DualGraph
 from .divisors import (DivisorClass, Exact, LinearClass, canonical_indices, canonicalize,
-                       _check_gn, _check_tau_theta, _check_tau_gm1, _legs)
+                       _check_gn, _check_tau_theta, _check_tau_gm1, _joined, _legs)
 from .stability import resolve_basepoint
-
-_DEGREE = {"const": 0, "D": 1, "K": 1, "B": 1,
-           "D2": 2, "K2": 2, "B2": 2, "DB": 2, "KB": 2}
-# The indices after each tag: i a marking, h a genus, A a set of markings.
-_INDICES = {"const": "", "D": "i", "K": "", "B": "hA",
-            "D2": "i", "K2": "", "B2": "hA", "DB": "ihA", "KB": "hA"}
-
-
-def _monomial(g: int, n: int, key: tuple) -> tuple:
-    """``key`` checked against its tag's indices and ranges, its legs sorted."""
-    kinds = _INDICES.get(key[0]) if type(key) is tuple and key else None
-    if kinds is None or len(key) != 1 + len(kinds):
-        raise JacstabError("BAD_INPUT", f"unknown monomial {key}")
-    out = [key[0]]
-    for kind, x in zip(kinds, key[1:]):
-        if kind == "A":
-            x = _legs(x)
-            ok = all(1 <= i <= n for i in x)
-        else:
-            x = strict_int(x, "monomial index")
-            ok = 1 <= x <= n if kind == "i" else 0 <= x <= g
-        if not ok:
-            raise JacstabError("BAD_INPUT", f"monomial {key} has an index outside its range "
-                                            f"for g={g}, n={n}")
-        out.append(x)
-    return tuple(out)
-
 
 def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
     """Split coefficients into (constant, {i: D_i}, K, {(h, A): B_{h,A}}, degree-2 part)."""
@@ -101,10 +77,42 @@ class FiberClass(LinearClass):
 
     __slots__ = ("g", "n")
     _space = ("g", "n")
+    _TAGS = {
+        "const": (0, "", lambda: "1"),
+        "D": (1, "i", lambda i: f"D_{i}"),
+        "K": (1, "", lambda: "K"),
+        "B": (1, "hA", lambda h, A: f"B_{{{h},{{{_joined(A)}}}}}"),
+        "D2": (2, "i", lambda i: f"D_{i}^2"),
+        "K2": (2, "", lambda: "K^2"),
+        "B2": (2, "hA", lambda h, A: f"B_{{{h},{{{_joined(A)}}}}}^2"),
+        "DB": (2, "ihA", lambda i, h, A: f"D_{i}*B_{{{h},{{{_joined(A)}}}}}"),
+        "KB": (2, "hA", lambda h, A: f"K*B_{{{h},{{{_joined(A)}}}}}"),
+    }
 
     def __init__(self, g: int, n: int, coeffs: Mapping[tuple, Exact] | None = None):
         _check_gn(g, n)
-        self._fill_sum((g, n), ((_monomial(g, n, key), c) for key, c in (coeffs or {}).items()))
+        self._fill_sum((g, n), ((self._monomial(g, n, key), c)
+                                for key, c in (coeffs or {}).items()))
+
+    @classmethod
+    def _monomial(cls, g: int, n: int, key: tuple) -> tuple:
+        """``key`` checked against its tag's index kinds and ranges, its legs sorted."""
+        row = cls._TAGS.get(key[0]) if type(key) is tuple and key else None
+        if row is None or len(key) != 1 + len(row[1]):
+            raise JacstabError("BAD_INPUT", f"unknown monomial {key}")
+        out = [key[0]]
+        for kind, x in zip(row[1], key[1:]):
+            if kind == "A":
+                x = _legs(x)
+                ok = all(1 <= i <= n for i in x)
+            else:
+                x = strict_int(x, "monomial index")
+                ok = 1 <= x <= n if kind == "i" else 0 <= x <= g
+            if not ok:
+                raise JacstabError("BAD_INPUT", f"monomial {key} has an index outside its range "
+                                                f"for g={g}, n={n}")
+            out.append(x)
+        return tuple(out)
 
     # -- constructors ------------------------------------------------------
 
@@ -158,34 +166,8 @@ class FiberClass(LinearClass):
     # -- presentation ------------------------------------------------------
 
     def _order(self, key: tuple) -> tuple:
-        return _DEGREE[key[0]], self._symbol(key)
-
-    @staticmethod
-    def _symbol(key: tuple) -> str:
-        tag = key[0]
-        if tag == "const":
-            return "1"
-        if tag == "D":
-            return f"D_{key[1]}"
-        if tag == "K":
-            return "K"
-        if tag == "B":
-            legs = ",".join(str(i) for i in key[2])
-            return f"B_{{{key[1]},{{{legs}}}}}"
-        if tag == "D2":
-            return f"D_{key[1]}^2"
-        if tag == "K2":
-            return "K^2"
-        if tag == "B2":
-            legs = ",".join(str(i) for i in key[2])
-            return f"B_{{{key[1]},{{{legs}}}}}^2"
-        if tag == "DB":
-            legs = ",".join(str(i) for i in key[3])
-            return f"D_{key[1]}*B_{{{key[2]},{{{legs}}}}}"
-        if tag == "KB":
-            legs = ",".join(str(i) for i in key[2])
-            return f"K*B_{{{key[1]},{{{legs}}}}}"
-        raise ValueError(key)
+        rank, _, render = self._TAGS[key[0]]
+        return rank, render(*key[1:])
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"monomial": self._symbol(k), "c": str(self.coeffs[k])}
@@ -214,8 +196,9 @@ def pushforward(fc: FiberClass) -> DivisorClass:
     ``canonicalize`` gets one non-zero term per key.
     """
     pushed: dict[tuple, Exact] = {}
+    tags = FiberClass._TAGS
     for key, c in fc.coeffs.items():
-        if _DEGREE[key[0]] == 2:
+        if tags[key[0]][0] == 2:
             for term in PUSH_RULES[key[0]](*key[1:]):
                 head = term[:-1]
                 pushed[head] = pushed.get(head, 0) + c * term[-1]

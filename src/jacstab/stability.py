@@ -124,17 +124,6 @@ class StabilityVerdict:
     bound: Fraction | None = None
     strict: bool | None = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"ok": self.ok, "mode": self.mode}
-        if not self.ok:
-            out.update({
-                "witness": list(self.witness or ()),
-                "degree": self.degree,
-                "bound": str(self.bound),
-                "strict": self.strict,
-            })
-        return out
-
 
 def check_multidegree(graph: DualGraph, m: Mapping[str, int]) -> dict[str, int]:
     if set(m) != set(graph.ids):
@@ -291,17 +280,6 @@ class BalanceVerdict:
     leg_sum: int | None = None
     bound: Fraction | None = None
     strict: bool | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"ok": self.ok}
-        if not self.ok:
-            out.update({
-                "witness": list(self.witness or ()),
-                "leg_sum": self.leg_sum,
-                "bound": str(self.bound),
-                "strict": self.strict,
-            })
-        return out
 
 
 def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:

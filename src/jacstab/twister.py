@@ -46,20 +46,12 @@ class PeelStep:
     branch: tuple[str, ...]
     coefficient: int
 
-    def to_json_dict(self) -> dict:
-        return {"leaf": self.leaf, "branch": list(self.branch),
-                "coefficient": self.coefficient}
-
 
 @dataclass(frozen=True)
 class ReduceResult:
     gamma: dict[str, int]
     final: dict[str, int]
     trace: tuple[PeelStep, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"gamma": self.gamma, "final": self.final,
-                "trace": [s.to_json_dict() for s in self.trace]}
 
 
 def split_at_edge(graph: DualGraph, edge: tuple[str, str]) -> tuple[frozenset[str], frozenset[str]]:

@@ -123,6 +123,32 @@ def test_stability_balanced_and_locus(capsys):
     assert code == 1 and payload["locus"] == "INDETERMINACY"
 
 
+@pytest.mark.parametrize("argv, code, payload", [
+    (["stability", "check", "--graph", BANANA, "--m", "v1=0,v2=0"], 0,
+     {"ok": True, "mode": "qstable"}),
+    (["stability", "check", "--graph", BANANA, "--m", "v1=-1,v2=1"], 1,
+     {"ok": False, "mode": "qstable", "witness": ["v1"], "degree": -1, "bound": "-1",
+      "strict": True}),
+    (["stability", "check", "--graph", BANANA, "--m", "v1=-3,v2=3", "--mode", "semistable"], 1,
+     {"ok": False, "mode": "semistable", "witness": ["v1"], "degree": -3, "bound": "-1",
+      "strict": False}),
+    (["stability", "balanced", "--graph", BANANA, "--tau", "5,-5"], 0, {"ok": True}),
+    (["stability", "balanced", "--graph", TREE, "--tau", "5,-5"], 1,
+     {"ok": False, "witness": ["v2"], "leg_sum": -5, "bound": "-1/2", "strict": False}),
+    (["graph", "classify", "--graph", BANANA], 0,
+     {"g": 2, "n": 2, "treelike": False, "compact_type": False, "banana_like": True}),
+    (["graph", "classify", "--graph", TREE], 0,
+     {"g": 2, "n": 2, "treelike": True, "compact_type": True, "banana_like": False}),
+    (["twist", "reduce", "--graph", PATH3, "--m", "v1=2,v2=-3,v3=1"], 0,
+     {"gamma": {"v1": 1, "v2": -1, "v3": 0}, "final": {"v1": 0, "v2": 0, "v3": 0},
+      "trace": [{"leaf": "v1", "branch": ["v1"], "coefficient": 2},
+                {"leaf": "v2", "branch": ["v1", "v2"], "coefficient": -1}]}),
+], ids=["check-pass", "check-fail-strict", "check-fail-semistable", "balanced-pass",
+        "balanced-fail", "classify-banana", "classify-tree", "reduce"])
+def test_result_record_payloads(capsys, argv, code, payload):
+    assert run_json(capsys, *argv) == (code, payload)
+
+
 def test_tau_k_json_payload(capsys, tmp_path):
     code, payload = run_json(capsys, "stability", "balanced", "--graph", BANANA,
                              "--data", '{"tau": [5, -5], "k": 0}')
@@ -231,6 +257,35 @@ def test_repeated_json_keys_are_refused(capsys):
     nested = TREE.replace('"genus": 1,', '"genus": 1, "genus": 0,', 1)
     code, payload = run_json(capsys, "graph", "validate", "--graph", nested)
     assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+@pytest.mark.parametrize("command", [["graph", "query"], ["stability", "threshold"]])
+def test_repeated_subcurve_vertex_is_refused(capsys, command):
+    # {v1} is a proper subcurve; "v1,v1" must not be read as the whole curve
+    code, payload = run_json(capsys, *command, "--graph", TREE, "--subcurve", "v1,v1")
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+    assert "repeats key 'v1'" in payload["message"]
+    code, payload = run_json(capsys, *command, "--graph", TREE, "--subcurve", "v1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("flags", [["--tau=5,-5"], ["--tau=5,-5", "--k", "0"], ["--k=1"],
+                                   ["--k", "-1"]])
+@pytest.mark.parametrize("command", [["stability", "balanced"], ["stability", "locus"],
+                                     ["twist", "coefficients"], ["twist", "boundary"]])
+def test_data_excludes_tau_and_k(capsys, command, flags):
+    # the tree is FAIL for tau = (5, -5) and PASS for the payload's (0, 0):
+    # neither source of twist data may win silently
+    code, payload = run_json(capsys, *command, "--graph", TREE, *flags,
+                             "--data", '{"tau": [0, 0], "k": 0}')
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+    assert "--tau" in payload["message"] and "--k" in payload["message"]
+
+
+def test_data_with_k_zero_is_the_data(capsys):
+    code, payload = run_json(capsys, "stability", "balanced", "--graph", TREE, "--k", "0",
+                             "--data", '{"tau": [5, -5], "k": 0}')
+    assert (code, payload["ok"]) == (1, False)
 
 
 def test_bad_genus_gets_one_error_code_from_every_method(capsys):

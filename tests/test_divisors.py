@@ -319,6 +319,16 @@ def test_library_indices_are_not_truncated(call):
     assert exc.value.code == "BAD_INPUT"
 
 
+@pytest.mark.parametrize("term", [("psi", 1), ("lambda1",), ("lambda1", 1, 2),
+                                  ("delta", 1, (1,)), ("delta_irr", 1, 1), ("KD", 1)])
+def test_canonicalize_refuses_a_term_of_unknown_shape(term):
+    # the length of a term is its tag's index kinds plus the coefficient
+    with pytest.raises(JacstabError) as exc:
+        canonicalize(2, 2, [term])
+    assert exc.value.code == "BAD_INPUT"
+    assert "malformed term" in str(exc.value)
+
+
 @pytest.mark.parametrize("call", [
     lambda: FiberClass(2, 2, {("D", 1): 0.1}),
     lambda: DivisorClass(2, 2, lambda1=True),
@@ -367,6 +377,17 @@ def test_text_rendering_deterministic_order():
     cls = theta_gm1_pullback(2, 2, [3, -2])
     assert cls.text() == "6*psi_1 + psi_2 - lambda1 - delta_{0,{1,2}} - 3*delta_{1,{1}}"
     assert DivisorClass(2, 2).text() == "0"
+
+
+def test_text_of_every_tag():
+    # psi and delta indices sort as integers (psi_2 before psi_10), the tags
+    # in the order psi, lambda1, kappa1t, delta_irr, delta
+    cls = DivisorClass(2, 12, psi={10: 1, 2: -1}, lambda1=Fraction(1, 2), kappa1t=-1,
+                       delta_irr=3,
+                       delta={(1, (10, 2)): 2, (0, (11, 12)): -1, (0, (3, 4, 5)): Fraction(1, 3)})
+    assert cls.text() == ("-psi_2 + psi_10 + 1/2*lambda1 - kappa1t + 3*delta_irr"
+                          " + 1/3*delta_{0,{3,4,5}} - delta_{0,{11,12}}"
+                          " + 2*delta_{1,{1,3,4,5,6,7,8,9,11,12}}")
 
 
 def test_scale_and_subtract():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 from collections import Counter
@@ -160,6 +161,34 @@ def test_fiber_constructor_sorts_legs_and_adds_equal_keys():
     assert (unsorted + FiberClass.boundary(2, 2, 1, (1, 2))).text() == "2*B_{1,{1,2}}"
     both = FiberClass(2, 2, {("DB", 1, 1, (2, 1)): 1, ("DB", 1, 1, (1, 2)): 2})
     assert both.coeffs == {("DB", 1, 1, (1, 2)): 3}
+
+
+def test_fiber_text_and_json_of_every_tag():
+    # by degree, then by symbol text: D_10 sorts before D_2, B_{0,{}} before D
+    fc = FiberClass(3, 12, {("const",): 2, ("D", 10): -1, ("D", 2): 1, ("K",): Fraction(1, 2),
+                            ("B", 0, ()): 3, ("D2", 12): 1, ("K2",): -2,
+                            ("B2", 1, (11, 2)): Fraction(-3, 4), ("DB", 10, 2, (12, 10)): 5,
+                            ("KB", 1, ()): -1})
+    assert fc.text() == ("2*1 + 3*B_{0,{}} - D_10 + D_2 + 1/2*K - 3/4*B_{1,{2,11}}^2"
+                         " + 5*D_10*B_{2,{10,12}} + D_12^2 - K*B_{1,{}} - 2*K^2")
+    assert fc.to_json_dict() == {"terms": [
+        {"monomial": "1", "c": "2"}, {"monomial": "B_{0,{}}", "c": "3"},
+        {"monomial": "D_10", "c": "-1"}, {"monomial": "D_2", "c": "1"},
+        {"monomial": "K", "c": "1/2"}, {"monomial": "B_{1,{2,11}}^2", "c": "-3/4"},
+        {"monomial": "D_10*B_{2,{10,12}}", "c": "5"}, {"monomial": "D_12^2", "c": "1"},
+        {"monomial": "K*B_{1,{}}", "c": "-1"}, {"monomial": "K^2", "c": "-2"}]}
+
+
+def test_product_term_order_at_n_12():
+    c1 = c1_twisted_bundle(1, 12, [1, -1] * 6, 0)
+    square = c1 * c1
+    symbols = [term["monomial"] for term in square.to_json_dict()["terms"]]
+    assert len(symbols) == 41092
+    assert symbols[:4] == ["B_{0,{1,10,11}}^2", "B_{0,{1,10,12}}^2", "B_{0,{1,11,12}}^2",
+                           "B_{0,{1,11}}^2"]
+    assert symbols[-3:] == ["D_9*B_{0,{9,11,12}}", "D_9*B_{0,{9,11}}", "D_9^2"]
+    assert (hashlib.sha256(square.text().encode()).hexdigest()
+            == "be65e8e8738ac5e20c39ee923f9d734e22ff85f99a17be35bfe6fc1f077de473")
 
 
 @pytest.mark.parametrize("key", [
