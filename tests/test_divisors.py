@@ -10,7 +10,7 @@ from jacstab import (DivisorClass, JacstabError, canonicalize, canonical_pair,
                      theta_pullback, theta_pullback_hain, theta_gm1_pullback,
                      mueller_class, mueller_correction)
 from jacstab.corpus import random_tau
-from jacstab.pushforward import FiberClass, GradedAtomPoly
+from jacstab.pushforward import FiberClass, GradedAtomPoly, c1_gm1_bundle, c1_twisted_bundle
 from jacstab.stability import Polarization
 
 
@@ -260,13 +260,16 @@ def test_closed_forms_build_only_canonical_terms():
         for n in range(1, 7):
             indices = {("delta", h, A) for h, A in canonical_indices(g, n)}
             classes = []
+            fibers = []
             for k in (0, 1, -1):
                 tau = random_tau(rng, n, k * (2 * g - 2), bound=4)
                 if tau is not None and any(tau):
                     classes.append(("theta", theta_pullback(g, n, tau, k)))
+                    fibers.append(("c1", c1_twisted_bundle(g, n, tau, k)))
             tau = random_tau(rng, n, g - 1, bound=4)
             if tau is not None:
                 classes.append(("theta_gm1", theta_gm1_pullback(g, n, tau)))
+                fibers.append(("c1_gm1", c1_gm1_bundle(g, n, tau)))
                 if any(x < 0 for x in tau):
                     classes += [("mueller", mueller_class(g, n, tau, include_empty=flag))
                                 for flag in (True, False)]
@@ -274,6 +277,11 @@ def test_closed_forms_build_only_canonical_terms():
                 assert all(key in indices for key in cls.coeffs if key[0] == "delta")
                 assert all(cls.coeffs.values())
                 assert canonicalize(g, n, [(*key, c) for key, c in cls.coeffs.items()]) == cls
+                seen[name] += 1
+            for name, c1 in fibers:
+                # the c1 classes are built the same way, through the trusted _of
+                assert all(c1.coeffs.values())
+                assert FiberClass(g, n, dict(c1.coeffs)) == c1
                 seen[name] += 1
     assert min(seen.values()) >= 20, seen
 
