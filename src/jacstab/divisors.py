@@ -21,8 +21,8 @@ separating boundary divisors delta_{h,A}, keyed ("psi", i), ("lambda1",),
 ``_TAGS``, in their printed order, and the term tags of ``canonicalize``.
 Boundary indices are kept in a
 canonical form under the identification delta_{h,A} = delta_{g-h,A^c}:
-either 2h < g, or 2h = g and marking 1 lies in A.  The conventions
-delta_{0,{i}} = -psi_i (and its mirror) are applied before validity checks.
+either 2h < g, or 2h = g and marking 1 lies in A.  ``canonicalize`` folds
+every boundary term first, then reads a folded (0,{i}) as -psi_i.
 
 An index is a genuine boundary divisor here exactly when
 2 <= h + |A| <= g + n - 2, read through the identification; note this range
@@ -31,17 +31,17 @@ of all the closed formulas below.
 
 Terms from outside are checked once, by ``canonicalize``: ``DivisorClass(...)``,
 ``pushforward`` and ``theta_pullback_hain`` (whose folding is its algorithm) go
-through it.  ``theta_pullback``, ``theta_gm1_pullback`` and ``mueller_class``
-check their twist data, then build on trusted keys: those of
+through it.  ``_closed`` builds the theta closed forms and the c1 classes of
+``pushforward``, after they check their twist data, on trusted keys: those of
 ``canonical_indices`` are canonical, in range and never of psi shape.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import JacstabError, strict_int
 from .stability import check_tau
@@ -139,10 +139,13 @@ class LinearClass:
     def _symbol(self, key: tuple) -> str:
         return self._TAGS[key[0]][2](*key[1:])
 
+    def _printed(self) -> list[tuple[str, Exact]]:
+        """(symbol, coefficient) per term, in printed order."""
+        return [(self._symbol(key), self.coeffs[key]) for key in self._sorted_keys()]
+
     def text(self) -> str:
         parts = []
-        for key in self._sorted_keys():
-            c, sym = self.coeffs[key], self._symbol(key)
+        for sym, c in self._printed():
             piece = sym if c == 1 else (f"-{sym}" if c == -1 else f"{c}*{sym}")
             if not parts:
                 parts.append(piece)
@@ -178,6 +181,8 @@ def _joined(A: Legs) -> str:
 
 def _legs(A: Iterable[int]) -> Legs:
     """Sorted distinct markings, each an ``int``."""
+    if type(A) is not tuple and not isinstance(A, Iterable):  # tuples skip the slow ABC check
+        raise JacstabError("BAD_INPUT", f"legs must be a collection of markings, got {A!r}")
     return tuple(sorted({strict_int(i, "leg") for i in A}))
 
 
@@ -199,18 +204,14 @@ def _fold(g: int, n: int, h: int, legs: Legs) -> tuple[int, Legs]:
 
 
 def canonical_indices(g: int, n: int) -> list[tuple[int, Legs]]:
-    """All valid canonical boundary indices, sorted by (h, lex A)."""
+    """All valid canonical boundary indices, sorted by (h, lex A); valid by construction."""
     _check_gn(g, n)
     out = []
     for h in range(0, g // 2 + 1):
-        for r in range(0, n + 1):
-            for A in combinations(range(1, n + 1), r):
-                if 2 * h == g and 1 not in A:
-                    continue
-                if is_valid_index(g, n, h, A):
-                    out.append((h, A))
-    out.sort()
-    return out
+        half = 2 * h == g  # then A is (1,) and r - 1 of the markings 2..n
+        for r in range(max(half, 2 - h), min(n, g + n - 2 - h) + 1):  # 2 <= h + r <= g + n - 2
+            out += [(h, (1,) * half + A) for A in combinations(range(1 + half, n + 1), r - half)]
+    return sorted(out)
 
 
 class DivisorClass(LinearClass):
@@ -273,8 +274,8 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
     coeffs: dict[tuple, Exact] = {}
     tags = DivisorClass._TAGS
     for term in terms:
-        tag = term[0]
-        row = tags.get(tag)
+        tag = term[0] if type(term) in (tuple, list) and term else None
+        row = tags.get(tag) if type(tag) is str else None
         if row is None or len(term) != len(row[1]) + 2:
             raise JacstabError("BAD_INPUT", f"malformed term {term!r}")
         if tag == "psi":
@@ -282,14 +283,9 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
             key = ("psi", strict_int(i, "psi index"))
         elif tag == "delta":
             _, h, A, c = term
-            h, legs = strict_int(h, "h"), _legs(A)
-            if h == 0 and len(legs) == 1:
-                key, c = ("psi", legs[0]), -exact(c)
-            elif h == g and len(legs) == n - 1:
-                (i,) = set(range(1, n + 1)).difference(legs)
-                key, c = ("psi", i), -exact(c)
-            else:
-                key = ("delta", *_fold(g, n, h, legs))
+            key = ("delta", *_fold(g, n, strict_int(h, "h"), _legs(A)))
+            if key[1] == 0 and len(key[2]) == 1:  # for g >= 1, (g, [n] - {i}) folds here too
+                key, c = ("psi", key[2][0]), -exact(c)
         else:
             key, c = (tag,), term[1]
         c = exact(c)
@@ -336,25 +332,23 @@ def theta_pullback_hain(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     t = _check_tau_theta(g, n, tau, 0)
     terms = []
     for h in range(0, g + 1):
-        for r in range(0, n + 1):
+        for r in range(max(0, 1 - h), min(n, g + n - 1 - h) + 1):  # 1 <= h + r <= g + n - 1
             for A in combinations(range(1, n + 1), r):
-                if not 1 <= h + r <= g + n - 1:
-                    continue
                 s = sum(t[i - 1] for i in A)
                 if s:
                     terms.append(("delta", h, A, Fraction(-s * s, 4)))
     return canonicalize(g, n, terms)
 
 
-def _closed(g: int, n: int, t: list[int], head: dict[tuple, Exact], delta) -> DivisorClass:
-    """Non-zero ``head`` terms plus ``delta(h, s)`` on each canonical (h, A), s = sum of t over A."""
+def _closed(cls, g: int, n: int, t: list[int], head: dict[tuple, Exact], tag: str, boundary):
+    """Non-zero ``head`` terms plus ``boundary(h, A, s)`` on each (tag, h, A), built by the
+    trusted ``cls._of``: (h, A) is canonical and valid, s the sum of t over A."""
     coeffs = {key: c for key, c in head.items() if c}
-    delta = cache(delta)  # few distinct (h, s), so few Fractions
     for (h, A) in canonical_indices(g, n):
-        c = delta(h, sum(t[i - 1] for i in A))
+        c = boundary(h, A, sum(t[i - 1] for i in A))
         if c:
-            coeffs[("delta", h, A)] = c
-    return DivisorClass._of((g, n), coeffs)
+            coeffs[(tag, h, A)] = c
+    return cls._of((g, n), coeffs)
 
 
 def theta_pullback(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
@@ -366,7 +360,8 @@ def theta_pullback(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
     t = _check_tau_theta(g, n, tau, k)
     head = {("psi", i): Fraction(ti * ti, 2) + k * ti for i, ti in enumerate(t, start=1)}
     head[("kappa1t",)] = Fraction(-k * k, 2)
-    return _closed(g, n, t, head, lambda h, s: Fraction(-(k * (1 - 2 * h) + s) ** 2, 2))
+    coeff = cache(lambda h, s: Fraction(-(k * (1 - 2 * h) + s) ** 2, 2))  # few distinct (h, s)
+    return _closed(DivisorClass, g, n, t, head, "delta", lambda h, A, s: coeff(h, s))
 
 
 def theta_gm1_pullback(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
@@ -374,7 +369,8 @@ def theta_gm1_pullback(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     t = _check_tau_gm1(g, n, tau)
     head = {("psi", i): Fraction(ti * (ti + 1), 2) for i, ti in enumerate(t, start=1)}
     head[("lambda1",)] = Fraction(-1)
-    return _closed(g, n, t, head, lambda h, s: Fraction(-(s - h) * (s - h + 1), 2))
+    coeff = cache(lambda h, s: Fraction(-(s - h) * (s - h + 1), 2))
+    return _closed(DivisorClass, g, n, t, head, "delta", lambda h, A, s: coeff(h, s))
 
 
 def mueller_correction(g: int, n: int, tau: Sequence[int],

@@ -7,13 +7,14 @@ non-separating node on a single component).
 
 Instances are immutable after construction.  Construction only checks that the
 data is structurally well formed (known ids, sane types); the semantic
-invariants (connectivity, per-vertex stability, leg partition) are reported by
-:func:`validate` as data, so that invalid graphs can be inspected rather than
-refused.
+invariants (connectivity, per-vertex stability, leg partition, a leg listed
+twice on one vertex included) are reported by :func:`validate` as data, so
+that invalid graphs can be inspected rather than refused.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -48,15 +49,16 @@ class DualGraph:
     """
 
     def __init__(self, vertices, edges, n: int | None = None):
-        verts = []
+        verts, repeats = [], []
         for item in vertices:
             try:
                 vid, genus, legs = item
                 legs = tuple(legs)
             except (TypeError, ValueError) as exc:
                 raise JacstabError("BAD_INPUT", f"malformed vertex {item!r}: {exc}") from exc
-            verts.append((vid, strict_int(genus, "genus"),
-                          frozenset(strict_int(x, "leg") for x in legs)))
+            genus, marks = strict_int(genus, "genus"), Counter(strict_int(x, "leg") for x in legs)
+            verts.append((vid, genus, frozenset(marks)))
+            repeats += [(vid, leg, k) for leg, k in marks.items() if k > 1]
         if n is not None:
             n = strict_int(n, "n")
         for vid, _, _ in verts:
@@ -72,6 +74,7 @@ class DualGraph:
         self._index = {v: i for i, v in enumerate(ids)}
         self.genus_of = {v: by_id[v][1] for v in ids}
         self.legs_of = {v: by_id[v][2] for v in ids}
+        self._repeated_legs = sorted(repeats)  # (vertex, leg, times listed), reported by validate
 
         canon_edges = []
         for edge in edges:
@@ -257,6 +260,9 @@ class DualGraph:
                                    "message": f"vertex {v} has genus {self.genus_of[v]} < 0"})
         if not self.is_connected():
             violations.append({"code": "NOT_CONNECTED", "message": "graph is not connected"})
+        for v, leg, k in self._repeated_legs:
+            violations.append({"code": "LEGS_NOT_PARTITION", "leg": leg, "message":
+                               f"leg {leg} appears {'twice' if k == 2 else f'{k} times'} on {v}"})
         seen: dict[int, str] = {}
         for v in self.ids:
             for leg in self.legs_of[v]:

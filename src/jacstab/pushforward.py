@@ -24,15 +24,17 @@ and every other pair exceeds degree 2.  ``FiberClass.mul_raw`` splits each
 factor into its constant, D_i, K, B_{h,A} and degree-2 parts, pairs the two
 factors' coefficients index by index and forms only these families, so its
 work grows with the number of family terms, not with the number of monomial
-pairs.  Every fiber class is thus in normal form, and ``==`` on fiber classes
-is equality of the classes.
+pairs.  Every fiber class is thus in normal form for the first three rules,
+and ``==`` compares normal forms.  D_i * B_{h,A} = 0 for i not in A (section
+i lies on the other side) is applied only by the pushforward, not in the
+product: ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))``
+prints ``D_2*B_{1,{1}}`` and is not ``==`` to zero, though it pushes to zero.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
 the degree-2 monomials (the rank-2 rows of ``_TAGS``) to divisor classes on
 the base via ``PUSH_RULES``, with no rewriting of its own: each derivation
-forms one product and pushes it once.  The rule table is module data so that corrupting it is observable (the
-selftest must catch a corrupted table).  D_i*B_{h,A} with i not in A is
-dropped there, not in the product.
+forms one product and pushes it once.  The rule table is module data so that
+corrupting it is observable (the selftest must catch a corrupted table).
 
 The derivations run on ``int``s: c1 has integer coefficients (tau and k are
 integers), so has its product, and so has every rule.  The one ``Fraction``
@@ -47,8 +49,8 @@ from typing import Mapping, Sequence
 
 from .errors import JacstabError, strict_int
 from .graphs import DualGraph
-from .divisors import (DivisorClass, Exact, LinearClass, canonical_indices, canonicalize,
-                       _check_gn, _check_tau_theta, _check_tau_gm1, _joined, _legs)
+from .divisors import (DivisorClass, Exact, LinearClass, canonicalize,
+                       _check_gn, _check_tau_theta, _check_tau_gm1, _closed, _joined, _legs)
 from .stability import resolve_basepoint
 
 def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
@@ -165,13 +167,13 @@ class FiberClass(LinearClass):
 
     # -- presentation ------------------------------------------------------
 
-    def _order(self, key: tuple) -> tuple:
-        rank, _, render = self._TAGS[key[0]]
-        return rank, render(*key[1:])
+    def _printed(self) -> list[tuple[str, Exact]]:
+        """Terms by degree, then by symbol text, each symbol rendered once."""
+        return [(sym, c) for _, sym, c in sorted((self._TAGS[key[0]][0], self._symbol(key), c)
+                                                 for key, c in self.coeffs.items())]
 
     def to_json_dict(self) -> dict:
-        return {"terms": [{"monomial": self._symbol(k), "c": str(self.coeffs[k])}
-                          for k in self._sorted_keys()]}
+        return {"terms": [{"monomial": sym, "c": str(c)} for sym, c in self._printed()]}
 
 
 # ----------------------------------------------------------------------
@@ -208,23 +210,11 @@ def pushforward(fc: FiberClass) -> DivisorClass:
 # ----------------------------------------------------------------------
 # first Chern classes of the extended sections and their theta pullbacks
 
-def _c1(g: int, n: int, t: list[int], kc: int, boundary) -> FiberClass:
-    """sum t_i D_i + kc K + sum boundary(h, A, s) B_{h,A}, s the sum of t over A.
-
-    The keys are valid by construction and the coefficients ``int``s, so the
-    class is built from trusted parts, without its zero coefficients.
-    """
-    coeffs: dict[tuple, int] = {("D", i): ti for i, ti in enumerate(t, start=1)}
-    coeffs[("K",)] = kc
-    for (h, A) in canonical_indices(g, n):
-        coeffs[("B", h, A)] = boundary(h, A, sum(t[i - 1] for i in A))
-    return FiberClass._of((g, n), {key: c for key, c in coeffs.items() if c})
-
-
 def c1_twisted_bundle(g: int, n: int, tau: Sequence[int], k: int) -> FiberClass:
     """c1 of the twisted degree-0 bundle on the universal curve."""
     t = _check_tau_theta(g, n, tau, k)
-    return _c1(g, n, t, -k, lambda h, A, s: k * (1 - 2 * h) + s)
+    head = {("D", i): ti for i, ti in enumerate(t, start=1)} | {("K",): -k}
+    return _closed(FiberClass, g, n, t, head, "B", lambda h, A, s: k * (1 - 2 * h) + s)
 
 
 def theta_via_pushforward(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
@@ -247,7 +237,8 @@ def c1_gm1_bundle(g: int, n: int, tau: Sequence[int]) -> FiberClass:
     the same pushed-forward class, which the tests assert.
     """
     t = _check_tau_gm1(g, n, tau)
-    return _c1(g, n, t, 0, lambda h, A, s: s - h + int(1 not in A))
+    head = {("D", i): ti for i, ti in enumerate(t, start=1)}
+    return _closed(FiberClass, g, n, t, head, "B", lambda h, A, s: s - h + int(1 not in A))
 
 
 def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
@@ -291,9 +282,7 @@ class GradedAtomPoly(LinearClass):
 
     terms = property(lambda self: self.coeffs)
 
-    @staticmethod
-    def _order(key: tuple[tuple[int, int], ...]) -> tuple:
-        return key
+    _order = None  # the keys sort as themselves
 
     @staticmethod
     def _symbol(key: tuple[tuple[int, int], ...]) -> str:

@@ -241,6 +241,14 @@ def test_input_errors_exit_2(capsys):
     code, payload = run_json(capsys, "twist", "apply", "--graph", TREE,
                              "--gamma", "v1=0,v2=1,v2=0")
     assert code == 2 and payload["error"] == "BAD_INPUT"
+    # a leg listed twice on one vertex is a leg-partition fault, not one leg
+    twice = '{"vertices": [{"id": "a", "genus": 1, "legs": [1, 1]}], "edges": []}'
+    code, payload = run_json(capsys, "twist", "coefficients", "--graph", twice,
+                             "--tau=0", "--k=0")
+    assert code == 2 and payload["error"] == "INVALID_GRAPH"
+    assert payload["details"]["violations"][0]["message"] == "leg 1 appears twice on a"
+    code, payload = run_json(capsys, "graph", "validate", "--graph", twice)
+    assert code == 1 and payload["ok"] is False
 
 
 def test_repeated_json_keys_are_refused(capsys):

@@ -68,6 +68,19 @@ def test_canonicalize_rejects_invalid_nonzero_index():
     assert cls.is_zero()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: canonicalize(2, 2, [("delta", 2, (5,), 1)]),
+    lambda: canonicalize(2, 2, [("delta", 0, (5,), 1)]),
+    lambda: DivisorClass(2, 2, delta={(2, (9,)): 1}),
+], ids=["mirror-shape", "psi-shape", "constructor-mirror-shape"])
+def test_psi_shaped_index_with_an_out_of_range_leg_is_invalid(call):
+    # every delta term is folded first, so a leg outside 1..n is caught there,
+    # also where the term has the shape of a psi convention
+    with pytest.raises(JacstabError) as err:
+        call()
+    assert err.value.code == "INVALID_INDEX"
+
+
 def test_canonicalize_idempotent_and_linear():
     terms_a = [("psi", 1, Fraction(1, 2)), ("delta", 1, (2,), 2), ("lambda1", -1)]
     terms_b = [("delta", 0, (1, 2), 3), ("kappa1t", Fraction(1, 4)), ("delta", 1, (1,), -2)]
@@ -320,7 +333,11 @@ def test_keyword_constructor_follows_canonicalize():
     lambda: canonicalize(2, 2, [("psi", 1.5, 1)]),
     lambda: canonicalize(2, 2, [("delta", 1, (True,), 1)]),
     lambda: canonicalize(2, 2, [("delta", 1.0, (1,), 1)]),
-], ids=["pair-float-leg", "pair-float-h", "psi-float-index", "delta-bool-leg", "delta-float-h"])
+    lambda: canonicalize(2, 2, [("delta", 1, 5, 1)]),
+    lambda: canonical_pair(2, 2, 1, 5),
+    lambda: FiberClass(2, 2, {("B", 1, 5): 1}),
+], ids=["pair-float-leg", "pair-float-h", "psi-float-index", "delta-bool-leg", "delta-float-h",
+        "delta-int-legs", "pair-int-legs", "fiber-int-legs"])
 def test_library_indices_are_not_truncated(call):
     with pytest.raises(JacstabError) as exc:
         call()
@@ -328,7 +345,8 @@ def test_library_indices_are_not_truncated(call):
 
 
 @pytest.mark.parametrize("term", [("psi", 1), ("lambda1",), ("lambda1", 1, 2),
-                                  ("delta", 1, (1,)), ("delta_irr", 1, 1), ("KD", 1)])
+                                  ("delta", 1, (1,)), ("delta_irr", 1, 1), ("KD", 1),
+                                  5, (), [], "psi", ([1], 1), ["lambda1", 1, 2]])
 def test_canonicalize_refuses_a_term_of_unknown_shape(term):
     # the length of a term is its tag's index kinds plus the coefficient
     with pytest.raises(JacstabError) as exc:

@@ -35,6 +35,26 @@ def test_validate_reports_disconnected_and_bad_legs():
     assert "LEGS_NOT_PARTITION" in codes
 
 
+def test_leg_listed_twice_on_one_vertex_is_reported():
+    # legs are kept as a set, so the repeat is counted at construction and
+    # reported by validate, not merged away
+    g = DualGraph([("a", 1, [1, 1])], [])
+    assert g.n == 1
+    assert g.validate() == [{"code": "LEGS_NOT_PARTITION", "leg": 1,
+                             "message": "leg 1 appears twice on a"}]
+    g = DualGraph([("a", 1, [2, 1, 2, 2]), ("b", 1, [3, 3])], [("a", "b")])
+    assert [v["message"] for v in g.validate()] == ["leg 2 appears 3 times on a",
+                                                    "leg 3 appears twice on b"]
+    with pytest.raises(JacstabError) as err:
+        DualGraph.from_json_dict({"vertices": [{"id": "a", "genus": 1, "legs": [1, 1]}],
+                                  "edges": []})
+    assert err.value.code == "INVALID_GRAPH"
+    # the leg types are checked before the repeats are counted
+    with pytest.raises(JacstabError) as err:
+        DualGraph([("a", 1, [1, 2, []])], [])
+    assert err.value.code == "BAD_INPUT"
+
+
 def test_leg_partition_check_matches_the_set_rule_for_every_n():
     # validate compares the legs with 1..n without building 1..n; its
     # violations must be those of the plain set comparison, n <= 0 included

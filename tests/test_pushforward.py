@@ -12,8 +12,8 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
                      compact_type_gm1_multidegree, exp_truncate)
-from jacstab.divisors import canonical_indices, canonicalize
-from jacstab.pushforward import GradedAtomPoly, _c1
+from jacstab.divisors import _closed, canonical_indices, canonicalize
+from jacstab.pushforward import GradedAtomPoly
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau
 from common import banana, two_vertex_tree, path3
@@ -193,11 +193,40 @@ def test_product_term_order_at_n_12():
 
 @pytest.mark.parametrize("key", [
     ("D", 99), ("D", 0), ("D2",), ("K", 1), ("B", 1), ("B", 3, (1,)), ("B", 1, (5,)),
-    ("DB", 1, 1), ("DB", 3, 1, (1,)), ("KD", 1.0), ("Q", 1), (), "D", ("KD", 1)])
+    ("DB", 1, 1), ("DB", 3, 1, (1,)), ("KD", 1.0), ("Q", 1), (), "D", ("KD", 1),
+    ("B", 1, 5), ("DB", 1, 1, 5)])
 def test_fiber_constructor_rejects_malformed_monomials(key):
     with pytest.raises(JacstabError) as err:
         FiberClass(2, 2, {key: 1})
     assert err.value.code == "BAD_INPUT"
+
+
+def test_fiber_symbols_render_once_per_printout(monkeypatch):
+    c1 = c1_twisted_bundle(2, 4, [2, -1, 2, -1], 1)
+    square = c1 * c1
+    calls = Counter()
+
+    def counted(tag, render):
+        def wrapper(*indices):
+            calls[(tag, *indices)] += 1
+            return render(*indices)
+        return wrapper
+
+    monkeypatch.setattr(FiberClass, "_TAGS", {tag: (rank, kinds, counted(tag, render))
+                                              for tag, (rank, kinds, render) in FiberClass._TAGS.items()})
+    for cls in (c1, square):
+        for printout in (cls.text, cls.to_json_dict):
+            calls.clear()
+            printout()
+            assert calls == Counter(cls.coeffs.keys()), printout
+
+
+def test_unreduced_section_boundary_product_pushes_to_zero():
+    # D_i * B_{h,A} = 0 for i not in A is applied by the pushforward only
+    prod = FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))
+    assert prod.text() == "D_2*B_{1,{1}}"
+    assert prod != FiberClass.zero(2, 2)
+    assert pushforward(prod).is_zero()
 
 
 def test_graded_keys_that_sort_equal_add():
@@ -360,7 +389,8 @@ def test_derive_theta_gm1_chi_convention_independent():
             continue
         # the library reads the indicator as "marking 1 is off A"; build the
         # "marking 1 is on A" reading here and push it the same way
-        c1 = _c1(g, n, tau, 0, lambda h, A, s: s - h + int(1 in A))
+        head = {("D", i): ti for i, ti in enumerate(tau, start=1)}
+        c1 = _closed(FiberClass, g, n, tau, head, "B", lambda h, A, s: s - h + int(1 in A))
         member = pushforward(c1.mul_raw(c1 - FiberClass.canonical(g, n)))
         b = member.scale(Fraction(-1, 2)) + DivisorClass(g, n, lambda1=-1)
         assert theta_gm1_via_pushforward(g, n, tau) == b
