@@ -60,25 +60,15 @@ def test_canonicalize_folds_complements():
 
 
 def test_canonicalize_rejects_invalid_nonzero_index():
-    with pytest.raises(JacstabError) as err:
-        canonicalize(2, 2, [("delta", 1, (), 1)])
-    assert err.value.code == "INVALID_INDEX"
+    # every delta term is folded first, so a leg outside 1..n is caught there,
+    # also in the shapes of the psi conventions, (g, [n] - {i}) and (0, {i})
+    for term in (("delta", 1, (), 1), ("delta", 2, (5,), 1), ("delta", 0, (5,), 1)):
+        with pytest.raises(JacstabError) as err:
+            canonicalize(2, 2, [term])
+        assert err.value.code == "INVALID_INDEX", term
     # cancelling coefficients are pruned before the validity check
     cls = canonicalize(2, 2, [("delta", 1, (), 1), ("delta", 1, (1, 2), -1)])
     assert cls.is_zero()
-
-
-@pytest.mark.parametrize("call", [
-    lambda: canonicalize(2, 2, [("delta", 2, (5,), 1)]),
-    lambda: canonicalize(2, 2, [("delta", 0, (5,), 1)]),
-    lambda: DivisorClass(2, 2, delta={(2, (9,)): 1}),
-], ids=["mirror-shape", "psi-shape", "constructor-mirror-shape"])
-def test_psi_shaped_index_with_an_out_of_range_leg_is_invalid(call):
-    # every delta term is folded first, so a leg outside 1..n is caught there,
-    # also where the term has the shape of a psi convention
-    with pytest.raises(JacstabError) as err:
-        call()
-    assert err.value.code == "INVALID_INDEX"
 
 
 def test_canonicalize_idempotent_and_linear():
@@ -319,6 +309,7 @@ def test_keyword_constructor_follows_canonicalize():
     assert DivisorClass(2, 2, delta={(0, (1,)): 3}) == DivisorClass(2, 2, psi={1: -3})
     assert DivisorClass(2, 2, psi={1: 2, 2: 0}, lambda1=0).coeffs == {("psi", 1): 2}
     for kwargs, code in (({"delta": {(7, (9,)): 1}}, "INVALID_INDEX"),
+                         ({"delta": {(2, (9,)): 1}}, "INVALID_INDEX"),
                          ({"delta": {(1, ()): 1}}, "INVALID_INDEX"),
                          ({"psi": {3: 1}}, "BAD_INPUT"),
                          ({"psi": {1.5: 1}}, "BAD_INPUT")):
