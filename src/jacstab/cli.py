@@ -16,8 +16,10 @@ BAD_INPUT.
 Every command is one row of ``COMMANDS`` and every option one entry of
 ``OPTIONS``, which also names the function converting its string;
 ``build_parser`` turns them into an argparse tree, which ``main`` builds on its
-first call and reuses.  ``main`` converts the options, calls the handler and
-prints the (exit code, payload, text) answer it returns in the --output form.
+first call and reuses.  ``main`` converts the options and calls the handler,
+which returns its exit code, its JSON payload and a function building its text.
+``main`` builds that text only under ``--output text``; else it prints ``_json``
+of the payload, the bytes of ``json.dumps(payload, sort_keys=True, indent=2)``.
 A result record of the library enters a payload through ``_payload``.
 """
 
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # the C function where built
 from pathlib import Path
 
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
@@ -117,7 +120,7 @@ def _multidegree_text(m: dict[str, int]) -> str:
 
 # ----------------------------------------------------------------------
 # Each handler gets its options already converted by their OPTIONS entries
-# and returns (exit code, JSON payload, text form); ``main`` prints one form.
+# and returns (exit code, JSON payload, a function of no arguments -> text).
 
 def _payload(value):
     """A result record's JSON form: a dataclass as its fields that are not
@@ -130,13 +133,13 @@ def _payload(value):
     return str(value) if type(value) is Fraction else value
 
 
-def _verdict(verdict) -> tuple[int, dict, str]:
+def _verdict(verdict) -> tuple[int, dict, Callable[[], str]]:
     return (0 if verdict.ok else 1, _payload(verdict),
-            "PASS" if verdict.ok else f"FAIL witness={','.join(verdict.witness)}")
+            lambda: "PASS" if verdict.ok else f"FAIL witness={','.join(verdict.witness)}")
 
 
-def _class(cls) -> tuple[int, dict, str]:
-    return 0, cls.to_json_dict(), cls.text()
+def _class(cls) -> tuple[int, dict, Callable[[], str]]:
+    return 0, cls.to_json_dict(), cls.text
 
 
 # ----------------------------------------------------------------------
@@ -147,12 +150,12 @@ def cmd_graph_validate(args):
     payload = {"ok": not violations, "g": args.graph.g, "n": args.graph.n,
                "violations": violations}
     return (1 if violations else 0, payload,
-            "\n".join(v["message"] for v in violations) if violations else "ok")
+            lambda: "\n".join(v["message"] for v in violations) if violations else "ok")
 
 
 def cmd_graph_classify(args):
     payload = {"g": args.graph.g, "n": args.graph.n, **_payload(args.graph.classify())}
-    return 0, payload, " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
+    return 0, payload, lambda: " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
 
 
 def cmd_graph_query(args):
@@ -165,7 +168,7 @@ def cmd_graph_query(args):
     }
     if 0 < len(Y) < len(graph.ids):
         payload["kappa"] = graph.kappa(Y)
-    return 0, payload, " ".join(f"{k}={payload[k]}" for k in sorted(payload))
+    return 0, payload, lambda: " ".join(f"{k}={payload[k]}" for k in sorted(payload))
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +176,7 @@ def cmd_graph_query(args):
 
 def cmd_stability_threshold(args):
     value = str(threshold(args.graph, args.pol, args.subcurve))
-    return 0, {"threshold": value}, value
+    return 0, {"threshold": value}, lambda: value
 
 
 def cmd_stability_check(args):
@@ -184,7 +187,7 @@ def cmd_stability_check(args):
 def cmd_stability_enumerate(args):
     found = enumerate_stable(args.graph, args.pol, args.mode, basepoint=args.basepoint)
     return (0, {"count": len(found), "multidegrees": found},
-            "\n".join(_multidegree_text(m) for m in found) or "(none)")
+            lambda: "\n".join(_multidegree_text(m) for m in found) or "(none)")
 
 
 def cmd_stability_balanced(args):
@@ -193,7 +196,7 @@ def cmd_stability_balanced(args):
 
 def cmd_stability_locus(args):
     result = locus_membership(args.graph, *_resolve_tau_k(args))
-    return (0 if result != INDETERMINACY else 1), {"locus": result}, result
+    return (0 if result != INDETERMINACY else 1), {"locus": result}, lambda: result
 
 
 # ----------------------------------------------------------------------
@@ -201,15 +204,15 @@ def cmd_stability_locus(args):
 
 def cmd_twist_apply(args):
     m = twist_multidegree(args.graph, args.gamma)
-    return 0, {"multidegree": m}, _multidegree_text(m)
+    return 0, {"multidegree": m}, lambda: _multidegree_text(m)
 
 
 def cmd_twist_reduce(args):
     result = reduce_treelike(args.graph, args.m, root=args.root)
     return (0, _payload(result),
-            "gamma: " + _multidegree_text(result.gamma) + "\n"
-            + "\n".join(f"peel {s.leaf} coeff={s.coefficient} branch={','.join(s.branch)}"
-                        for s in result.trace))
+            lambda: "gamma: " + _multidegree_text(result.gamma) + "\n"
+                    + "\n".join(f"peel {s.leaf} coeff={s.coefficient} branch={','.join(s.branch)}"
+                                for s in result.trace))
 
 
 def cmd_twist_coefficients(args):
@@ -218,14 +221,14 @@ def cmd_twist_coefficients(args):
     entries = [{"edge": list(edge), "branch": sorted(branch_side(graph, edge, basepoint=basepoint)),
                 "coefficient": coeffs[edge]} for edge in sorted(coeffs)]
     return (0, {"coefficients": entries},
-            "\n".join(f"{e['edge'][0]}--{e['edge'][1]}: {e['coefficient']}"
-                      for e in entries) or "(no separating edges)")
+            lambda: "\n".join(f"{e['edge'][0]}--{e['edge'][1]}: {e['coefficient']}"
+                              for e in entries) or "(no separating edges)")
 
 
 def cmd_twist_boundary(args):
     m = boundary_multidegree(args.graph, *_resolve_tau_k(args), basepoint=args.basepoint)
     return (0, {"multidegree": m, "zero": all(v == 0 for v in m.values())},
-            _multidegree_text(m))
+            lambda: _multidegree_text(m))
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +259,7 @@ def cmd_class_c1(args):
 
 def cmd_class_compact_type(args):
     m = compact_type_gm1_multidegree(args.graph, basepoint=args.basepoint)
-    return 0, {"multidegree": m}, _multidegree_text(m)
+    return 0, {"multidegree": m}, lambda: _multidegree_text(m)
 
 
 def cmd_class_zero_section_shape(args):
@@ -279,11 +282,10 @@ def cmd_selftest(args):
         except ValueError as exc:
             raise JacstabError("BAD_INPUT", f"JACSTAB_SEED must be an integer: {env!r}") from exc
     report = run(depth=args.depth, seed=seed)
-    lines = [f"{c['name']}: {'ok' if c['ok'] else 'FAIL'} ({c['cases']} cases)"
-             + (f" first counterexample: {c['counterexample']}" if c["counterexample"] else "")
-             for c in report["checks"]]
-    return (0 if report["ok"] else 1, report,
-            "\n".join(lines + ["ok" if report["ok"] else "FAILED"]))
+    return 0 if report["ok"] else 1, report, lambda: "\n".join(
+        [f"{c['name']}: {'ok' if c['ok'] else 'FAIL'} ({c['cases']} cases)"
+         + (f" first counterexample: {c['counterexample']}" if c["counterexample"] else "")
+         for c in report["checks"]] + ["ok" if report["ok"] else "FAILED"])
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +417,28 @@ def _attach_tau(argv: list[str]) -> list[str]:
 # Built by the first main() call, not at import, and never changed afterwards:
 # parse_args reads the tree and returns a new namespace for each call.
 _parser: argparse.ArgumentParser | None = None
-# json.dumps(payload, sort_keys=True, indent=2), without a new encoder per call
-_json = json.JSONEncoder(sort_keys=True, indent=2).encode
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` of a payload: a dict with str keys,
+    a list, a str, an int, a bool or None, nested; anything else is a TypeError.  (That
+    encoder is pure Python when it indents; this quotes with the C function it uses.)"""
+    kind, inner = type(value), indent + "  "
+    if kind is dict:  # sorted by key; _quote refuses a key that is not a str
+        parts = [_quote(key) + ": " + (_quote(x) if type(x) is str else str(x) if type(x) is int
+                 else "true" if x is True else "false" if x is False else "null" if x is None
+                 else _json(x, inner)) for key, x in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+    if kind is list:  # the leaves as in a dict, without a call each
+        parts = [_quote(x) if type(x) is str else str(x) if type(x) is int
+                 else "true" if x is True else "false" if x is False else "null" if x is None
+                 else _json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
+    if kind is str or kind is int:
+        return _quote(value) if kind is str else str(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"{kind.__name__} is not a payload type")
 
 
 def main(argv=None) -> int:
@@ -430,8 +452,7 @@ def main(argv=None) -> int:
         for dest, convert in args.converters:
             setattr(args, dest, convert(getattr(args, dest)))
         code, payload, text = args.func(args)
-        if args.output == "json":
-            text = _json(payload)
+        text = _json(payload) if args.output == "json" else text()
     except JacstabError as exc:
         code, text = 2, _json(exc.to_json_dict())
     except Exception as exc:  # a defect, not a verdict: report it apart from exit 1

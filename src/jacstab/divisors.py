@@ -267,8 +267,9 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
     ("delta_irr", c), ("delta", h, A, c); without its coefficient a term is
     its key in ``DivisorClass.coeffs``.  Boundary entries may use any
     representative, including the psi conventions (0,{i}) and (g,[n]-{i}).
-    Indices that survive with a non-zero coefficient but fall outside the
-    valid range are rejected, as is a term whose tag or length is unknown.
+    A psi index, leg or h out of range is rejected whatever its coefficient, as
+    is a term of unknown tag or length; a boundary index outside the valid
+    range, only if its coefficient is non-zero once equal keys are summed.
     """
     _check_gn(g, n)
     coeffs: dict[tuple, Exact] = {}
@@ -281,6 +282,8 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
         if tag == "psi":
             _, i, c = term
             key = ("psi", strict_int(i, "psi index"))
+            if not 1 <= key[1] <= n:
+                raise JacstabError("BAD_INPUT", "psi index outside 1..n")
         elif tag == "delta":
             _, h, A, c = term
             key = ("delta", *_fold(g, n, strict_int(h, "h"), _legs(A)))
@@ -296,8 +299,6 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
             A = key[2]
             raise JacstabError("INVALID_INDEX",
                                f"({key[1]},{set(A) if A else '{}'}) is not a boundary divisor for g={g}, n={n}")
-    if any(key[0] == "psi" and not 1 <= key[1] <= n for key in coeffs):
-        raise JacstabError("BAD_INPUT", "psi index outside 1..n")
     return DivisorClass._of((g, n), coeffs)
 
 
@@ -383,12 +384,14 @@ def mueller_correction(g: int, n: int, tau: Sequence[int],
     A = empty set qualifies (its positivity condition is vacuous).
     """
     t = _check_tau_gm1(g, n, tau)
+    positive = [i for i, ti in enumerate(t, start=1) if ti > 0]
     out: dict[tuple[int, Legs], int] = {}
     for h in range(0, g // 2 + 1):
-        for r in range(0 if include_empty else 1, n + 1):
-            for A in combinations(range(1, n + 1), r):
+        # 2 <= h + |A| <= g + n - 2, and |A| <= sum of tau over A < h
+        for r in range(max(int(not include_empty), 2 - h), min(len(positive), g + n - 2 - h, h - 1) + 1):
+            for A in combinations(positive, r):
                 s = sum(t[i - 1] for i in A)
-                if s < h and is_valid_index(g, n, h, A) and all(t[i - 1] > 0 for i in A):
+                if s < h:
                     key = _fold(g, n, h, A)  # A is sorted, distinct and in range
                     out[key] = out.get(key, 0) + h - s
     return out

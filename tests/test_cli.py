@@ -428,6 +428,62 @@ def test_byte_identical_output(capsys):
     assert first == second
 
 
+def _payloads(rng, depth=0):
+    """A random nested payload; containers are empty at every depth now and then."""
+    text = "aZ09 \"\\/\x00\x1f\x7f\t\n\u00e9\u2028\u2029\ud800\U0001f600\u4e2d"
+    leaves = (lambda: "".join(rng.choice(text) for _ in range(rng.randint(0, 6))),
+              lambda: rng.randint(-10, 10), lambda: rng.choice((-1, 1)) * 7 ** rng.randint(20, 400),
+              lambda: rng.choice((True, False, None)))
+    kind = rng.randrange(4) if depth < 4 else 2
+    if kind == 0:
+        return {leaves[0](): _payloads(rng, depth + 1) for _ in range(rng.choice((0, 1, 3)))}
+    if kind == 1:
+        return [_payloads(rng, depth + 1) for _ in range(rng.choice((0, 1, 4)))]
+    return rng.choice(leaves)()
+
+
+def test_renderer_matches_the_stdlib_encoder():
+    rng = random.Random(14)
+    corpus = [_payloads(rng) for _ in range(2000)]
+    corpus += [{}, [], [[]], {"": {}}, [{"a": []}, {}], {"b": 1, "a": [True, None, ""]}]
+    for value in corpus:
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2), value
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, (1, 2), [{"a": (1,)}], {1: "a"},
+                                   {"a": 1, 2: "b"}, [{None: 1}], {"a": set()}])
+def test_renderer_refuses_what_is_not_a_payload(capsys, monkeypatch, value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+    # an answer that is not a payload is a defect: exit 3, rendered by the same function
+    monkeypatch.setattr(cli, "enumerate_stable", lambda *args, **kwargs: [value])
+    code, payload = run_json(capsys, "stability", "enumerate", "--graph", BANANA)
+    assert code == 3 and payload["error"] == "INTERNAL"
+
+
+def test_text_is_built_only_for_text_output(capsys, monkeypatch):
+    from jacstab.divisors import LinearClass
+
+    calls = {"text": 0, "multidegree": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(LinearClass, "text", counted("text", LinearClass.text))
+    monkeypatch.setattr(cli, "_multidegree_text", counted("multidegree", cli._multidegree_text))
+    theta = ("class", "theta", "--g", "3", "--n", "2", "--tau", "2,-2", "--k", "0",
+             "--method", "derive")
+    assert run_cli(capsys, *theta)[0] == 0
+    assert run_cli(capsys, "stability", "enumerate", "--graph", BANANA)[0] == 0
+    assert calls == {"text": 0, "multidegree": 0}
+    assert run_cli(capsys, *theta, "--output", "text")[0] == 0
+    assert run_cli(capsys, "stability", "enumerate", "--graph", BANANA, "--output", "text")[0] == 0
+    assert calls == {"text": 1, "multidegree": 2}
+
+
 def test_graph_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     path = tmp_path / "banana.json"
     path.write_text(BANANA)

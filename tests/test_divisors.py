@@ -254,6 +254,37 @@ def test_mueller_corrections_nonnegative_integers():
     assert cases >= 15
 
 
+def test_mueller_correction_matches_its_definition():
+    # the docstring read literally: every h with 0 <= 2h <= g, every subset A
+    # of the markings, kept when (h, A) is in the valid range, tau is positive
+    # on A and h >= sum of tau over A, with multiplicity h - that sum
+    def reference(g, n, t, include_empty):
+        out = {}
+        for h in range(0, g // 2 + 1):
+            for r in range(0, n + 1):
+                for A in combinations(range(1, n + 1), r):
+                    s = sum(t[i - 1] for i in A)
+                    if ((A or include_empty) and is_valid_index(g, n, h, A)
+                            and all(t[i - 1] > 0 for i in A) and h >= s):
+                        key = canonical_pair(g, n, h, A)
+                        out[key] = out.get(key, 0) + h - s
+        return {key: c for key, c in out.items() if c}
+
+    rng = random.Random(71)
+    cases = 0
+    for _ in range(300):
+        g, n = rng.randint(1, 6), rng.randint(1, 6)
+        tau = random_tau(rng, n, g - 1, bound=4)
+        if tau is None:
+            continue
+        for flag in (True, False):
+            corr = mueller_correction(g, n, tau, include_empty=flag)
+            expected = reference(g, n, tau, flag)
+            assert corr == expected, (g, n, tau, flag)
+            cases += bool(corr)
+    assert cases >= 40
+
+
 def test_closed_forms_build_only_canonical_terms():
     # the closed forms skip canonicalize: their keys must already be what it
     # would return, so re-canonicalizing their terms changes nothing
@@ -327,8 +358,10 @@ def test_keyword_constructor_follows_canonicalize():
     lambda: canonicalize(2, 2, [("delta", 1, 5, 1)]),
     lambda: canonical_pair(2, 2, 1, 5),
     lambda: FiberClass(2, 2, {("B", 1, 5): 1}),
+    # read like a psi-shaped delta leg: refused whatever its coefficient
+    lambda: canonicalize(2, 2, [("psi", 9, 0)]),
 ], ids=["pair-float-leg", "pair-float-h", "psi-float-index", "delta-bool-leg", "delta-float-h",
-        "delta-int-legs", "pair-int-legs", "fiber-int-legs"])
+        "delta-int-legs", "pair-int-legs", "fiber-int-legs", "psi-index-out-of-range-zero-coeff"])
 def test_library_indices_are_not_truncated(call):
     with pytest.raises(JacstabError) as exc:
         call()
