@@ -33,7 +33,8 @@ Terms from outside are checked once, by ``canonicalize``: ``DivisorClass(...)``,
 ``pushforward`` and ``theta_pullback_hain`` (whose folding is its algorithm) go
 through it.  ``_closed`` builds the theta closed forms and the c1 classes of
 ``pushforward``, after they check their twist data, on trusted keys: those of
-``canonical_indices`` are canonical, in range and never of psi shape.
+``canonical_indices`` are canonical, in range and never of psi shape, and are
+built once per (g, n).
 """
 
 from __future__ import annotations
@@ -206,12 +207,18 @@ def _fold(g: int, n: int, h: int, legs: Legs) -> tuple[int, Legs]:
 def canonical_indices(g: int, n: int) -> list[tuple[int, Legs]]:
     """All valid canonical boundary indices, sorted by (h, lex A); valid by construction."""
     _check_gn(g, n)
+    return list(_canonical_indices(g, n))
+
+
+@cache
+def _canonical_indices(g: int, n: int) -> tuple[tuple[int, Legs], ...]:
+    """``canonical_indices`` built once per (g, n), for callers that checked (g, n)."""
     out = []
     for h in range(0, g // 2 + 1):
         half = 2 * h == g  # then A is (1,) and r - 1 of the markings 2..n
         for r in range(max(half, 2 - h), min(n, g + n - 2 - h) + 1):  # 2 <= h + r <= g + n - 2
             out += [(h, (1,) * half + A) for A in combinations(range(1 + half, n + 1), r - half)]
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 class DivisorClass(LinearClass):
@@ -345,7 +352,7 @@ def _closed(cls, g: int, n: int, t: list[int], head: dict[tuple, Exact], tag: st
     """Non-zero ``head`` terms plus ``boundary(h, A, s)`` on each (tag, h, A), built by the
     trusted ``cls._of``: (h, A) is canonical and valid, s the sum of t over A."""
     coeffs = {key: c for key, c in head.items() if c}
-    for (h, A) in canonical_indices(g, n):
+    for (h, A) in _canonical_indices(g, n):
         c = boundary(h, A, sum(t[i - 1] for i in A))
         if c:
             coeffs[(tag, h, A)] = c

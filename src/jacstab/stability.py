@@ -20,10 +20,11 @@ strictness into the least integer degree the subcurve may carry, so testing a
 multidegree against a row is integer arithmetic only and stays exact for every
 polarization.  :func:`_rows` yields the rows lazily, one per connected
 subcurve.  :func:`check_stability` stops at its first violated row, so a check
-that fails early never computes the rows after its witness;
-:func:`enumerate_stable` lists the rows once and tests every candidate of its
-search against that list, so each threshold is computed once per search
-instead of once per candidate, and takes its box bounds from :func:`_least`.
+that fails early never computes the rows after its witness.
+:func:`enumerate_stable` reads the rows once, so each threshold is computed
+once per search, and takes its box bounds from :func:`_least`.  Since the
+degrees total the target, each row becomes a bound on a subset without the
+last vertex, tested as soon as the subset's largest member is fixed.
 The balanced inequalities of :func:`is_balanced` keep their own direct loop,
 since their equivalence with q-stability is a theorem the tests compare.
 """
@@ -199,10 +200,13 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     """Exhaustively enumerate every (semi/q-)stable multidegree.
 
     The subcurve inequalities on singletons and their complements confine each
-    vertex degree to a finite box; the box is searched with partial-sum
-    pruning and every candidate is tested against one list of the rows of
-    :func:`_rows`.  The search runs through the box in lexicographic order, so
-    the output is sorted by the degrees in ``graph.ids`` order.
+    vertex degree to a finite box.  Each row of :func:`_rows` becomes a bound
+    on a subset without the last vertex (the subcurve, or its complement when
+    it holds the last vertex), so the search fixes the degrees one vertex at a
+    time and clamps each to the interval that the box, the total and the
+    bounds whose subset ends at that vertex allow; the last degree is forced.
+    The search runs through the box in lexicographic order, so the output is
+    sorted by the degrees in ``graph.ids`` order.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -220,40 +224,60 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
             return []
         los.append(lo)
         his.append(hi)
-    rows = [(members, least) for members, least, _, _ in _rows(graph, pol, mode, base)]
+    # With the total fixed, every row bounds a subset S of the positions before
+    # ``last``: (Y, least) is deg_S >= least for S = Y if ``last`` is not in Y,
+    # and deg_S <= target - least for S = Y^c if it is.  Rows on one S merge;
+    # the open ends, and the bounds of the prefixes added below, are box sums.
+    last = len(ids) - 1
 
-    suffix_lo = [0] * (len(ids) + 1)
-    suffix_hi = [0] * (len(ids) + 1)
-    for i in range(len(ids) - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + los[i]
-        suffix_hi[i] = suffix_hi[i + 1] + his[i]
+    def box(S: tuple[int, ...]) -> tuple[int, int]:
+        return sum(los[j] for j in S), sum(his[j] for j in S)
 
+    bounds: dict[tuple[int, ...], tuple[int, int]] = {}
+    for members, least, _, _ in _rows(graph, pol, mode, base):
+        upper = last in members
+        S = tuple(j for j in range(last) if (j in members) != upper)
+        lo, hi = bounds.get(S) or box(S)
+        bounds[S] = (lo, min(hi, target - least)) if upper else (max(lo, least), hi)
+    for S in list(bounds):
+        for k in range(1, len(S)):
+            bounds.setdefault(S[:k], box(S[:k]))
+    # each subset has a slot for its partial sum, written and tested at the
+    # level of its largest member from the slot of the subset without it
+    slot = {S: t for t, S in enumerate([(), *bounds])}
+    levels: list[list[tuple[int, int, int, int]]] = [[] for _ in range(last)]
+    for S, (lo, hi) in bounds.items():
+        levels[S[-1]].append((slot[S], slot[S[:-1]], lo, hi))
+    partial = [0] * len(slot)
+    rest_lo = [sum(los[i + 1:]) for i in range(last)]
+    rest_hi = [sum(his[i + 1:]) for i in range(last)]
     results: list[dict[str, int]] = []
     stack = [0] * len(ids)
 
     def search(i: int, acc: int) -> None:
-        if i == len(ids):
-            if acc != target:
-                return
-            # subtracting in place is several times faster than sum() over a
-            # comprehension, and this is the search's inner loop
-            for members, short in rows:
-                for j in members:
-                    short -= stack[j]
-                if short > 0:
-                    return
-            results.append(dict(zip(ids, stack)))
-            return
-        rest_lo = suffix_lo[i + 1]
-        rest_hi = suffix_hi[i + 1]
-        for d in range(los[i], his[i] + 1):
-            if acc + d + rest_lo <= target <= acc + d + rest_hi:
-                stack[i] = d
-                search(i + 1, acc + d)
+        # the degrees at level i that keep the total reachable and meet every
+        # bound tested here (the singleton's holds the box) form one interval
+        lo = target - acc - rest_hi[i]
+        hi = target - acc - rest_lo[i]
+        for _, source, least, most in levels[i]:
+            rest = partial[source]
+            if least - rest > lo:
+                lo = least - rest
+            if most - rest < hi:
+                hi = most - rest
+        for d in range(lo, hi + 1):
+            stack[i] = d
+            if i + 1 == last:
+                stack[last] = target - acc - d
+                results.append(dict(zip(ids, stack)))
+                continue
+            for t, source, _, _ in levels[i]:
+                partial[t] = partial[source] + d
+            search(i + 1, acc + d)
 
     search(0, 0)
     # the recursive closure is a reference cycle that holds every result and
-    # the rows; break it, or they stay alive until the cyclic collector runs
+    # the bounds; break it, or they stay alive until the cyclic collector runs
     del search
     return results
 

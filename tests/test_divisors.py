@@ -10,6 +10,7 @@ from jacstab import (DivisorClass, JacstabError, canonicalize, canonical_pair,
                      theta_pullback, theta_pullback_hain, theta_gm1_pullback,
                      mueller_class, mueller_correction)
 from jacstab.corpus import random_tau
+import jacstab.divisors as divisors
 from jacstab.pushforward import FiberClass, GradedAtomPoly, c1_gm1_bundle, c1_twisted_bundle
 from jacstab.stability import Polarization
 
@@ -90,6 +91,16 @@ def test_canonical_indices_deterministic_order():
     assert idx == [(0, (1, 2)), (1, (1,))]
     idx = canonical_indices(3, 2)
     assert idx == [(0, (1, 2)), (1, (1,)), (1, (1, 2)), (1, (2,))]
+
+
+def test_canonical_indices_are_built_once_and_handed_out_fresh():
+    first = canonical_indices(4, 3)
+    first.clear()
+    again = canonical_indices(4, 3)
+    assert again and again == list(divisors._canonical_indices(4, 3))
+    assert divisors._canonical_indices(4, 3) is divisors._canonical_indices(4, 3)
+    with pytest.raises(JacstabError):
+        canonical_indices(0, 3)
 
 
 # ----------------------------------------------------------------------

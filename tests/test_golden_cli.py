@@ -8,6 +8,9 @@ command, non-integer ``--g``).  Each case is run through ``cli.main``; the
 SHA-256 of its exit code, standard output and standard error must equal a
 digest recorded before the parser was rebuilt from a command table.
 
+It also pins the SHA-256 of ``stability enumerate`` on K_7, the 10-cycle with
+doubled edges and the 3x4 grid (``ENUMERATED``).
+
 Payloads are integers only, so rejecting non-integer payloads does not move
 the digest.  Help texts are wrapped at ``COLUMNS=80``; their layout is
 argparse's, checked here on Python 3.10 and 3.11.  If an intended output
@@ -230,6 +233,50 @@ def test_cli_surface_byte_identical():
     lines = cases()
     assert len(lines) == 16 * 11 + 10 * 8 + 4 + 24 + 14
     assert digest(lines) == EXPECTED
+
+
+def _complete(count: int) -> dict:
+    ids = [f"v{i}" for i in range(1, count + 1)]
+    return {"vertices": [{"id": v, "genus": 0, "legs": [1] if v == "v1" else []} for v in ids],
+            "edges": [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:]]}
+
+
+def _doubled_cycle(count: int) -> dict:
+    ids = [f"v{i}" for i in range(1, count + 1)]
+    return {"vertices": [{"id": v, "genus": 0, "legs": [1] if v == "v1" else []} for v in ids],
+            "edges": [[ids[i], ids[(i + 1) % count]] for i in range(count)] * 2}
+
+
+def _grid(rows: int, cols: int) -> dict:
+    """A genus-0 grid with markings 1-4 on its corners, 1 on the top left."""
+    ids = [[f"v{r}{c}" for c in range(1, cols + 1)] for r in range(1, rows + 1)]
+    corners = [ids[0][0], ids[0][-1], ids[-1][0], ids[-1][-1]]
+    vertices = [{"id": v, "genus": 0, "legs": [corners.index(v) + 1] if v in corners else []}
+                for row in ids for v in row]
+    edges = [[row[c], row[c + 1]] for row in ids for c in range(cols - 1)]
+    edges += [[ids[r][c], ids[r + 1][c]] for r in range(rows - 1) for c in range(cols)]
+    return {"n": 4, "vertices": vertices, "edges": edges}
+
+
+# SHA-256 of ``stability enumerate --graph <graph>`` standard output (q-stable,
+# canonical0), recorded before the search tested rows level by level: the
+# inputs on which that pruning cuts the most candidates.
+ENUMERATED = {
+    "K_7": (_complete(7), 16807,
+            "e9fc9e01160d6606cf25947994de0a5ba92bd9f53eb991bf0a9073036e9e5b04"),
+    "doubled 10-cycle": (_doubled_cycle(10), 5120,
+                         "384365454a6bf234625fb6ce5f7efe701e02821d3b3593445c7775dfc4c46f11"),
+    "3x4 grid": (_grid(3, 4), 2415,
+                 "11b7bddf7f37c45079914e533a6b5a87d8820a13741e75ca96632be74c5c43ef"),
+}
+
+
+def test_enumerate_output_pinned_where_pruning_matters(capsys):
+    for name, (graph, count, expected) in ENUMERATED.items():
+        assert main(["stability", "enumerate", "--graph", json.dumps(graph)]) == 0, name
+        out = capsys.readouterr().out
+        assert f'"count": {count},' in out, name
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, name
 
 
 if __name__ == "__main__":

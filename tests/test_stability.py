@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -135,16 +136,6 @@ def test_enumerate_single_vertex():
     assert enumerate_stable(g, GM1, QSTABLE) == [{"v1": 1}]
 
 
-def test_enumerate_agrees_with_brute_force_box():
-    # soundness and completeness against the dumb box scan over all subsets
-    rng = random.Random(23)
-    for _ in range(12):
-        g = random_connected_graph(rng, max_vertices=4, max_extra_edges=2, max_genus=1)
-        for pol in (CAN0, GM1):
-            for mode in (SEMISTABLE, STABLE, QSTABLE):
-                assert enumerate_stable(g, pol, mode) == brute_force_stable(g, pol, mode)
-
-
 def test_enumerate_complete_on_larger_graphs():
     # the wide-box scan finds nothing beyond the derived-box search on graphs
     # of five and six vertices
@@ -157,6 +148,67 @@ def test_enumerate_complete_on_larger_graphs():
                     [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")])
     assert six.validate() == []
     assert enumerate_stable(six, CAN0, QSTABLE) == brute_force_stable(six, CAN0, QSTABLE)
+
+
+def _marking_one_last(g: DualGraph) -> DualGraph:
+    """``g`` with the ids of its last vertex and of marking 1's vertex swapped,
+    so that marking 1, the default basepoint, sits on the last vertex."""
+    owner, last = g.marking_vertex(1), g.ids[-1]
+    name = {owner: last, last: owner}.get
+    return DualGraph([(name(v, v), g.genus_of[v], g.legs_of[v]) for v in g.ids],
+                     [(name(a, a), name(b, b)) for a, b in g.edges], n=g.n)
+
+
+def _graph_of_size(rng: random.Random, size: int, **shape) -> DualGraph:
+    while True:
+        g = random_connected_graph(rng, max_vertices=size, **shape)
+        if len(g.ids) == size:
+            return g
+
+
+def _fractional_polarization(rng: random.Random, g: DualGraph) -> Polarization:
+    """q_v = -omega_v/2 moved by halves and thirds; the degree is the total move,
+    made an integer by the last vertex's move (at most 1/2 in size)."""
+    moves = [Fraction(rng.choice((-1, 1)), rng.choice((2, 3))) for _ in g.ids[1:]]
+    degree = round(sum(moves))
+    moves.append(degree - sum(moves))
+    q = {v: move - Fraction(g.omega_degree((v,)), 2) for v, move in zip(g.ids, moves)}
+    return Polarization.custom(q, degree)
+
+
+def test_enumerate_agrees_with_brute_force_box():
+    # soundness and completeness against the dumb box scan over all subsets;
+    # marking 1 on the last vertex makes the strict rows upper bounds in the
+    # search.  The scan's cost grows steeply with its box, so five vertices
+    # get sparser graphs
+    rng = random.Random(31)
+    found = last_holds_1 = 0
+    for size, count, extra, genus, loops in ((1, 3, 2, 1, 0.2), (2, 8, 2, 1, 0.2),
+                                             (3, 8, 2, 1, 0.2), (4, 6, 2, 0, 0.2),
+                                             (5, 2, 1, 0, 0)):
+        for _ in range(count):
+            g = _graph_of_size(rng, size, max_extra_edges=extra, max_genus=genus,
+                               loop_chance=loops)
+            if rng.random() < 0.5:
+                g = _marking_one_last(g)
+            last_holds_1 += g.marking_vertex(1) == g.ids[-1]
+            for pol in (CAN0, GM1, _fractional_polarization(rng, g)):
+                base = rng.choice((None, rng.choice(g.ids)))
+                for mode in (SEMISTABLE, STABLE, QSTABLE):
+                    result = enumerate_stable(g, pol, mode, basepoint=base)
+                    assert result == brute_force_stable(g, pol, mode, basepoint=base)
+                    found += len(result)
+    assert last_holds_1 >= 10 and found > 500
+
+
+def test_enumerate_on_a_long_path_stays_small():
+    # a 40-vertex path has 819 proper connected subcurves; the search stores one
+    # partial sum per bounded subset and prefix, not one per subset of 2^40
+    ids = [f"v{i:02d}" for i in range(1, 41)]
+    g = DualGraph([(v, 1, [1] if v == ids[-1] else []) for v in ids], list(zip(ids, ids[1:])))
+    start = time.process_time()
+    assert enumerate_stable(g, CAN0, QSTABLE) == [{v: 0 for v in ids}]
+    assert time.process_time() - start < 1
 
 
 def test_enumerate_stable_subset_of_qstable_subset_of_semistable():
