@@ -1,6 +1,6 @@
 import gc
 import random
-import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -177,38 +177,51 @@ def _fractional_polarization(rng: random.Random, g: DualGraph) -> Polarization:
 
 
 def test_enumerate_agrees_with_brute_force_box():
-    # soundness and completeness against the dumb box scan over all subsets;
-    # marking 1 on the last vertex makes the strict rows upper bounds in the
-    # search.  The scan's cost grows steeply with its box, so five vertices
-    # get sparser graphs
+    # soundness and completeness against the dumb box scan over all subsets
+    rng = random.Random(23)
+    for _ in range(12):
+        g = random_connected_graph(rng, max_vertices=4, max_extra_edges=2, max_genus=1)
+        for pol in (CAN0, GM1):
+            for mode in (SEMISTABLE, STABLE, QSTABLE):
+                assert enumerate_stable(g, pol, mode) == brute_force_stable(g, pol, mode)
+    # every size from 1 to 5 vertices, a fractional custom polarization and
+    # explicit basepoints; marking 1 on the last vertex makes the strict rows
+    # upper bounds in the search.  The scan's cost grows steeply with its box,
+    # so five vertices get trees or sparse genus-0 graphs
     rng = random.Random(31)
-    found = last_holds_1 = 0
+    found = last_holds_1 = curved_large = 0
     for size, count, extra, genus, loops in ((1, 3, 2, 1, 0.2), (2, 8, 2, 1, 0.2),
-                                             (3, 8, 2, 1, 0.2), (4, 6, 2, 0, 0.2),
-                                             (5, 2, 1, 0, 0)):
+                                             (3, 8, 2, 1, 0.2), (4, 6, 2, 1, 0.2),
+                                             (5, 1, 0, 1, 0), (5, 2, 1, 0, 0)):
         for _ in range(count):
             g = _graph_of_size(rng, size, max_extra_edges=extra, max_genus=genus,
                                loop_chance=loops)
             if rng.random() < 0.5:
                 g = _marking_one_last(g)
             last_holds_1 += g.marking_vertex(1) == g.ids[-1]
+            curved_large += size >= 4 and any(g.genus_of.values())
             for pol in (CAN0, GM1, _fractional_polarization(rng, g)):
                 base = rng.choice((None, rng.choice(g.ids)))
                 for mode in (SEMISTABLE, STABLE, QSTABLE):
                     result = enumerate_stable(g, pol, mode, basepoint=base)
                     assert result == brute_force_stable(g, pol, mode, basepoint=base)
                     found += len(result)
-    assert last_holds_1 >= 10 and found > 500
+    assert last_holds_1 >= 10 and curved_large >= 4 and found > 500
 
 
 def test_enumerate_on_a_long_path_stays_small():
     # a 40-vertex path has 819 proper connected subcurves; the search stores one
-    # partial sum per bounded subset and prefix, not one per subset of 2^40
+    # partial sum per bounded subset and prefix, not one per subset of 2^40.
+    # Its peak allocation (about 0.56 MB with the rows) is bounded, not its time
     ids = [f"v{i:02d}" for i in range(1, 41)]
     g = DualGraph([(v, 1, [1] if v == ids[-1] else []) for v in ids], list(zip(ids, ids[1:])))
-    start = time.process_time()
-    assert enumerate_stable(g, CAN0, QSTABLE) == [{v: 0 for v in ids}]
-    assert time.process_time() - start < 1
+    tracemalloc.start()
+    try:
+        assert enumerate_stable(g, CAN0, QSTABLE) == [{v: 0 for v in ids}]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_enumerate_stable_subset_of_qstable_subset_of_semistable():
