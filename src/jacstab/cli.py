@@ -17,9 +17,10 @@ Every command is one row of ``COMMANDS`` and every option one entry of
 ``OPTIONS``, which also names the function converting its string;
 ``build_parser`` turns them into an argparse tree, which ``main`` builds on its
 first call and reuses.  ``main`` converts the options and calls the handler,
-which returns its exit code, its JSON payload and a function building its text.
-``main`` builds that text only under ``--output text``; else it prints ``_json``
-of the payload, the bytes of ``json.dumps(payload, sort_keys=True, indent=2)``.
+which returns its exit code, a function building its JSON payload and one
+building its text.  ``main`` builds only the form it prints: the text under
+``--output text``, else ``_json`` of the payload, the bytes of
+``json.dumps(payload, sort_keys=True, indent=2)``.
 A result record of the library enters a payload through ``_payload``.
 """
 
@@ -120,7 +121,7 @@ def _multidegree_text(m: dict[str, int]) -> str:
 
 # ----------------------------------------------------------------------
 # Each handler gets its options already converted by their OPTIONS entries
-# and returns (exit code, JSON payload, a function of no arguments -> text).
+# and returns (exit code, a function of no arguments -> JSON payload, one -> text).
 
 def _payload(value):
     """A result record's JSON form: a dataclass as its fields that are not
@@ -133,13 +134,13 @@ def _payload(value):
     return str(value) if type(value) is Fraction else value
 
 
-def _verdict(verdict) -> tuple[int, dict, Callable[[], str]]:
-    return (0 if verdict.ok else 1, _payload(verdict),
+def _verdict(verdict) -> tuple[int, Callable[[], dict], Callable[[], str]]:
+    return (0 if verdict.ok else 1, lambda: _payload(verdict),
             lambda: "PASS" if verdict.ok else f"FAIL witness={','.join(verdict.witness)}")
 
 
-def _class(cls) -> tuple[int, dict, Callable[[], str]]:
-    return 0, cls.to_json_dict(), cls.text
+def _class(cls) -> tuple[int, Callable[[], dict], Callable[[], str]]:
+    return 0, cls.to_json_dict, cls.text
 
 
 # ----------------------------------------------------------------------
@@ -149,13 +150,13 @@ def cmd_graph_validate(args):
     violations = args.graph.validate()
     payload = {"ok": not violations, "g": args.graph.g, "n": args.graph.n,
                "violations": violations}
-    return (1 if violations else 0, payload,
+    return (1 if violations else 0, lambda: payload,
             lambda: "\n".join(v["message"] for v in violations) if violations else "ok")
 
 
 def cmd_graph_classify(args):
     payload = {"g": args.graph.g, "n": args.graph.n, **_payload(args.graph.classify())}
-    return 0, payload, lambda: " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
+    return 0, lambda: payload, lambda: " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
 
 
 def cmd_graph_query(args):
@@ -168,7 +169,7 @@ def cmd_graph_query(args):
     }
     if 0 < len(Y) < len(graph.ids):
         payload["kappa"] = graph.kappa(Y)
-    return 0, payload, lambda: " ".join(f"{k}={payload[k]}" for k in sorted(payload))
+    return 0, lambda: payload, lambda: " ".join(f"{k}={payload[k]}" for k in sorted(payload))
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +177,7 @@ def cmd_graph_query(args):
 
 def cmd_stability_threshold(args):
     value = str(threshold(args.graph, args.pol, args.subcurve))
-    return 0, {"threshold": value}, lambda: value
+    return 0, lambda: {"threshold": value}, lambda: value
 
 
 def cmd_stability_check(args):
@@ -186,7 +187,7 @@ def cmd_stability_check(args):
 
 def cmd_stability_enumerate(args):
     found = enumerate_stable(args.graph, args.pol, args.mode, basepoint=args.basepoint)
-    return (0, {"count": len(found), "multidegrees": found},
+    return (0, lambda: {"count": len(found), "multidegrees": found},
             lambda: "\n".join(_multidegree_text(m) for m in found) or "(none)")
 
 
@@ -196,7 +197,7 @@ def cmd_stability_balanced(args):
 
 def cmd_stability_locus(args):
     result = locus_membership(args.graph, *_resolve_tau_k(args))
-    return (0 if result != INDETERMINACY else 1), {"locus": result}, lambda: result
+    return (0 if result != INDETERMINACY else 1), lambda: {"locus": result}, lambda: result
 
 
 # ----------------------------------------------------------------------
@@ -204,12 +205,12 @@ def cmd_stability_locus(args):
 
 def cmd_twist_apply(args):
     m = twist_multidegree(args.graph, args.gamma)
-    return 0, {"multidegree": m}, lambda: _multidegree_text(m)
+    return 0, lambda: {"multidegree": m}, lambda: _multidegree_text(m)
 
 
 def cmd_twist_reduce(args):
     result = reduce_treelike(args.graph, args.m, root=args.root)
-    return (0, _payload(result),
+    return (0, lambda: _payload(result),
             lambda: "gamma: " + _multidegree_text(result.gamma) + "\n"
                     + "\n".join(f"peel {s.leaf} coeff={s.coefficient} branch={','.join(s.branch)}"
                                 for s in result.trace))
@@ -220,14 +221,14 @@ def cmd_twist_coefficients(args):
     coeffs = branch_coefficients(graph, *_resolve_tau_k(args), basepoint=basepoint)
     entries = [{"edge": list(edge), "branch": sorted(branch_side(graph, edge, basepoint=basepoint)),
                 "coefficient": coeffs[edge]} for edge in sorted(coeffs)]
-    return (0, {"coefficients": entries},
+    return (0, lambda: {"coefficients": entries},
             lambda: "\n".join(f"{e['edge'][0]}--{e['edge'][1]}: {e['coefficient']}"
                               for e in entries) or "(no separating edges)")
 
 
 def cmd_twist_boundary(args):
     m = boundary_multidegree(args.graph, *_resolve_tau_k(args), basepoint=args.basepoint)
-    return (0, {"multidegree": m, "zero": all(v == 0 for v in m.values())},
+    return (0, lambda: {"multidegree": m, "zero": all(v == 0 for v in m.values())},
             lambda: _multidegree_text(m))
 
 
@@ -259,7 +260,7 @@ def cmd_class_c1(args):
 
 def cmd_class_compact_type(args):
     m = compact_type_gm1_multidegree(args.graph, basepoint=args.basepoint)
-    return 0, {"multidegree": m}, lambda: _multidegree_text(m)
+    return 0, lambda: {"multidegree": m}, lambda: _multidegree_text(m)
 
 
 def cmd_class_zero_section_shape(args):
@@ -282,7 +283,7 @@ def cmd_selftest(args):
         except ValueError as exc:
             raise JacstabError("BAD_INPUT", f"JACSTAB_SEED must be an integer: {env!r}") from exc
     report = run(depth=args.depth, seed=seed)
-    return 0 if report["ok"] else 1, report, lambda: "\n".join(
+    return 0 if report["ok"] else 1, lambda: report, lambda: "\n".join(
         [f"{c['name']}: {'ok' if c['ok'] else 'FAIL'} ({c['cases']} cases)"
          + (f" first counterexample: {c['counterexample']}" if c["counterexample"] else "")
          for c in report["checks"]] + ["ok" if report["ok"] else "FAILED"])
@@ -452,7 +453,7 @@ def main(argv=None) -> int:
         for dest, convert in args.converters:
             setattr(args, dest, convert(getattr(args, dest)))
         code, payload, text = args.func(args)
-        text = _json(payload) if args.output == "json" else text()
+        text = _json(payload()) if args.output == "json" else text()
     except JacstabError as exc:
         code, text = 2, _json(exc.to_json_dict())
     except Exception as exc:  # a defect, not a verdict: report it apart from exit 1

@@ -45,7 +45,7 @@ from functools import cache
 from itertools import combinations
 
 from .errors import JacstabError, strict_int
-from .stability import check_tau
+from .stability import _check_twist, check_tau
 
 Legs = tuple[int, ...]
 Exact = int | Fraction
@@ -322,12 +322,7 @@ def _check_tau_theta(g: int, n: int, tau: Sequence[int], k: int) -> list[int]:
 
 def _check_tau_gm1(g: int, n: int, tau: Sequence[int]) -> list[int]:
     _check_gn(g, n)
-    t = [strict_int(x, "tau entry") for x in tau]
-    if len(t) != n:
-        raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
-    if sum(t) != g - 1:
-        raise JacstabError("TAU_SUM", f"sum(tau) = {sum(t)}, expected g-1 = {g - 1}")
-    return t
+    return _check_twist(tau, n, lambda: ("g-1", g - 1))
 
 
 def theta_pullback_hain(g: int, n: int, tau: Sequence[int]) -> DivisorClass:

@@ -4,7 +4,8 @@ A polarization assigns every subcurve Y a rational value q_Y; a multidegree m
 is semistable when deg_Y(m) >= q_Y - kappa_Y/2 for every proper non-empty
 subcurve, stable when all inequalities are strict, and q-stable when the
 inequality is strict exactly on subcurves containing a fixed basepoint
-component (by default the component carrying marking 1).
+component (by default the component carrying marking 1).  The total degree is
+q_V, derived by :meth:`Polarization.target_degree` and refused unless integral.
 
 All arithmetic is exact: thresholds are ``fractions.Fraction`` values and no
 floating point enters any verdict.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import JacstabError, strict_int
 from .graphs import DualGraph
@@ -50,16 +51,15 @@ TRIVIAL_GM1 = "trivial-gm1"
 
 @dataclass(frozen=True)
 class Polarization:
-    """Per-vertex rational polarization data plus a target total degree.
+    """Per-vertex rational data; the total degree is derived: q_V = sum q_v + (g-1).
 
     ``canonical0`` is the degree-0 polarization whose thresholds reduce to
     -kappa_Y/2 (the dualizing-sheaf halves cancel); ``trivial-gm1`` is the
-    trivial polarization in degree g-1.
+    trivial polarization in degree g-1; a custom q names exactly the vertices.
     """
 
     kind: str
     per_vertex_q: tuple[tuple[str, Fraction], ...] | None = None
-    degree: int | None = None
 
     @classmethod
     def canonical_zero(cls) -> "Polarization":
@@ -70,12 +70,11 @@ class Polarization:
         return cls(kind=TRIVIAL_GM1)
 
     @classmethod
-    def custom(cls, per_vertex_q: Mapping[str, Fraction], degree: int) -> "Polarization":
-        """Exact data only: each q an ``int`` or a ``Fraction``, the degree an ``int``."""
+    def custom(cls, per_vertex_q: Mapping[str, Fraction]) -> "Polarization":
+        """Exact data only: each q an ``int`` or a ``Fraction``."""
         exact = {v: q if type(q) is Fraction else Fraction(strict_int(q, f"q of {v!r}"))
                  for v, q in per_vertex_q.items()}
-        return cls(kind="custom", per_vertex_q=tuple(sorted(exact.items())),
-                   degree=strict_int(degree, "polarization degree"))
+        return cls(kind="custom", per_vertex_q=tuple(sorted(exact.items())))
 
     @classmethod
     def preset(cls, name: str) -> "Polarization":
@@ -86,12 +85,11 @@ class Polarization:
         raise JacstabError("BAD_INPUT", f"unknown polarization preset {name!r}")
 
     def target_degree(self, graph: DualGraph) -> int:
-        if self.kind == CANONICAL_ZERO:
-            return 0
-        if self.kind == TRIVIAL_GM1:
-            return graph.g - 1
-        assert self.degree is not None
-        return self.degree
+        """The total degree q_V; BAD_INPUT unless it is an integer."""
+        q = self.q_value(graph, graph.ids)
+        if q.denominator != 1:
+            raise JacstabError("BAD_INPUT", f"polarization degree q_V = {q} is not an integer")
+        return int(q)
 
     def q_value(self, graph: DualGraph, Y: Iterable[str]) -> Fraction:
         S = frozenset(Y)
@@ -102,9 +100,9 @@ class Polarization:
         if self.kind == TRIVIAL_GM1:
             return Fraction(omega, 2)
         qmap = dict(self.per_vertex_q or ())
-        missing = S - set(qmap)
-        if missing:
-            raise JacstabError("BAD_INPUT", f"custom polarization misses vertices {sorted(missing)}")
+        if set(qmap) != set(graph.ids):
+            raise JacstabError("BAD_INPUT", f"custom polarization names {sorted(qmap)}, "
+                               f"not the vertices {sorted(graph.ids)}")
         return sum((qmap[v] for v in sorted(S)), Fraction(0)) + Fraction(omega, 2)
 
 
@@ -287,13 +285,18 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
 
 def check_tau(graph_g: int, tau: Iterable[int], k: int, n: int) -> list[int]:
     """Validate an integer twist vector: n entries summing to k(2g-2)."""
+    return _check_twist(tau, n, lambda: ("k(2g-2)", strict_int(k, "k") * (2 * graph_g - 2)))
+
+
+def _check_twist(tau: Iterable[int], n: int, total: Callable[[], tuple[str, int]]) -> list[int]:
+    """n integer entries summing to the total named by ``total()``, which is
+    called after the entries are read, so it may check its own inputs."""
     t = [strict_int(x, "tau entry") for x in tau]
-    k = strict_int(k, "k")
+    name, want = total()
     if len(t) != n:
         raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
-    want = k * (2 * graph_g - 2)
     if sum(t) != want:
-        raise JacstabError("TAU_SUM", f"sum(tau) = {sum(t)}, expected k(2g-2) = {want}")
+        raise JacstabError("TAU_SUM", f"sum(tau) = {sum(t)}, expected {name} = {want}")
     return t
 
 

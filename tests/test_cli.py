@@ -462,9 +462,9 @@ def test_renderer_refuses_what_is_not_a_payload(capsys, monkeypatch, value):
 
 
 def test_text_is_built_only_for_text_output(capsys, monkeypatch):
-    from jacstab.divisors import LinearClass
+    from jacstab.divisors import DivisorClass, LinearClass
 
-    calls = {"text": 0, "multidegree": 0}
+    calls = {"text": 0, "multidegree": 0, "json": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -474,14 +474,15 @@ def test_text_is_built_only_for_text_output(capsys, monkeypatch):
 
     monkeypatch.setattr(LinearClass, "text", counted("text", LinearClass.text))
     monkeypatch.setattr(cli, "_multidegree_text", counted("multidegree", cli._multidegree_text))
+    monkeypatch.setattr(DivisorClass, "to_json_dict", counted("json", DivisorClass.to_json_dict))
     theta = ("class", "theta", "--g", "3", "--n", "2", "--tau", "2,-2", "--k", "0",
              "--method", "derive")
     assert run_cli(capsys, *theta)[0] == 0
     assert run_cli(capsys, "stability", "enumerate", "--graph", BANANA)[0] == 0
-    assert calls == {"text": 0, "multidegree": 0}
+    assert calls == {"text": 0, "multidegree": 0, "json": 1}
     assert run_cli(capsys, *theta, "--output", "text")[0] == 0
     assert run_cli(capsys, "stability", "enumerate", "--graph", BANANA, "--output", "text")[0] == 0
-    assert calls == {"text": 1, "multidegree": 2}
+    assert calls == {"text": 1, "multidegree": 2, "json": 1}
 
 
 def test_graph_from_file_and_stdin(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from jacstab.corpus import random_tau
 import jacstab.divisors as divisors
 from jacstab.pushforward import FiberClass, GradedAtomPoly, c1_gm1_bundle, c1_twisted_bundle
 from jacstab.stability import Polarization
+from common import banana
 
 
 def zero_sum_grid(n, bound=5):
@@ -334,10 +335,10 @@ def test_closed_forms_build_only_canonical_terms():
 @pytest.mark.parametrize("call", [
     lambda: theta_pullback(2, 2, [1.5, -1.5], 0),
     lambda: theta_gm1_pullback(2, 2, [2.9, -1.9]),
-    lambda: Polarization.custom({"a": 0}, 2.7),
-    lambda: Polarization.custom({"v1": 0.1, "v2": 0}, 0),
-    lambda: Polarization.custom({"v1": Fraction(1, 2), "v2": True}, 0),
-], ids=["theta-float-tau", "theta-gm1-float-tau", "custom-float-degree", "custom-float-q",
+    lambda: Polarization.custom({"v1": Fraction(1, 2), "v2": 0}).target_degree(banana()),
+    lambda: Polarization.custom({"v1": 0.1, "v2": 0}),
+    lambda: Polarization.custom({"v1": Fraction(1, 2), "v2": True}),
+], ids=["theta-float-tau", "theta-gm1-float-tau", "custom-non-integral-degree", "custom-float-q",
         "custom-bool-q"])
 def test_library_tau_and_degree_are_not_truncated(call):
     with pytest.raises(JacstabError) as exc:

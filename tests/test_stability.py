@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -167,13 +168,12 @@ def _graph_of_size(rng: random.Random, size: int, **shape) -> DualGraph:
 
 
 def _fractional_polarization(rng: random.Random, g: DualGraph) -> Polarization:
-    """q_v = -omega_v/2 moved by halves and thirds; the degree is the total move,
-    made an integer by the last vertex's move (at most 1/2 in size)."""
+    """q_v = -omega_v/2 moved by halves and thirds; the degree q_V is the total
+    move, made an integer by the last vertex's move (at most 1/2 in size)."""
     moves = [Fraction(rng.choice((-1, 1)), rng.choice((2, 3))) for _ in g.ids[1:]]
-    degree = round(sum(moves))
-    moves.append(degree - sum(moves))
+    moves.append(round(sum(moves)) - sum(moves))
     q = {v: move - Fraction(g.omega_degree((v,)), 2) for v, move in zip(g.ids, moves)}
-    return Polarization.custom(q, degree)
+    return Polarization.custom(q)
 
 
 def test_enumerate_agrees_with_brute_force_box():
@@ -337,10 +337,93 @@ def test_qstable_requires_a_basepoint():
 def test_custom_polarization_reproduces_canonical_zero():
     g = banana()
     q = {v: -Fraction(g.omega_degree((v,)), 2) for v in g.ids}
-    custom = Polarization.custom(q, 0)
+    custom = Polarization.custom(q)
     for Y in (("v1",), ("v2",)):
         assert threshold(g, custom, Y) == threshold(g, CAN0, Y)
     assert enumerate_stable(g, custom, QSTABLE) == enumerate_stable(g, CAN0, QSTABLE)
+
+
+def _spanning_tree_count(g: DualGraph) -> int:
+    """Spanning trees by brute force: the (V-1)-subsets of the non-loop edges
+    that join every vertex, each tested with union-find."""
+    edges = [(a, b) for a, b in g.edges if a != b]
+    count = 0
+    for chosen in combinations(edges, len(g.ids) - 1):
+        parent = {v: v for v in g.ids}
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for a, b in chosen:
+            ra, rb = root(a), root(b)
+            if ra == rb:
+                break
+            parent[ra] = rb
+        else:
+            count += 1
+    return count
+
+
+def banana3() -> DualGraph:
+    """Two genus-0 components joined at three nodes, marking 1 on one, 2 on the other."""
+    return DualGraph([("v1", 0, [1]), ("v2", 0, [2])], [("v1", "v2")] * 3)
+
+
+def test_spanning_tree_count_on_named_graphs():
+    assert _spanning_tree_count(banana3()) == 3
+    assert _spanning_tree_count(DualGraph([("v1", 2, [1])], [])) == 1
+    ids = ("a", "b", "c", "d")
+    k4 = DualGraph([(v, 0, [1] if v == "a" else []) for v in ids],
+                   [(v, w) for i, v in enumerate(ids) for w in ids[i + 1:]] + [("a", "a")])
+    assert _spanning_tree_count(k4) == 16
+
+
+def test_qstable_count_is_the_spanning_tree_count():
+    # Kirchhoff: in the degree q_V that the polarization fixes, the q-stable
+    # multidegrees are as many as the spanning trees, whatever q and basepoint
+    rng = random.Random(7)
+    sizes = set()
+    for _ in range(80):
+        g = random_connected_graph(rng, max_vertices=7)
+        trees = _spanning_tree_count(g)
+        sizes.add(len(g.ids))
+        for pol in (CAN0, GM1, _fractional_polarization(rng, g)):
+            base = rng.choice(g.ids)
+            assert len(enumerate_stable(g, pol, QSTABLE, basepoint=base)) == trees, (g, pol, base)
+    assert sizes == set(range(1, 8))
+
+
+@pytest.mark.parametrize("q", [{"v1": Fraction(1, 2), "v2": 0}, {"v1": 0, "v2": 0, "v3": 0},
+                               {"v1": 0}],
+                         ids=["fractional-degree", "extra-vertex", "missing-vertex"])
+@pytest.mark.parametrize("call", [
+    lambda g, pol: check_stability(g, pol, {"v1": 1, "v2": 0}, QSTABLE),
+    lambda g, pol: enumerate_stable(g, pol, QSTABLE),
+    lambda g, pol: brute_force_stable(g, pol, QSTABLE),
+], ids=["check", "enumerate", "brute-force"])
+def test_bad_custom_polarization_is_refused_before_any_row(monkeypatch, call, q):
+    # q_V = 1/2 + (g - 1) = 3/2 on the first; the others do not name V.
+    # Every row reads kappa, and the degree does not, so no row may be computed
+    g = banana3()
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(DualGraph, "kappa", no_rows)
+    with pytest.raises(JacstabError) as err:
+        call(g, Polarization.custom(q))
+    assert err.value.code == "BAD_INPUT"
+
+
+def test_custom_degree_is_q_of_the_whole_curve():
+    g = banana3()
+    assert Polarization.custom({"v1": 0, "v2": 0}).target_degree(g) == 1
+    assert Polarization.custom({"v1": Fraction(1, 2), "v2": Fraction(-5, 2)}).target_degree(g) == -1
+    assert CAN0.target_degree(g) == 0 and GM1.target_degree(g) == g.g - 1 == 1
+    assert enumerate_stable(g, Polarization.custom({"v1": 0, "v2": 0}), QSTABLE) == [
+        {"v1": 0, "v2": 1}, {"v1": 1, "v2": 0}, {"v1": 2, "v2": -1}]
 
 
 def test_balanced_connected_only_matches_exhaustive():
