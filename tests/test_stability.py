@@ -346,16 +346,15 @@ def test_custom_polarization_reproduces_canonical_zero():
 def _spanning_tree_count(g: DualGraph) -> int:
     """Spanning trees by brute force: the (V-1)-subsets of the non-loop edges
     that join every vertex, each tested with union-find."""
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
     edges = [(a, b) for a, b in g.edges if a != b]
     count = 0
     for chosen in combinations(edges, len(g.ids) - 1):
         parent = {v: v for v in g.ids}
-
-        def root(v):
-            while parent[v] != v:
-                v = parent[v]
-            return v
-
         for a, b in chosen:
             ra, rb = root(a), root(b)
             if ra == rb:
@@ -366,23 +365,18 @@ def _spanning_tree_count(g: DualGraph) -> int:
     return count
 
 
-def banana3() -> DualGraph:
+def _banana3() -> DualGraph:
     """Two genus-0 components joined at three nodes, marking 1 on one, 2 on the other."""
     return DualGraph([("v1", 0, [1]), ("v2", 0, [2])], [("v1", "v2")] * 3)
-
-
-def test_spanning_tree_count_on_named_graphs():
-    assert _spanning_tree_count(banana3()) == 3
-    assert _spanning_tree_count(DualGraph([("v1", 2, [1])], [])) == 1
-    ids = ("a", "b", "c", "d")
-    k4 = DualGraph([(v, 0, [1] if v == "a" else []) for v in ids],
-                   [(v, w) for i, v in enumerate(ids) for w in ids[i + 1:]] + [("a", "a")])
-    assert _spanning_tree_count(k4) == 16
 
 
 def test_qstable_count_is_the_spanning_tree_count():
     # Kirchhoff: in the degree q_V that the polarization fixes, the q-stable
     # multidegrees are as many as the spanning trees, whatever q and basepoint
+    ids = ("a", "b", "c", "d")
+    k4 = DualGraph([(v, 0, [1] if v == "a" else []) for v in ids],
+                   [(v, w) for i, v in enumerate(ids) for w in ids[i + 1:]] + [("a", "a")])
+    assert _spanning_tree_count(k4) == 16 and _spanning_tree_count(_banana3()) == 3
     rng = random.Random(7)
     sizes = set()
     for _ in range(80):
@@ -406,7 +400,7 @@ def test_qstable_count_is_the_spanning_tree_count():
 def test_bad_custom_polarization_is_refused_before_any_row(monkeypatch, call, q):
     # q_V = 1/2 + (g - 1) = 3/2 on the first; the others do not name V.
     # Every row reads kappa, and the degree does not, so no row may be computed
-    g = banana3()
+    g = _banana3()
 
     def no_rows(*args):
         raise AssertionError("a row was computed")
@@ -418,7 +412,7 @@ def test_bad_custom_polarization_is_refused_before_any_row(monkeypatch, call, q)
 
 
 def test_custom_degree_is_q_of_the_whole_curve():
-    g = banana3()
+    g = _banana3()
     assert Polarization.custom({"v1": 0, "v2": 0}).target_degree(g) == 1
     assert Polarization.custom({"v1": Fraction(1, 2), "v2": Fraction(-5, 2)}).target_degree(g) == -1
     assert CAN0.target_degree(g) == 0 and GM1.target_degree(g) == g.g - 1 == 1
