@@ -1,15 +1,16 @@
 """Independent oracles used by the selftest and the test suite.
 
 These deliberately avoid the main code paths they check: the Laplacian solve
-is exact Gaussian elimination instead of leaf peeling, the stable-multidegree
-search is a dumb box scan over all (not only connected) subcurves, the
-stability and balance verdicts test every proper subcurve from the
-definition instead of the connected ones, and the exponential truncation is
-plain multiply-and-truncate of the formal series.
+is exact Gaussian elimination instead of leaf peeling, the stable multidegrees
+are the vectors of the box cut by the one-vertex inequalities that pass all
+(not only connected) subcurves, the stability and balance verdicts test every
+proper subcurve from the definition instead of the connected ones, and the
+exponential truncation is plain multiply-and-truncate of the formal series.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -120,10 +121,11 @@ def balanced_exhaustive(graph: DualGraph, tau: list[int], k: int) -> BalanceVerd
 
 def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
                        basepoint: str | None = None) -> list[dict[str, int]]:
-    """Scan the box prod_v [-g-#edges, g+#edges] for stable multidegrees.
+    """Scan a box of multidegrees for the stable ones, in lexicographic order.
 
-    Feasibility pruning uses only the running total (pure arithmetic); every
-    surviving vector is tested against all proper subcurves directly.
+    The box is ceil(bound {v}) <= m_v <= floor(target - bound V-{v}) on each
+    vertex v: two of the inequalities, rounded non-strictly, so it holds every
+    stable vector.  Each vector in it is tested against every proper subcurve.
     """
     target = pol.target_degree(graph)
     ids = graph.ids
@@ -131,32 +133,17 @@ def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
         return [{ids[0]: target}]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
     profiles = _subset_profiles(graph, pol, mode, base)
-    hi = graph.g + len(graph.edges)
-    lo = -hi
+    bounds = {members: bound for members, bound, _ in profiles}
+    box = [range(math.ceil(bounds[(i,)]),
+                 math.floor(target - bounds[tuple(j for j in range(len(ids)) if j != i)]) + 1)
+           for i in range(len(ids))]
     results: list[dict[str, int]] = []
-    stack = [0] * len(ids)
-
-    def passes() -> bool:
-        for members, bound, strict in profiles:
-            deg = sum(stack[i] for i in members)
-            if deg < bound or (strict and deg == bound):
-                return False
-        return True
-
-    def search(i: int, acc: int) -> None:
-        remaining = len(ids) - i
-        if i == len(ids):
-            if acc == target and passes():
-                results.append({ids[j]: stack[j] for j in range(len(ids))})
-            return
-        for d in range(lo, hi + 1):
-            rest = remaining - 1
-            if acc + d + rest * lo <= target <= acc + d + rest * hi:
-                stack[i] = d
-                search(i + 1, acc + d)
-
-    search(0, 0)
-    results.sort(key=lambda m: tuple(m[v] for v in ids))
+    for head in itertools.product(*box[:-1]):
+        m = head + (target - sum(head),)
+        if m[-1] in box[-1] and not any(
+                (deg := sum(m[i] for i in members)) < bound or (strict and deg == bound)
+                for members, bound, strict in profiles):
+            results.append(dict(zip(ids, m)))
     return results
 
 

@@ -2,7 +2,8 @@
 
 Each check pits an implementation against an independent oracle or a theorem:
 pushforward derivations against the closed transcriptions, leaf peeling
-against the exact linear solve, box enumeration against a dumb scan, the
+against the exact linear solve, the pruned enumeration against a scan of the
+box cut by the one-vertex inequalities (it holds every stable vector), the
 graded exponential against series multiplication.  Counts and the first
 counterexample per check are reported; any failure makes the run fail.
 """

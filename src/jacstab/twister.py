@@ -176,18 +176,16 @@ def boundary_multidegree(graph: DualGraph, tau: Iterable[int], k: int,
                          basepoint: str | None = None) -> dict[str, int]:
     """Fiberwise multidegree of the twisted bundle on a treelike graph.
 
-    Base multidegree plus one twist per separating edge, supported on the side
-    away from the basepoint.  Equals the zero multidegree; the tests assert
-    this rather than the implementation.
+    Base multidegree plus the twister that carries each separating edge's
+    coefficient on the side away from the basepoint.  Equals the zero
+    multidegree; the tests assert this rather than the implementation.
     """
     coeffs = branch_coefficients(graph, tau, k, basepoint=basepoint)
-    m = base_multidegree(graph, tau, k)
+    gamma = dict.fromkeys(graph.ids, 0)
     for edge, c in coeffs.items():
-        if c == 0:
-            continue
-        Z = branch_side(graph, edge, basepoint=basepoint)
-        indicator = {v: (1 if v in Z else 0) for v in graph.ids}
-        tw = twist_multidegree(graph, indicator)
-        for v in graph.ids:
-            m[v] += c * tw[v]
-    return m
+        if c:
+            for v in branch_side(graph, edge, basepoint=basepoint):
+                gamma[v] += c
+    m = base_multidegree(graph, tau, k)
+    tw = twist_multidegree(graph, gamma)
+    return {v: m[v] + tw[v] for v in graph.ids}

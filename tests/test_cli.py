@@ -290,6 +290,25 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
     assert "--tau" in payload["message"] and "--k" in payload["message"]
 
 
+@pytest.mark.parametrize("argv, seed, message", [
+    (["stability", "balanced", "--graph", BANANA, "--tau=1,-1,0"], None,
+     "tau has 3 entries, expected 2"),
+    (["stability", "balanced", "--graph", BANANA, "--tau=1,x"], None,
+     "malformed tau vector '1,x'"),
+    (["class", "theta", "--g", "2", "--n", "2", "--tau=2,0", "--k", "1", "--method", "hain"],
+     None, "the hain method is the k = 0 case"),
+    (["selftest"], "x", "JACSTAB_SEED must be an integer: 'x'"),
+    (["graph", "query", "--graph", BANANA, "--subcurve", "v1,zz"], None,
+     "unknown vertices in subcurve: ['zz']"),
+], ids=["tau-length", "tau-not-integer", "hain-nonzero-k", "seed-not-integer",
+        "subcurve-unknown-vertex"])
+def test_refusal_names_the_bad_input(capsys, monkeypatch, argv, seed, message):
+    if seed is not None:
+        monkeypatch.setenv("JACSTAB_SEED", seed)
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["error"] == "BAD_INPUT" and payload["message"] == message
+
+
 def test_data_with_k_zero_is_the_data(capsys):
     code, payload = run_json(capsys, "stability", "balanced", "--graph", TREE, "--k", "0",
                              "--data", '{"tau": [5, -5], "k": 0}')

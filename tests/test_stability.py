@@ -98,17 +98,25 @@ def test_connected_only_verdict_matches_exhaustive():
     assert cases
 
 
-@pytest.mark.parametrize("call", [
-    lambda: check_stability(banana(), CAN0, {"v1": 0.5, "v2": -0.5}, QSTABLE),
-    lambda: check_stability(banana(), CAN0, {"v1": True, "v2": -1}, QSTABLE),
-    lambda: is_balanced(banana(), [1.0, -1.0], 0),
-    lambda: is_balanced(banana(), ["1", "-1"], 0),
-    lambda: locus_membership(banana(), [1, -1], 0.0),
-], ids=["float-degree", "bool-degree", "float-tau", "str-tau", "float-k"])
-def test_multidegrees_and_tau_are_strict(call):
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_stability(banana(), CAN0, {"v1": 0.5, "v2": -0.5}, QSTABLE),
+     "degree of v1 must be an integer, got 0.5"),
+    (lambda: check_stability(banana(), CAN0, {"v1": True, "v2": -1}, QSTABLE),
+     "degree of v1 must be an integer, got True"),
+    (lambda: is_balanced(banana(), [1.0, -1.0], 0), "tau entry must be an integer, got 1.0"),
+    (lambda: is_balanced(banana(), ["1", "-1"], 0), "tau entry must be an integer, got '1'"),
+    (lambda: locus_membership(banana(), [1, -1], 0.0), "k must be an integer, got 0.0"),
+    (lambda: check_stability(banana(), CAN0, {"v1": 0, "v2": 0}, "bogus"),
+     "unknown mode 'bogus'"),
+    (lambda: enumerate_stable(banana(), CAN0, "bogus"), "unknown mode 'bogus'"),
+    (lambda: Polarization.preset("bogus"), "unknown polarization preset 'bogus'"),
+], ids=["float-degree", "bool-degree", "float-tau", "str-tau", "float-k", "check-mode",
+        "enumerate-mode", "preset"])
+def test_multidegrees_and_tau_are_strict(call, message):
+    # and so are the names of a mode and of a polarization preset
     with pytest.raises(JacstabError) as err:
         call()
-    assert err.value.code == "BAD_INPUT"
+    assert err.value.code == "BAD_INPUT" and str(err.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -138,11 +146,12 @@ def test_enumerate_single_vertex():
 
 
 def test_enumerate_complete_on_larger_graphs():
-    # the wide-box scan finds nothing beyond the derived-box search on graphs
-    # of five and six vertices
+    # the box scan, which tests every vector against every subset, finds
+    # nothing beyond the pruned search on dense graphs of five vertices (extra
+    # edges up to the vertex count, genus up to 1, loops) and a six-vertex path
     rng = random.Random(28)
     for _ in range(3):
-        g = random_connected_graph(rng, max_vertices=5, max_extra_edges=1, max_genus=0)
+        g = _graph_of_size(rng, 5, max_extra_edges=5, max_genus=1)
         assert enumerate_stable(g, CAN0, QSTABLE) == brute_force_stable(g, CAN0, QSTABLE)
     six = DualGraph([("a", 0, [1, 2]), ("b", 0, [3]), ("c", 0, [4]),
                      ("d", 0, [5]), ("e", 0, [6]), ("f", 0, [7, 8])],
@@ -177,7 +186,9 @@ def _fractional_polarization(rng: random.Random, g: DualGraph) -> Polarization:
 
 
 def test_enumerate_agrees_with_brute_force_box():
-    # soundness and completeness against the dumb box scan over all subsets
+    # soundness and completeness against the box scan, which takes each
+    # vertex's range from its own and its complement's inequality and tests
+    # every vector in the box against every proper subset
     rng = random.Random(23)
     for _ in range(12):
         g = random_connected_graph(rng, max_vertices=4, max_extra_edges=2, max_genus=1)
@@ -186,8 +197,7 @@ def test_enumerate_agrees_with_brute_force_box():
                 assert enumerate_stable(g, pol, mode) == brute_force_stable(g, pol, mode)
     # every size from 1 to 5 vertices, a fractional custom polarization and
     # explicit basepoints; marking 1 on the last vertex makes the strict rows
-    # upper bounds in the search.  The scan's cost grows steeply with its box,
-    # so five vertices get trees or sparse genus-0 graphs
+    # upper bounds in the search
     rng = random.Random(31)
     found = last_holds_1 = curved_large = 0
     for size, count, extra, genus, loops in ((1, 3, 2, 1, 0.2), (2, 8, 2, 1, 0.2),
@@ -207,6 +217,24 @@ def test_enumerate_agrees_with_brute_force_box():
                     assert result == brute_force_stable(g, pol, mode, basepoint=base)
                     found += len(result)
     assert last_holds_1 >= 10 and curved_large >= 4 and found > 500
+    # dense graphs of 5 and 6 vertices: extra edges up to the vertex count,
+    # vertex genus up to 1 and loops
+    rng = random.Random(41)
+    found = multiple = looped = curved = 0
+    for size, count in ((5, 6), (6, 4)):
+        for _ in range(count):
+            g = _graph_of_size(rng, size, max_extra_edges=size, max_genus=1, loop_chance=0.3)
+            pairs = [frozenset(e) for e in g.edges if e[0] != e[1]]
+            multiple += len(set(pairs)) < len(pairs)
+            looped += any(a == b for a, b in g.edges)
+            curved += any(g.genus_of.values())
+            for pol in (CAN0, GM1, _fractional_polarization(rng, g)):
+                base = rng.choice((None, rng.choice(g.ids)))
+                for mode in (SEMISTABLE, STABLE, QSTABLE):
+                    result = enumerate_stable(g, pol, mode, basepoint=base)
+                    assert result == brute_force_stable(g, pol, mode, basepoint=base)
+                    found += len(result)
+    assert multiple >= 3 and looped >= 3 and curved >= 3 and found > 4000
 
 
 def test_enumerate_on_a_long_path_stays_small():

@@ -94,6 +94,13 @@ def test_reduce_rejects_non_treelike_and_nonzero_total():
     assert err.value.code == "NONZERO_TOTAL"
 
 
+def test_reduce_refuses_a_chosen_vertex_that_is_not_a_leaf():
+    # v2 is the middle of the path: peeling it would split the remaining tree
+    with pytest.raises(JacstabError) as err:
+        reduce_treelike(path3(), {"v1": 1, "v2": 0, "v3": -1}, choose_leaf=lambda leaves: "v2")
+    assert err.value.code == "BAD_INPUT" and str(err.value) == "'v2' is not a peelable leaf"
+
+
 def test_reduce_matches_exact_solve_and_order_independent():
     rng = random.Random(32)
     for _ in range(40):
