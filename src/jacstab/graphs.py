@@ -39,8 +39,8 @@ class DualGraph:
         iterable of ``(id, genus, legs)`` with ``id`` a string, ``genus`` an
         integer and ``legs`` an iterable of integer marking labels.
     edges:
-        iterable of ``(id, id)`` pairs of known vertex ids; loops are
-        ``(v, v)``.  Repeated pairs are kept (multiset).
+        iterable of ``(id, id)`` pairs of known vertex ids, each a list or a
+        tuple; loops are ``(v, v)``.  Repeated pairs are kept (multiset).
     n:
         number of markings.  Defaults to the number of legs present.
 
@@ -78,10 +78,10 @@ class DualGraph:
 
         canon_edges = []
         for edge in edges:
-            try:
-                a, b = edge
-            except (TypeError, ValueError) as exc:
-                raise JacstabError("BAD_INPUT", f"malformed edge {edge!r}: {exc}") from exc
+            if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+                raise JacstabError("BAD_INPUT",
+                                   f"malformed edge {edge!r}: not a list or tuple of two ids")
+            a, b = edge
             if not (isinstance(a, str) and a in self._index
                     and isinstance(b, str) and b in self._index):
                 raise JacstabError("BAD_INPUT", f"edge ({a!r},{b!r}) references unknown vertex")
@@ -308,7 +308,7 @@ class DualGraph:
         try:
             verts = [(v["id"], v["genus"], list(v.get("legs", [])))
                      for v in data["vertices"]]
-            edges = [(a, b) for (a, b) in data["edges"]]
+            edges = list(data["edges"])
             n = data.get("n")
         except (KeyError, TypeError, ValueError) as exc:
             raise JacstabError("BAD_INPUT", f"malformed graph JSON: {exc}") from exc

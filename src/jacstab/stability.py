@@ -110,6 +110,7 @@ def threshold(graph: DualGraph, pol: Polarization, Y: Iterable[str]) -> Fraction
     """Lower bound q_Y - kappa_Y/2 that deg_Y must meet."""
     S = frozenset(Y)
     if not S or len(S) == len(graph.ids):
+        graph._subset(S)  # an unknown vertex is BAD_INPUT, whatever the size
         raise JacstabError("EMPTY_OR_FULL", "threshold needs a proper non-empty subcurve")
     return pol.q_value(graph, S) - Fraction(graph.kappa(S), 2)
 

@@ -300,8 +300,14 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
     (["selftest"], "x", "JACSTAB_SEED must be an integer: 'x'"),
     (["graph", "query", "--graph", BANANA, "--subcurve", "v1,zz"], None,
      "unknown vertices in subcurve: ['zz']"),
+    (["stability", "threshold", "--graph", BANANA, "--subcurve", "v1,zz"], None,
+     "unknown vertices in subcurve: ['zz']"),
+    (["graph", "validate", "--graph", json.dumps(
+        {"vertices": [{"id": "a", "genus": 0, "legs": [1, 2, 3]}, {"id": "b", "genus": 0}],
+         "edges": [["a", "b"], "ab", ["a", "b"]]})], None,
+     "malformed edge 'ab': not a list or tuple of two ids"),
 ], ids=["tau-length", "tau-not-integer", "hain-nonzero-k", "seed-not-integer",
-        "subcurve-unknown-vertex"])
+        "subcurve-unknown-vertex", "threshold-unknown-vertex", "edge-not-a-pair"])
 def test_refusal_names_the_bad_input(capsys, monkeypatch, argv, seed, message):
     if seed is not None:
         monkeypatch.setenv("JACSTAB_SEED", seed)

@@ -8,15 +8,20 @@ command, non-integer ``--g``).  Each case is run through ``cli.main``; the
 SHA-256 of its exit code, standard output and standard error must equal a
 digest recorded before the parser was rebuilt from a command table.
 
+The command lines have one digest (``EXPECTED``) on every Python version.  The
+``--help`` texts, wrapped at ``COLUMNS=80``, and the usage errors are laid out
+by argparse, whose layout changed in Python 3.13, so they are pinned per
+Python minor version (``ARGPARSE``); a version with no pin fails and names
+itself.
+
 It also pins the SHA-256 of ``stability enumerate`` on K_7, the 10-cycle with
-doubled edges and the 3x4 grid (``ENUMERATED``).
+doubled edges and the 3x4 grid (``ENUMERATED``), and of the full-depth
+selftest report for seed 1 (``SELFTEST_FULL``).
 
 Payloads are integers only, so rejecting non-integer payloads does not move
-the digest.  Help texts are wrapped at ``COLUMNS=80``; their layout is
-argparse's, checked here on Python 3.10 and 3.11.  If an intended output
-change ever breaks the digest, regenerate it with
-``python tests/test_golden_cli.py`` from the repository root, with ``src`` on
-``PYTHONPATH``.
+the digest.  If an intended output change ever breaks a digest, print the
+current ones with ``python tests/test_golden_cli.py`` from the repository
+root, with ``src`` on ``PYTHONPATH``.
 """
 
 import contextlib
@@ -25,12 +30,25 @@ import io
 import json
 import os
 import random
+import sys
 
-from jacstab.cli import main
+from jacstab import selftest
+from jacstab.cli import _json, main
 from test_golden import _graph
 
 SEED = 20261019
-EXPECTED = "0792f39a05906125059eae7837c15140d46bf261349d9177122df2ae8e488a06"
+EXPECTED = "182db2e7dc5a65ae4bf27b9795e99dbc4eae032eedfe1e941a2cef84f4678569"
+# Python minor version -> SHA-256 of the --help lines and of the usage errors
+_UP_TO_3_12 = ("9b04a72c62c8c75bcb1a430dfaf3c93327c8aa9fa59a809bf993dc2ffb808703",
+               "9a86f270d4320275ad4fe006592887b123605549871832f5324a83acd2adf4aa")
+ARGPARSE = {
+    "3.10": _UP_TO_3_12,
+    "3.11": _UP_TO_3_12,
+    "3.12": _UP_TO_3_12,
+    "3.13": ("05bca8ce975020ce24232326d6ceee499729b56e4be45145192713ef74da748f",
+             "eca4b4e94ce3022efeb29a0353f425c49db7498dfdc02e9d36b1edd4a85aa68e"),
+}
+VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
 PRESETS = ("canonical0", "trivial-gm1")
 
 GROUPS = {
@@ -200,7 +218,7 @@ def cases(seed: int = SEED) -> list[list[str]]:
               ["graph", "validate", "--graph", unstable, "--output", "text"],
               ["selftest", "--depth", "small"],
               ["selftest", "--depth", "small", "--seed", "3", "--output", "text"]]
-    return lines + _help_lines() + _usage_error_lines()
+    return lines
 
 
 def digest(lines: list[list[str]]) -> str:
@@ -231,8 +249,26 @@ def digest(lines: list[list[str]]) -> str:
 
 def test_cli_surface_byte_identical():
     lines = cases()
-    assert len(lines) == 16 * 11 + 10 * 8 + 4 + 24 + 14
+    assert len(lines) == 16 * 11 + 10 * 8 + 4
     assert digest(lines) == EXPECTED
+
+
+def test_help_and_usage_errors_byte_identical():
+    assert VERSION in ARGPARSE, f"no pinned --help and usage digests for Python {VERSION}"
+    lines = _help_lines(), _usage_error_lines()
+    assert [len(x) for x in lines] == [24, 14]
+    assert tuple(digest(x) for x in lines) == ARGPARSE[VERSION]
+
+
+# SHA-256 of ``cli._json(selftest.run("full", 1))``, recorded before the checks
+# became rows of one table: it fixes every check's case count at full depth and
+# the order in which the suites draw from the shared random stream.
+SELFTEST_FULL = "434658e485e8b2dc15e2d087b6c1bdb0846f0be52a521204937ab98acf00776d"
+
+
+def test_selftest_full_depth_report_pinned():
+    report = _json(selftest.run("full", 1))
+    assert hashlib.sha256(report.encode()).hexdigest() == SELFTEST_FULL
 
 
 def _complete(count: int) -> dict:
@@ -280,4 +316,7 @@ def test_enumerate_output_pinned_where_pruning_matters(capsys):
 
 
 if __name__ == "__main__":
-    print(digest(cases()))
+    print("command lines", digest(cases()))
+    print(f"Python {VERSION} --help", digest(_help_lines()))
+    print(f"Python {VERSION} usage errors", digest(_usage_error_lines()))
+    print("selftest full 1", hashlib.sha256(_json(selftest.run("full", 1)).encode()).hexdigest())

@@ -193,6 +193,19 @@ def test_json_rejects_malformed_payload():
     assert err.value.code == "BAD_INPUT"
 
 
+@pytest.mark.parametrize("edge", ["ab", {"a": 0, "b": 1}, "a", 7])
+def test_json_edge_is_a_list_of_two_ids(edge):
+    # the JSON route hands each edge to the constructor as written
+    data = {"vertices": [{"id": "a", "genus": 0, "legs": [1, 2, 3]},
+                         {"id": "b", "genus": 0, "legs": []}],
+            "edges": [["a", "b"], edge, ["a", "b"]]}
+    with pytest.raises(JacstabError) as err:
+        DualGraph.from_json(json.dumps(data))
+    assert err.value.code == "BAD_INPUT" and "malformed edge" in str(err.value)
+    data["edges"] = [["a", "b"]] * 3
+    assert len(DualGraph.from_json(json.dumps(data)).edges) == 3
+
+
 def test_unknown_edge_vertex_rejected():
     with pytest.raises(JacstabError):
         DualGraph([("a", 1, [1])], [("a", "zz")])
@@ -248,9 +261,14 @@ def test_connected_subsets_match_mask_scan():
     ([("a", 1, [1])], [(["a"], "a")], None),
     ([("a", 1, [1])], [("a", 1)], None),
     ([("a", 1, [1])], [("a",)], None),
+    ([("a", 1, [1]), ("b", 1, [])], ["ab"], None),
+    ([("a", 1, [1]), ("b", 1, [])], [{"a": 0, "b": 1}], None),
+    ([("a", 1, [1]), ("b", 1, [])], [{"a", "b"}], None),
+    ([("a", 1, [1]), ("b", 1, [])], [iter(("a", "b"))], None),
+    ([("a", 1, [1]), ("b", 1, [])], [("a", "b", "a")], None),
 ], ids=["float-genus", "bool-genus", "str-genus", "float-leg", "str-n", "bool-n",
         "legs-not-iterable", "short-vertex", "unhashable-endpoint", "int-endpoint",
-        "short-edge"])
+        "short-edge", "str-edge", "dict-edge", "set-edge", "iterator-edge", "long-edge"])
 def test_constructor_is_strict(vertices, edges, n):
     with pytest.raises(JacstabError) as err:
         DualGraph(vertices, edges, n=n)

@@ -45,6 +45,16 @@ def test_threshold_rejects_empty_or_full():
     assert err.value.code == "EMPTY_OR_FULL"
 
 
+@pytest.mark.parametrize("Y", [["v1", "zz"], ["zz"], ["v1", "v2", "zz"]])
+def test_threshold_refuses_an_unknown_vertex_whatever_the_size(Y):
+    # {v1, zz} has as many names as the banana has vertices: the unknown name
+    # is the error, not the size
+    with pytest.raises(JacstabError) as err:
+        threshold(banana(), CAN0, Y)
+    assert err.value.code == "BAD_INPUT"
+    assert str(err.value) == "unknown vertices in subcurve: ['zz']"
+
+
 # ----------------------------------------------------------------------
 # stability checks
 
