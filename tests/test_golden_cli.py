@@ -15,8 +15,11 @@ Python minor version (``ARGPARSE``); a version with no pin fails and names
 itself.
 
 It also pins the SHA-256 of ``stability enumerate`` on K_7, the 10-cycle with
-doubled edges and the 3x4 grid (``ENUMERATED``), and of the full-depth
-selftest report for seed 1, its first eleven checks (``SELFTEST_FULL``).
+doubled edges and the 3x4 grid (``ENUMERATED``), of the full-depth selftest
+report for seed 1, its first eleven checks (``SELFTEST_FULL``), and of
+``stability check``, ``balanced`` and ``locus`` on seeded 10-13-vertex graphs,
+whose FAIL verdicts carry witnesses of one vertex and of several
+(``WITNESSES``).
 
 Payloads are integers only, so rejecting non-integer payloads does not move
 the digest.  If an intended output change ever breaks a digest, print the
@@ -322,8 +325,85 @@ def test_enumerate_output_pinned_where_pruning_matters(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, name
 
 
+def _large(rng: random.Random) -> dict:
+    """A stable dual graph on 10-13 vertices with marking i on the i-th vertex:
+    a random spanning tree, up to V more edges and a few loops."""
+    count = rng.randint(10, 13)
+    ids = [f"w{i:02d}" for i in range(1, count + 1)]
+    edges = [[ids[rng.randrange(i)], ids[i]] for i in range(1, count)]
+    edges += [rng.sample(ids, 2) for _ in range(rng.randint(0, count))]
+    edges += [[v, v] for v in ids if rng.random() < 0.1]
+    val = {v: sum(e.count(v) for e in edges) for v in ids}
+    vertices = [{"id": v, "genus": rng.randint(0 if val[v] > 1 else 1, 1), "legs": [i + 1]}
+                for i, v in enumerate(ids)]
+    return {"n": count, "vertices": vertices, "edges": edges}
+
+
+def _witness_lines(rng: random.Random) -> list[list[str]]:
+    """``stability check`` (canonical0), ``balanced`` and ``locus`` on one graph.
+
+    Three degree vectors x of total 0: zero, which passes every row; every
+    vertex at its singleton bound -floor(kappa_v/2) with the surplus spread
+    at random, which tends to fail on a larger subcurve; and one vertex below
+    its singleton bound.  ``balanced`` and ``locus`` read x as tau_v - k
+    omega_v, marking i being the only leg on vertex i.
+    """
+    graph = _large(rng)
+    text = json.dumps(graph)
+    ids = [v["id"] for v in graph["vertices"]]
+    kappa = {v: sum(1 for a, b in graph["edges"] if a != b and v in (a, b)) for v in ids}
+    omega = {v["id"]: 2 * v["genus"] - 2 + sum(e.count(v["id"]) for e in graph["edges"])
+             for v in graph["vertices"]}
+    zero = {v: 0 for v in ids}
+    tight = {v: -(kappa[v] // 2) for v in ids}
+    for _ in range(-sum(tight.values())):
+        tight[rng.choice(ids)] += 1
+    low = dict(zero)
+    a, b = rng.sample(ids, 2)
+    drop = kappa[a] // 2 + rng.randint(1, 3)
+    low[a] -= drop
+    low[b] += drop
+    lines = []
+    for x in (zero, tight, low):
+        spec = ",".join(f"{v}={d}" for v, d in x.items())
+        lines.append(["stability", "check", "--graph", text, "--m", spec,
+                      "--mode", rng.choice(("semistable", "stable", "qstable"))])
+        k = rng.randint(0, 1)
+        tau = _joined([k * omega[v] + x[v] for v in ids])
+        lines.append(["stability", "balanced", "--graph", text, f"--tau={tau}", f"--k={k}"])
+        if x is tight:
+            lines.append(["stability", "locus", "--graph", text, f"--tau={tau}", f"--k={k}"])
+    return lines
+
+
+def witness_cases(seed: int = SEED) -> list[list[str]]:
+    rng = random.Random(seed)
+    return [line for _ in range(12) for line in _witness_lines(rng)]
+
+
+# SHA-256 of the exit codes and standard output of ``witness_cases()``,
+# recorded before the subcurve levels were built on demand.
+WITNESSES = "4d7c7d02ca4bd99060b54712a7becaafbfe0cbb744ab7470b7214343595c57fe"
+
+
+def test_verdicts_and_witnesses_on_large_graphs_pinned(capsys):
+    lines = witness_cases()
+    assert len(lines) == 12 * 7
+    sizes = {"check": [], "balanced": []}
+    for argv in lines:
+        main(argv)
+        answer = json.loads(capsys.readouterr().out)
+        if "ok" in answer:
+            sizes[argv[1]].append(len(answer.get("witness", ())))
+    # PASS verdicts (no witness), and FAIL verdicts at one vertex and at more
+    for found in sizes.values():
+        assert 0 in found and 1 in found and max(found) >= 2, found
+    assert digest(lines) == WITNESSES
+
+
 if __name__ == "__main__":
     print("command lines", digest(cases()))
     print(f"Python {VERSION} --help", digest(_help_lines()))
     print(f"Python {VERSION} usage errors", digest(_usage_error_lines()))
     print("selftest full 1, pinned checks", _selftest_full_digest())
+    print("verdicts and witnesses on large graphs", digest(witness_cases()))
