@@ -72,6 +72,7 @@ class DualGraph:
         by_id = {v[0]: v for v in verts}
         self.ids: tuple[str, ...] = ids
         self._index = {v: i for i, v in enumerate(ids)}
+        self._id_set = frozenset(ids)
         self.genus_of = {v: by_id[v][1] for v in ids}
         self.legs_of = {v: by_id[v][2] for v in ids}
         self._repeated_legs = sorted(repeats)  # (vertex, leg, times listed), reported by validate
@@ -106,7 +107,12 @@ class DualGraph:
 
         # total genus: vertex genera plus first Betti number of the multigraph
         self.g: int = sum(self.genus_of.values()) + len(self.edges) - len(ids) + 1
-        self._connected_subsets_cache: tuple[tuple[str, ...], ...] | None = None
+        # connected_subsets: level k at index k-1, the bitmasks of the last
+        # level built with their neighbours, and the tables that list members
+        self._levels: list[tuple[tuple[str, ...], ...]] = []
+        self._frontier: dict[int, int] = {}
+        self._neighbours: list[int] = []
+        self._chunks: list[tuple[int, list[tuple[str, ...]]]] = []
 
     # ------------------------------------------------------------------
     # elementary queries
@@ -130,9 +136,9 @@ class DualGraph:
 
     def _subset(self, Y: Iterable[str]) -> frozenset[str]:
         S = frozenset(Y)
-        unknown = S - set(self.ids)
-        if unknown:
-            raise JacstabError("BAD_INPUT", f"unknown vertices in subcurve: {sorted(unknown)}")
+        if not S <= self._id_set:
+            raise JacstabError("BAD_INPUT",
+                               f"unknown vertices in subcurve: {sorted(S - self._id_set)}")
         return S
 
     # ------------------------------------------------------------------
@@ -191,39 +197,63 @@ class DualGraph:
     def is_connected(self) -> bool:
         return self._component_count(frozenset(self.ids)) == 1
 
-    def connected_subsets(self) -> tuple[tuple[str, ...], ...]:
-        """All proper non-empty connected vertex subsets, as sorted tuples.
+    def connected_subsets(self, size: int | None = None) -> tuple[tuple[str, ...], ...]:
+        """Proper non-empty connected vertex subsets, as sorted tuples.
 
-        Ordered by size, then lexicographically.  The sets are grown one
-        size at a time: each connected set of size k+1 is a connected set of
-        size k plus one of its neighbours, so the bitmask of a set's
-        neighbours (loops and edge multiplicities play no part) is all the
-        search needs, and the work follows the number of connected subsets
-        rather than 2^V.  Cached; intended for the small graphs this library
-        works with.
+        With ``size``, the subsets of that many vertices, in lexicographic
+        order; sizes 0, V and above have none.  Without it, every size from 1
+        to V-1 in turn, the same subsets in the same order.
+
+        A level is built on its first request and cached, from the level
+        below: each connected set of size k+1 is a connected set of size k
+        plus one of its neighbours, so the bitmask of a set's neighbours
+        (loops and edge multiplicities play no part) is all the search needs,
+        and the work follows the number of connected subsets rather than
+        2^V.  A scan that stops at a small subset never builds the larger
+        levels.  Intended for the small graphs this library works with.
         """
-        if self._connected_subsets_cache is None:
-            ids = self.ids
-            index = self._index
-            adj = [sum(1 << index[w] for w in self._adj[v]) for v in ids]
-            full = (1 << len(ids)) - 1
-            level = {1 << i: adj[i] for i in range(len(ids))}  # set -> neighbours
-            out: list[tuple[str, ...]] = []
-            while level and full not in level:
-                out.extend(sorted(tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
-                                  for mask in level))
+        if size is None:
+            return tuple(Y for k in range(1, len(self.ids)) for Y in self._level(k))
+        return self._level(size)
+
+    def _level(self, size: int) -> tuple[tuple[str, ...], ...]:
+        if not 0 < size < len(self.ids):
+            return ()
+        levels = self._levels
+        if not levels:
+            # ids[i] is bit V-1-i, so that among sets of one size the
+            # lexicographic order of the sorted tuples is the descending order
+            # of the masks; members are read off 8 bits at a time, highest first
+            ids, V = self.ids, len(self.ids)
+            bit = {v: 1 << (V - 1 - i) for i, v in enumerate(ids)}
+            self._neighbours = [sum(bit[w] for w in self._adj[v]) for v in reversed(ids)]
+            self._frontier = {bit[v]: self._neighbours[V - 1 - i] for i, v in enumerate(ids)}
+            self._chunks = []
+            for shift in range((V - 1) // 8 * 8, -1, -8):
+                table: list[tuple[str, ...]] = [()]
+                for v in reversed(ids[max(V - shift - 8, 0):V - shift]):
+                    table += [(v,) + t for t in table]
+                self._chunks.append((shift, table))
+        while len(levels) < size:
+            frontier = self._frontier
+            if levels:
                 grown: dict[int, int] = {}
-                for mask, around in level.items():
+                neighbours = self._neighbours
+                for mask, around in frontier.items():
                     fresh = around & ~mask
                     while fresh:
                         low = fresh & -fresh
                         fresh ^= low
                         bigger = mask | low
                         if bigger not in grown:
-                            grown[bigger] = around | adj[low.bit_length() - 1]
-                level = grown
-            self._connected_subsets_cache = tuple(out)
-        return self._connected_subsets_cache
+                            grown[bigger] = around | neighbours[low.bit_length() - 1]
+                self._frontier = frontier = grown
+            masks = sorted(frontier, reverse=True)
+            rows: list[tuple[str, ...]] = [()] * len(masks)
+            for shift, table in self._chunks:
+                rows = [row + table[mask >> shift & 255] for row, mask in zip(rows, masks)]
+            levels.append(tuple(rows))
+        return levels[size - 1]
 
     def proper_subsets(self) -> Iterable[tuple[str, ...]]:
         """All proper non-empty vertex subsets (connected or not)."""

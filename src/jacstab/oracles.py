@@ -66,6 +66,12 @@ def solve_twister(graph: DualGraph, m: Mapping[str, int], root: str) -> dict[str
     return gamma
 
 
+def _known_basepoint(graph: DualGraph, basepoint: str | None) -> None:
+    """A given basepoint must be a vertex, in every mode."""
+    if basepoint is not None and basepoint not in graph.ids:
+        raise JacstabError("BAD_INPUT", f"unknown basepoint vertex {basepoint!r}")
+
+
 def _subset_profiles(graph: DualGraph, pol: Polarization, mode: str,
                      base: str | None) -> list[tuple[tuple[int, ...], Fraction, bool]]:
     """All proper subcurve inequalities, recomputed from the definition.
@@ -95,6 +101,7 @@ def stability_exhaustive(graph: DualGraph, pol: Polarization, m: Mapping[str, in
     The witness is the first violated subcurve in :func:`_subset_profiles`
     order, which need not be the connected witness of ``check_stability``.
     """
+    _known_basepoint(graph, basepoint)
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
     degrees = [m[v] for v in graph.ids]
     for members, bound, strict in _subset_profiles(graph, pol, mode, base):
@@ -129,6 +136,7 @@ def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     """
     target = pol.target_degree(graph)
     ids = graph.ids
+    _known_basepoint(graph, basepoint)
     if len(ids) == 1:
         return [{ids[0]: target}]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None

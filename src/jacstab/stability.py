@@ -20,8 +20,10 @@ Each inequality is one row: :func:`_least` turns a subcurve's threshold and
 strictness into the least integer degree the subcurve may carry, so testing a
 multidegree against a row is integer arithmetic only and stays exact for every
 polarization.  :func:`_rows` yields the rows lazily, one per connected
-subcurve.  :func:`check_stability` stops at its first violated row, so a check
-that fails early never computes the rows after its witness.
+subcurve, asking :meth:`DualGraph.connected_subsets` for one size at a time.
+:func:`check_stability` stops at its first violated row, so a check that fails
+early never computes the rows after its witness, nor builds the subcurves
+larger than it; :func:`is_balanced` scans its inequalities the same way.
 :func:`enumerate_stable` reads the rows once, so each threshold is computed
 once per search, and takes its box bounds from :func:`_least`.  Since the
 degrees total the target, each row becomes a bound on a subset without the
@@ -131,11 +133,16 @@ def check_multidegree(graph: DualGraph, m: Mapping[str, int]) -> dict[str, int]:
     return {v: strict_int(m[v], f"degree of {v}") for v in graph.ids}
 
 
+def check_basepoint(graph: DualGraph, basepoint: str | None) -> None:
+    """Refuse, with BAD_INPUT, a given basepoint that is not a vertex."""
+    if basepoint is not None and basepoint not in graph.ids:
+        raise JacstabError("BAD_INPUT", f"unknown basepoint vertex {basepoint!r}")
+
+
 def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
     """Basepoint component for q-stability: explicit override or marking 1."""
+    check_basepoint(graph, basepoint)
     if basepoint is not None:
-        if basepoint not in graph.ids:
-            raise JacstabError("BAD_INPUT", f"unknown basepoint vertex {basepoint!r}")
         return basepoint
     v = graph.marking_vertex(1)
     if v is None:
@@ -159,13 +166,15 @@ def _rows(graph: DualGraph, pol: Polarization, mode: str,
           base: str | None) -> Iterator[tuple[tuple[int, ...], int, Fraction, bool]]:
     """One ``(members, least, bound, strict)`` per connected subcurve.
 
-    Rows follow :meth:`DualGraph.connected_subsets`; ``members`` are the
-    subcurve's positions in ``graph.ids``, and a multidegree violates the row
-    exactly when its degree on them is below ``least``.
+    Rows follow :meth:`DualGraph.connected_subsets`, read one size at a time,
+    so a scan that stops early never builds the larger levels; ``members``
+    are the subcurve's positions in ``graph.ids``, and a multidegree violates
+    the row exactly when its degree on them is below ``least``.
     """
-    index = {v: i for i, v in enumerate(graph.ids)}
-    for Y in graph.connected_subsets():
-        yield (tuple(index[v] for v in Y), *_least(graph, pol, mode, base, Y))
+    index = graph._index
+    for size in range(1, len(graph.ids)):
+        for Y in graph.connected_subsets(size):
+            yield (tuple(index[v] for v in Y), *_least(graph, pol, mode, base, Y))
 
 
 def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
@@ -173,7 +182,9 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
     """Test a multidegree against every proper subcurve inequality.
 
     Returns a PASS verdict, or a FAIL verdict carrying the first violating
-    connected subcurve together with the failed bound.
+    connected subcurve together with the failed bound.  A basepoint that is
+    not a vertex is refused in every mode; a known one has no effect outside
+    q-stable mode.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -183,6 +194,7 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
     if total != target:
         raise JacstabError("DEGREE_MISMATCH",
                            f"multidegree total {total} != polarization degree {target}")
+    check_basepoint(graph, basepoint)
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
     values = list(degrees.values())
     for members, least, bound, strict in _rows(graph, pol, mode, base):
@@ -205,12 +217,14 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     time and clamps each to the interval that the box, the total and the
     bounds whose subset ends at that vertex allow; the last degree is forced.
     The search runs through the box in lexicographic order, so the output is
-    sorted by the degrees in ``graph.ids`` order.
+    sorted by the degrees in ``graph.ids`` order.  The basepoint is taken as
+    by :func:`check_stability`.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
     target = pol.target_degree(graph)
     ids = graph.ids
+    check_basepoint(graph, basepoint)
     if len(ids) == 1:
         return [{ids[0]: target}]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
@@ -321,13 +335,14 @@ def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
     not an implementation shortcut.
     """
     t = check_tau(graph.g, tau, k, n=graph.n)
-    for Z in graph.connected_subsets():
-        leg_sum = sum(t[i - 1] for v in Z for i in graph.legs_of[v])
-        bound = k * graph.omega_degree(Z) - Fraction(graph.kappa(Z), 2)
-        strict = any(1 in graph.legs_of[v] for v in Z)
-        if leg_sum < bound or (strict and leg_sum == bound):
-            return BalanceVerdict(ok=False, witness=tuple(sorted(Z)),
-                                  leg_sum=leg_sum, bound=bound, strict=strict)
+    for size in range(1, len(graph.ids)):
+        for Z in graph.connected_subsets(size):
+            leg_sum = sum(t[i - 1] for v in Z for i in graph.legs_of[v])
+            bound = k * graph.omega_degree(Z) - Fraction(graph.kappa(Z), 2)
+            strict = any(1 in graph.legs_of[v] for v in Z)
+            if leg_sum < bound or (strict and leg_sum == bound):
+                return BalanceVerdict(ok=False, witness=tuple(sorted(Z)),
+                                      leg_sum=leg_sum, bound=bound, strict=strict)
     return BalanceVerdict(ok=True)
 
 

@@ -570,3 +570,17 @@ def test_selftest_detects_corrupted_rule_table(capsys, monkeypatch):
     assert code == 1 and not payload["ok"]
     broken = {c["name"] for c in payload["checks"] if not c["ok"]}
     assert "theta-derive-vs-closed" in broken
+
+
+@pytest.mark.parametrize("mode", ["semistable", "stable", "qstable"])
+def test_unknown_basepoint_is_bad_input_in_every_mode(capsys, mode):
+    graph = json.dumps({"n": 1, "vertices": [{"id": "a", "genus": 1, "legs": [1]},
+                                             {"id": "b", "genus": 1, "legs": []}],
+                        "edges": [["a", "b"]]})
+    for argv in (["stability", "check", "--graph", graph, "--m", "a=0,b=0"],
+                 ["stability", "enumerate", "--graph", graph]):
+        code, payload = run_json(capsys, *argv, "--mode", mode, "--basepoint", "zz")
+        assert code == 2 and payload == {"error": "BAD_INPUT",
+                                         "message": "unknown basepoint vertex 'zz'"}
+        code, payload = run_json(capsys, *argv, "--mode", mode, "--basepoint", "b")
+        assert code == 0 and "error" not in payload

@@ -22,7 +22,10 @@ import random
 from jacstab.cli import main
 
 SEED = 20261018
-EXPECTED = "2e29566f234a7362227560e7966a8d36a0fd5f3dd40136eb1ca7f0a8ea7a98a4"
+# Re-recorded when an unknown --basepoint came to be refused in every mode:
+# the six check lines that name "nowhere" outside qstable mode now exit 2 with
+# BAD_INPUT, and the other 294 lines answer as before.
+EXPECTED = "15ee3c0323e0ee6fe1cf62462656a420adb95e073b2ec37dd3ea1cc883adf48f"
 MODES = ("semistable", "stable", "qstable")
 PRESETS = ("canonical0", "trivial-gm1")
 

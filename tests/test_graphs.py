@@ -220,7 +220,7 @@ def _mask_scan(g: DualGraph) -> tuple:
     return tuple(sorted(found, key=lambda Y: (len(Y), Y)))
 
 
-def test_connected_subsets_match_mask_scan():
+def _subset_graphs() -> list:
     ids5 = ["a", "b", "c", "d", "e"]
     named = [
         single_vertex(),
@@ -245,8 +245,27 @@ def test_connected_subsets_match_mask_scan():
             edges += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * V))]
             edges += [(v, v) for v in ids if rng.random() < 0.2]
             named.append(DualGraph([(v, 1, []) for v in ids], edges))
-    for g in named:
+    return named
+
+
+def test_connected_subsets_match_mask_scan():
+    for g in _subset_graphs():
         assert g.connected_subsets() == _mask_scan(g), g
+
+
+def test_levels_concatenate_to_all_connected_subsets():
+    # per-size calls first on one copy of each graph, the whole call first on
+    # another: either way the levels join up into the mask scan
+    for g in _subset_graphs():
+        V = len(g.ids)
+        fresh = DualGraph([(v, g.genus_of[v], g.legs_of[v]) for v in g.ids], g.edges)
+        levels = [fresh.connected_subsets(k) for k in range(1, V)]
+        assert all(len(Y) == k for k, level in enumerate(levels, 1) for Y in level)
+        assert tuple(Y for level in levels for Y in level) == _mask_scan(g), g
+        assert fresh.connected_subsets() == g.connected_subsets()
+        assert [g.connected_subsets(k) for k in range(1, V)] == levels
+        for k in (-1, 0, V, V + 1, V + 9):
+            assert g.connected_subsets(k) == fresh.connected_subsets(k) == (), (g, k)
 
 
 @pytest.mark.parametrize("vertices, edges, n", [

@@ -569,3 +569,72 @@ def test_enumerate_computes_each_row_once(monkeypatch):
     calls = count_thresholds(monkeypatch)
     assert len(enumerate_stable(g, CAN0, QSTABLE)) > 1
     assert len(calls) == 2 * len(ids) + len(g.connected_subsets()) == 22
+
+
+def _star13() -> DualGraph:
+    """Genus-1 leaves around a genus-0 centre holding marking 1: 13 vertices."""
+    leaves = [f"l{i:02d}" for i in range(12)]
+    return DualGraph([("c", 0, [1])] + [(v, 1, []) for v in leaves],
+                     [("c", v) for v in leaves])
+
+
+def _sizes_built(monkeypatch) -> list:
+    """Record the size of every ``connected_subsets`` call from now on."""
+    sizes = []
+    real = DualGraph.connected_subsets
+
+    def counted(graph, size=None):
+        sizes.append(size)
+        return real(graph, size)
+
+    monkeypatch.setattr(DualGraph, "connected_subsets", counted)
+    return sizes
+
+
+def test_a_singleton_witness_builds_only_the_first_level(monkeypatch):
+    g = _star13()
+    sizes = _sizes_built(monkeypatch)
+    m = {v: 0 for v in g.ids}
+    m["l00"], m["l11"] = -4, 4
+    verdict = check_stability(g, CAN0, m, QSTABLE)
+    assert verdict.witness == ("l00",) and sizes == [1] and len(g._levels) == 1
+    g = _star13()
+    sizes.clear()
+    # k = 1 asks each leaf for a leg sum of at least 1/2, and leaves have no legs
+    verdict = is_balanced(g, [2 * g.g - 2], 1)
+    assert verdict.witness == ("l00",) and sizes == [1] and len(g._levels) == 1
+
+
+def test_a_pass_reads_every_level_once(monkeypatch):
+    g = _star13()
+    sizes = _sizes_built(monkeypatch)
+    assert check_stability(g, CAN0, {v: 0 for v in g.ids}, QSTABLE).ok
+    assert is_balanced(g, [0] * g.n, 0).ok
+    assert sizes == list(range(1, 13)) * 2 and len(g._levels) == 12
+
+
+@pytest.mark.parametrize("mode", [SEMISTABLE, STABLE, QSTABLE])
+def test_unknown_basepoint_is_refused_in_every_mode(mode):
+    g = two_vertex_tree()
+    m = {"v1": 0, "v2": 0}
+    single = DualGraph([("v1", 2, [1])], [])
+    calls = [lambda: check_stability(g, CAN0, m, mode, basepoint="zz"),
+             lambda: enumerate_stable(g, CAN0, mode, basepoint="zz"),
+             lambda: enumerate_stable(single, CAN0, mode, basepoint="zz"),
+             lambda: stability_exhaustive(g, CAN0, m, mode, basepoint="zz"),
+             lambda: brute_force_stable(g, CAN0, mode, basepoint="zz"),
+             lambda: brute_force_stable(single, CAN0, mode, basepoint="zz")]
+    for call in calls:
+        with pytest.raises(JacstabError) as err:
+            call()
+        assert err.value.code == "BAD_INPUT" and "unknown basepoint vertex 'zz'" in str(err.value)
+    # a known basepoint is accepted, and only q-stability reads it
+    for base in g.ids:
+        assert (check_stability(g, CAN0, m, mode, basepoint=base)
+                == stability_exhaustive(g, CAN0, m, mode, basepoint=base))
+        assert (enumerate_stable(g, CAN0, mode, basepoint=base)
+                == brute_force_stable(g, CAN0, mode, basepoint=base))
+        if mode != QSTABLE:
+            assert (check_stability(g, CAN0, m, mode, basepoint=base)
+                    == check_stability(g, CAN0, m, mode))
+            assert enumerate_stable(g, CAN0, mode, basepoint=base) == enumerate_stable(g, CAN0, mode)
