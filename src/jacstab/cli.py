@@ -3,7 +3,8 @@
 Exit codes: 0 for PASS/success payloads, 1 for FAIL verdicts (not stable, not
 balanced, indeterminate locus, failed selftest), 2 for input errors, 3 for an
 internal error (``{"error": "INTERNAL", ...}`` on stdout, the traceback on
-stderr), so that a crash is never read as a FAIL verdict.
+stderr), so that a crash is never read as a FAIL verdict, and 141 (128 +
+SIGPIPE) when stdout is closed before the answer is written.
 
 Multidegree, twister and tau/k JSON payloads take JSON integers only; a float,
 a boolean or a string is rejected with BAD_INPUT.  The comma form ``v1=1,v2=-1``
@@ -461,7 +462,12 @@ def main(argv=None) -> int:
         traceback.print_exc()
         internal = JacstabError("INTERNAL", f"{type(exc).__name__}: {exc}")
         code, text = 3, _json(internal.to_json_dict())
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's last flush to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

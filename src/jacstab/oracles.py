@@ -102,7 +102,9 @@ def stability_exhaustive(graph: DualGraph, pol: Polarization, m: Mapping[str, in
     order, which need not be the connected witness of ``check_stability``.
     """
     _known_basepoint(graph, basepoint)
-    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
+    # only the inequalities of proper subcurves read the basepoint
+    needs_base = mode == QSTABLE and next(graph.proper_subsets(), None) is not None
+    base = resolve_basepoint(graph, basepoint) if needs_base else None
     degrees = [m[v] for v in graph.ids]
     for members, bound, strict in _subset_profiles(graph, pol, mode, base):
         deg = sum(degrees[i] for i in members)

@@ -184,7 +184,8 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
     Returns a PASS verdict, or a FAIL verdict carrying the first violating
     connected subcurve together with the failed bound.  A basepoint that is
     not a vertex is refused in every mode; a known one has no effect outside
-    q-stable mode.
+    q-stable mode, and a one-component curve, having no proper subcurve,
+    needs none.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -195,7 +196,7 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
         raise JacstabError("DEGREE_MISMATCH",
                            f"multidegree total {total} != polarization degree {target}")
     check_basepoint(graph, basepoint)
-    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
+    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE and len(graph.ids) > 1 else None
     values = list(degrees.values())
     for members, least, bound, strict in _rows(graph, pol, mode, base):
         degree = sum(values[i] for i in members)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import JacstabError
 from .graphs import DualGraph
-from .stability import check_multidegree, check_tau, base_multidegree, resolve_basepoint
+from .stability import check_multidegree, base_multidegree, resolve_basepoint
 
 
 def laplacian(graph: DualGraph) -> dict[str, dict[str, int]]:
@@ -34,10 +34,9 @@ def laplacian(graph: DualGraph) -> dict[str, dict[str, int]]:
 
 
 def twist_multidegree(graph: DualGraph, gamma: Mapping[str, int]) -> dict[str, int]:
-    """Multidegree of the twister with coefficients ``gamma``: minus L.gamma."""
+    """Twister multidegree: minus L.gamma, at v the sum of gamma(w) - gamma(v) over edges vw."""
     g = check_multidegree(graph, gamma)
-    L = laplacian(graph)
-    return {v: -sum(L[v][w] * g[w] for w in graph.ids) for v in graph.ids}
+    return {v: sum(c * (g[w] - g[v]) for w, c in graph._adj[v].items()) for v in graph.ids}
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,11 @@ def split_at_edge(graph: DualGraph, edge: tuple[str, str]) -> tuple[frozenset[st
     stack = [a]
     while stack:
         u = stack.pop()
-        for w in graph.neighbors(u):
-            if w in side:
-                continue
+        for w in graph._adj[u]:
             # the removed edge is its pair's only copy, so skip the pair
-            if {u, w} == {a, b}:
-                continue
-            side.add(w)
-            stack.append(w)
+            if w not in side and (u, w) != (a, b):
+                side.add(w)
+                stack.append(w)
     if b in side:
         raise JacstabError("NOT_TREELIKE", f"edge {edge} is not separating")
     return frozenset(side), frozenset(graph.ids) - frozenset(side)
@@ -112,20 +108,19 @@ def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = N
     cur = dict(degrees)
     gamma = {v: 0 for v in graph.ids}
     trace: list[PeelStep] = []
-    # peeled[v] = vertices absorbed into v's side so far (branch bookkeeping)
+    # absorbed[v] = vertices absorbed into v's side so far (branch bookkeeping)
     absorbed: dict[str, set[str]] = {v: {v} for v in graph.ids}
 
     while len(remaining) > 1:
         leaves = tuple(sorted(
             v for v in remaining
-            if v != root and sum(graph._adj[v].get(w, 0) for w in remaining if w != v) == 1
-        ))
+            if v != root and sum(c for w, c in graph._adj[v].items() if w in remaining) == 1))
         if not leaves:
             raise JacstabError("NOT_TREELIKE", "no peelable leaf found")
         leaf = choose_leaf(leaves) if choose_leaf is not None else leaves[0]
         if leaf not in leaves:
             raise JacstabError("BAD_INPUT", f"{leaf!r} is not a peelable leaf")
-        target = next(w for w in graph.neighbors(leaf) if w in remaining and w != leaf)
+        target = next(w for w in graph._adj[leaf] if w in remaining)
         branch = frozenset(absorbed[leaf])
         coeff = cur[leaf]
         if coeff:
@@ -146,22 +141,17 @@ def branch_coefficients(graph: DualGraph, tau: Iterable[int], k: int,
                         basepoint: str | None = None) -> dict[tuple[str, str], int]:
     """Twist coefficient of each separating edge of a treelike graph.
 
-    For an edge e let Z_e be the side not containing the basepoint (marking 1
-    by default); the coefficient is the sum of tau over legs in Z_e minus
-    k times the dualizing degree of Z_e.  On each edge this equals
-    k(1-2h) + sum of tau over the branch legs, with h the branch genus.
+    The coefficient of an edge is :func:`base_multidegree` summed over its
+    :func:`branch_side` (the side without the basepoint, marking 1 by
+    default), which is k(1-2h) + sum of tau over the branch legs, with h the
+    branch genus.
     """
     if not graph.classify().treelike:
         raise JacstabError("NOT_TREELIKE", "branch coefficients need a treelike graph")
-    t = check_tau(graph.g, tau, k, n=graph.n)
-    base = resolve_basepoint(graph, basepoint)
-    out: dict[tuple[str, str], int] = {}
-    for edge in graph.nonloop_edges():
-        side_a, side_b = split_at_edge(graph, edge)
-        Z = side_b if base in side_a else side_a
-        leg_sum = sum(t[i - 1] for v in Z for i in graph.legs_of[v])
-        out[edge] = leg_sum - k * graph.omega_degree(Z)
-    return out
+    m = base_multidegree(graph, tau, k)
+    resolve_basepoint(graph, basepoint)  # refused even on a graph with no edge
+    return {edge: sum(m[v] for v in branch_side(graph, edge, basepoint=basepoint))
+            for edge in graph.nonloop_edges()}
 
 
 def branch_side(graph: DualGraph, edge: tuple[str, str],
@@ -176,9 +166,9 @@ def boundary_multidegree(graph: DualGraph, tau: Iterable[int], k: int,
                          basepoint: str | None = None) -> dict[str, int]:
     """Fiberwise multidegree of the twisted bundle on a treelike graph.
 
-    Base multidegree plus the twister that carries each separating edge's
-    coefficient on the side away from the basepoint.  Equals the zero
-    multidegree; the tests assert this rather than the implementation.
+    :func:`base_multidegree` plus the twister carrying each edge's
+    :func:`branch_coefficients` value on its :func:`branch_side`.  Equals zero
+    for every basepoint; the tests assert this rather than the implementation.
     """
     coeffs = branch_coefficients(graph, tau, k, basepoint=basepoint)
     gamma = dict.fromkeys(graph.ids, 0)

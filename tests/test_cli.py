@@ -584,3 +584,32 @@ def test_unknown_basepoint_is_bad_input_in_every_mode(capsys, mode):
                                          "message": "unknown basepoint vertex 'zz'"}
         code, payload = run_json(capsys, *argv, "--mode", mode, "--basepoint", "b")
         assert code == 0 and "error" not in payload
+
+
+@pytest.mark.parametrize("mode", ["semistable", "stable", "qstable"])
+def test_one_component_curve_needs_no_basepoint(capsys, mode):
+    graph = '{"vertices":[{"id":"a","genus":2,"legs":[]}],"edges":[]}'
+    check = ["stability", "check", "--graph", graph, "--m", "a=0", "--mode", mode]
+    enum = ["stability", "enumerate", "--graph", graph, "--mode", mode]
+    assert run_json(capsys, *check) == (0, {"mode": mode, "ok": True})
+    code, payload = run_json(capsys, *enum)
+    assert code == 0 and payload["count"] == 1
+    for argv in (check, enum):
+        code, payload = run_json(capsys, *argv, "--basepoint", "zz")
+        assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+@pytest.mark.parametrize("argv", [
+    ["class", "theta", "--g", "8", "--n", "10", "--tau=1,-1,1,-1,1,-1,1,-1,1,-1", "--k", "0"],
+    ["graph", "classify", "--graph", BANANA],
+], ids=["large-answer", "small-answer"])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # no reader before the child starts, so its first write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jacstab", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")

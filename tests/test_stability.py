@@ -638,3 +638,26 @@ def test_unknown_basepoint_is_refused_in_every_mode(mode):
             assert (check_stability(g, CAN0, m, mode, basepoint=base)
                     == check_stability(g, CAN0, m, mode))
             assert enumerate_stable(g, CAN0, mode, basepoint=base) == enumerate_stable(g, CAN0, mode)
+
+
+@pytest.mark.parametrize("mode", [SEMISTABLE, STABLE, QSTABLE])
+def test_one_component_curve_needs_no_basepoint(mode):
+    # no proper subcurve, so no inequality reads a basepoint: check and
+    # enumerate agree without one, and an unknown one is still refused
+    single = DualGraph([("a", 2, [])], [], n=0)
+    m = {"a": 0}
+    for check in (check_stability, stability_exhaustive):
+        for base in (None, "a"):
+            verdict = check(single, CAN0, m, mode, basepoint=base)
+            assert verdict.ok and verdict.mode == mode and verdict.witness is None
+        with pytest.raises(JacstabError) as err:
+            check(single, CAN0, m, mode, basepoint="zz")
+        assert err.value.code == "BAD_INPUT"
+    assert enumerate_stable(single, CAN0, mode) == [m]
+    # two components still need one in q-stable mode
+    unmarked = DualGraph([("v1", 2, []), ("v2", 2, [])], [("v1", "v2")], n=0)
+    if mode == QSTABLE:
+        for check in (check_stability, stability_exhaustive):
+            with pytest.raises(JacstabError) as err:
+                check(unmarked, CAN0, {"v1": 0, "v2": 0}, mode)
+            assert err.value.code == "NO_BASEPOINT"

@@ -164,12 +164,19 @@ def test_branch_coefficient_identity_random():
         if tau is None:
             continue
         coeffs = branch_coefficients(g, tau, k)
-        for edge, c in coeffs.items():
-            Z = branch_side(g, edge)
-            h = g.subcurve_genus(Z)
-            legs = [i for v in Z for i in g.legs_of[v]]
-            assert c == k * (1 - 2 * h) + sum(tau[i - 1] for i in legs)
-            assert g.omega_degree(Z) == 2 * h - 1
+        # every vertex as the basepoint, the default one (None) first
+        for base in (None, *g.ids):
+            for edge, c in branch_coefficients(g, tau, k, basepoint=base).items():
+                Z = branch_side(g, edge, basepoint=base)
+                h = g.subcurve_genus(Z)
+                legs = [i for v in Z for i in g.legs_of[v]]
+                assert c == k * (1 - 2 * h) + sum(tau[i - 1] for i in legs)
+                assert g.omega_degree(Z) == 2 * h - 1
+                # the branch flips, and the coefficient with it, exactly when
+                # the basepoint crosses the edge from the default one
+                flipped = base is not None and base in branch_side(g, edge)
+                assert c == (-coeffs[edge] if flipped else coeffs[edge])
+            assert boundary_multidegree(g, tau, k, basepoint=base) == dict.fromkeys(g.ids, 0)
         cases += 1
     assert cases >= 30
 
