@@ -6,7 +6,7 @@ classes of theta divisors and the zero section on moduli of stable curves.
 """
 
 from .errors import JacstabError
-from .graphs import DualGraph, ClassifyResult, validate
+from .graphs import DualGraph, ClassifyResult
 from .stability import (Polarization, SEMISTABLE, STABLE, QSTABLE,
                         threshold, check_stability, enumerate_stable,
                         is_balanced, base_multidegree, locus_membership,
@@ -24,7 +24,7 @@ from .pushforward import (FiberClass, pushforward, PUSH_RULES,
 __version__ = "0.1.0"
 
 __all__ = [
-    "JacstabError", "DualGraph", "ClassifyResult", "validate",
+    "JacstabError", "DualGraph", "ClassifyResult",
     "Polarization", "SEMISTABLE", "STABLE", "QSTABLE",
     "threshold", "check_stability", "enumerate_stable",
     "is_balanced", "base_multidegree", "locus_membership",

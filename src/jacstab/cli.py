@@ -44,8 +44,7 @@ from .pushforward import (c1_twisted_bundle, theta_via_pushforward,
                           exp_truncate)
 from .stability import (Polarization, check_stability, enumerate_stable,
                         is_balanced, locus_membership, threshold, INDETERMINACY)
-from .twister import (twist_multidegree, reduce_treelike, branch_coefficients,
-                      branch_side, boundary_multidegree)
+from .twister import twist_multidegree, reduce_treelike, boundary_multidegree, _branch_table
 
 
 def _read_json_arg(value: str, what: str) -> str:
@@ -218,10 +217,9 @@ def cmd_twist_reduce(args):
 
 
 def cmd_twist_coefficients(args):
-    graph, basepoint = args.graph, args.basepoint
-    coeffs = branch_coefficients(graph, *_resolve_tau_k(args), basepoint=basepoint)
-    entries = [{"edge": list(edge), "branch": sorted(branch_side(graph, edge, basepoint=basepoint)),
-                "coefficient": coeffs[edge]} for edge in sorted(coeffs)]
+    _, table = _branch_table(args.graph, *_resolve_tau_k(args), args.basepoint)
+    entries = [{"edge": list(edge), "branch": sorted(side), "coefficient": c}
+               for edge, (side, c) in sorted(table.items())]
     return (0, lambda: {"coefficients": entries},
             lambda: "\n".join(f"{e['edge'][0]}--{e['edge'][1]}: {e['coefficient']}"
                               for e in entries) or "(no separating edges)")

@@ -8,8 +8,8 @@ non-separating node on a single component).
 Instances are immutable after construction.  Construction only checks that the
 data is structurally well formed (known ids, sane types); the semantic
 invariants (connectivity, per-vertex stability, leg partition, a leg listed
-twice on one vertex included) are reported by :func:`validate` as data, so
-that invalid graphs can be inspected rather than refused.
+twice on one vertex included) are reported by :meth:`DualGraph.validate` as
+data, so that invalid graphs can be inspected rather than refused.
 """
 
 from __future__ import annotations
@@ -120,9 +120,6 @@ class DualGraph:
     def val(self, v: str) -> int:
         """Number of edge endpoints at ``v`` (a loop counts twice)."""
         return self._nonloop_val[v] + 2 * self._loops[v]
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(self._adj[v]))
 
     def marking_vertex(self, label: int) -> str | None:
         """Vertex carrying the given marking label, if any."""
@@ -356,8 +353,3 @@ class DualGraph:
 
     def __repr__(self) -> str:
         return f"DualGraph(g={self.g}, n={self.n}, V={len(self.ids)}, E={len(self.edges)})"
-
-
-def validate(graph: DualGraph) -> list[dict]:
-    """Module-level alias for :meth:`DualGraph.validate`."""
-    return graph.validate()

@@ -19,7 +19,7 @@ from .errors import JacstabError
 from .graphs import DualGraph
 from .pushforward import FiberClass
 from .stability import (Polarization, QSTABLE, STABLE, SEMISTABLE, BalanceVerdict,
-                        StabilityVerdict, check_tau, resolve_basepoint)
+                        StabilityVerdict, check_basepoint, check_tau, resolve_basepoint)
 
 
 def solve_twister(graph: DualGraph, m: Mapping[str, int], root: str) -> dict[str, int]:
@@ -66,12 +66,6 @@ def solve_twister(graph: DualGraph, m: Mapping[str, int], root: str) -> dict[str
     return gamma
 
 
-def _known_basepoint(graph: DualGraph, basepoint: str | None) -> None:
-    """A given basepoint must be a vertex, in every mode."""
-    if basepoint is not None and basepoint not in graph.ids:
-        raise JacstabError("BAD_INPUT", f"unknown basepoint vertex {basepoint!r}")
-
-
 def _subset_profiles(graph: DualGraph, pol: Polarization, mode: str,
                      base: str | None) -> list[tuple[tuple[int, ...], Fraction, bool]]:
     """All proper subcurve inequalities, recomputed from the definition.
@@ -101,10 +95,8 @@ def stability_exhaustive(graph: DualGraph, pol: Polarization, m: Mapping[str, in
     The witness is the first violated subcurve in :func:`_subset_profiles`
     order, which need not be the connected witness of ``check_stability``.
     """
-    _known_basepoint(graph, basepoint)
-    # only the inequalities of proper subcurves read the basepoint
-    needs_base = mode == QSTABLE and next(graph.proper_subsets(), None) is not None
-    base = resolve_basepoint(graph, basepoint) if needs_base else None
+    check_basepoint(graph, basepoint)
+    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
     degrees = [m[v] for v in graph.ids]
     for members, bound, strict in _subset_profiles(graph, pol, mode, base):
         deg = sum(degrees[i] for i in members)
@@ -138,7 +130,7 @@ def brute_force_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     """
     target = pol.target_degree(graph)
     ids = graph.ids
-    _known_basepoint(graph, basepoint)
+    check_basepoint(graph, basepoint)
     if len(ids) == 1:
         return [{ids[0]: target}]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None

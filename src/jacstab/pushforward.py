@@ -253,17 +253,18 @@ def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int]) -> DivisorClas
 
 
 def compact_type_gm1_multidegree(graph: DualGraph, basepoint: str | None = None) -> dict[str, int]:
-    """Multidegree of the degree g-1 section on a two-component compact-type fiber.
+    """Multidegree of the degree g-1 section on a treelike fiber.
 
-    Each component gets its genus, minus one on the component away from
-    marking 1.  Totals g-1 and is q-stable for the trivial polarization.
+    m_v = g_v + loops_v + val'(v) - 2 + [v = base], val' counting non-loop
+    edges, base from :func:`resolve_basepoint`: each branch away from the base
+    gets its genus minus one, the total is g - 1, and this is the unique
+    q-stable multidegree of degree g - 1 for the trivial polarization.
     """
-    cls = graph.classify()
-    if len(graph.ids) != 2 or not cls.compact_type:
-        raise JacstabError("WRONG_SHAPE",
-                           "rule applies to two-vertex compact-type graphs only")
+    if not graph.classify().treelike:
+        raise JacstabError("WRONG_SHAPE", "rule applies to treelike graphs only")
     base = resolve_basepoint(graph, basepoint)
-    return {v: graph.genus_of[v] - (0 if v == base else 1) for v in graph.ids}
+    return {v: graph.genus_of[v] + graph._loops[v] + graph._nonloop_val[v] - 2 + (v == base)
+            for v in graph.ids}
 
 
 # ----------------------------------------------------------------------

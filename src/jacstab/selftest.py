@@ -193,6 +193,16 @@ def _compact_type_suite(rng: random.Random, max_g: int):
                         yield "compact-type-gm1-rule", ok, f"{graph!r} -> {m}"
 
 
+def _treelike_gm1_suite(rng: random.Random, graphs: int, max_v: int):
+    pol = Polarization.trivial_gm1()
+    for _ in range(graphs):
+        graph = corpus.random_treelike_graph(rng, max_vertices=max_v)
+        base = rng.choice(graph.ids)
+        m = compact_type_gm1_multidegree(graph, basepoint=base)
+        found = enumerate_stable(graph, pol, QSTABLE, basepoint=base)
+        yield "treelike-gm1-rule", found == [m], f"{graph!r} base={base} -> {m}"
+
+
 # (suite, check names in report order, {size: (small, full)}).  A new row goes
 # last: the suites share one stream, so a row moves every later check's cases.
 CHECKS = (
@@ -209,6 +219,7 @@ CHECKS = (
     (_enumeration_box, ("enumeration-vs-brute-force",), {"graphs": (5, 10), "max_v": (3, 4)}),
     (_exp_suite, ("exp-truncation-oracle",), {"max_g": (5, 8)}),
     (_compact_type_suite, ("compact-type-gm1-rule",), {"max_g": (4, 6)}),
+    (_treelike_gm1_suite, ("treelike-gm1-rule",), {"graphs": (25, 120), "max_v": (6, 10)}),
 )
 
 

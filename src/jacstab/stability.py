@@ -140,11 +140,12 @@ def check_basepoint(graph: DualGraph, basepoint: str | None) -> None:
 
 
 def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
-    """Basepoint component for q-stability: explicit override or marking 1."""
+    """Basepoint component: a given vertex (else BAD_INPUT), the only one of a curve with
+    no proper subcurve and no edge to orient, or marking 1's (else NO_BASEPOINT)."""
     check_basepoint(graph, basepoint)
     if basepoint is not None:
         return basepoint
-    v = graph.marking_vertex(1)
+    v = graph.marking_vertex(1) if len(graph.ids) > 1 else graph.ids[0]
     if v is None:
         raise JacstabError("NO_BASEPOINT", "graph has no marking 1 and no basepoint was given")
     return v
@@ -184,8 +185,7 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
     Returns a PASS verdict, or a FAIL verdict carrying the first violating
     connected subcurve together with the failed bound.  A basepoint that is
     not a vertex is refused in every mode; a known one has no effect outside
-    q-stable mode, and a one-component curve, having no proper subcurve,
-    needs none.
+    q-stable mode, and a one-component curve needs none.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -196,7 +196,7 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
         raise JacstabError("DEGREE_MISMATCH",
                            f"multidegree total {total} != polarization degree {target}")
     check_basepoint(graph, basepoint)
-    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE and len(graph.ids) > 1 else None
+    base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
     values = list(degrees.values())
     for members, least, bound, strict in _rows(graph, pol, mode, base):
         degree = sum(values[i] for i in members)

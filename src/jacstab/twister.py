@@ -137,6 +137,17 @@ def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = N
     return ReduceResult(gamma=gamma, final=cur, trace=tuple(trace))
 
 
+def _branch_table(graph: DualGraph, tau: Iterable[int], k: int, basepoint: str | None):
+    """Base multidegree and {non-loop edge: (branch side, coefficient)}, one split per
+    edge; refused in the order NOT_TREELIKE, tau, basepoint, even with no edge."""
+    if not graph.classify().treelike:
+        raise JacstabError("NOT_TREELIKE", "branch coefficients need a treelike graph")
+    m = base_multidegree(graph, tau, k)
+    base = resolve_basepoint(graph, basepoint)
+    sides = {edge: branch_side(graph, edge, basepoint=base) for edge in graph.nonloop_edges()}
+    return m, {edge: (side, sum(m[v] for v in side)) for edge, side in sides.items()}
+
+
 def branch_coefficients(graph: DualGraph, tau: Iterable[int], k: int,
                         basepoint: str | None = None) -> dict[tuple[str, str], int]:
     """Twist coefficient of each separating edge of a treelike graph.
@@ -146,12 +157,7 @@ def branch_coefficients(graph: DualGraph, tau: Iterable[int], k: int,
     default), which is k(1-2h) + sum of tau over the branch legs, with h the
     branch genus.
     """
-    if not graph.classify().treelike:
-        raise JacstabError("NOT_TREELIKE", "branch coefficients need a treelike graph")
-    m = base_multidegree(graph, tau, k)
-    resolve_basepoint(graph, basepoint)  # refused even on a graph with no edge
-    return {edge: sum(m[v] for v in branch_side(graph, edge, basepoint=basepoint))
-            for edge in graph.nonloop_edges()}
+    return {edge: c for edge, (_, c) in _branch_table(graph, tau, k, basepoint)[1].items()}
 
 
 def branch_side(graph: DualGraph, edge: tuple[str, str],
@@ -170,12 +176,10 @@ def boundary_multidegree(graph: DualGraph, tau: Iterable[int], k: int,
     :func:`branch_coefficients` value on its :func:`branch_side`.  Equals zero
     for every basepoint; the tests assert this rather than the implementation.
     """
-    coeffs = branch_coefficients(graph, tau, k, basepoint=basepoint)
+    m, table = _branch_table(graph, tau, k, basepoint)
     gamma = dict.fromkeys(graph.ids, 0)
-    for edge, c in coeffs.items():
-        if c:
-            for v in branch_side(graph, edge, basepoint=basepoint):
-                gamma[v] += c
-    m = base_multidegree(graph, tau, k)
+    for side, c in table.values():
+        for v in side:
+            gamma[v] += c
     tw = twist_multidegree(graph, gamma)
     return {v: m[v] + tw[v] for v in graph.ids}

@@ -10,7 +10,7 @@ import pytest
 from jacstab import theta_via_pushforward
 from jacstab.corpus import random_tau
 from jacstab.pushforward import PUSH_RULES
-from jacstab import cli
+from jacstab import cli, selftest, twister
 from jacstab.cli import main
 from jacstab.selftest import run as selftest_run
 from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex
@@ -563,6 +563,18 @@ def test_selftest_deterministic_for_fixed_seed():
     assert a == b
 
 
+def test_selftest_treelike_gm1_row_catches_the_two_vertex_rule(monkeypatch):
+    # each genus, minus one away from the basepoint: right on two components
+    # of compact type only, so the new row fails and the two-vertex row holds
+    def two_vertex_rule(graph, basepoint=None):
+        base = graph.marking_vertex(1) if basepoint is None else basepoint
+        return {v: graph.genus_of[v] - (v != base) for v in graph.ids}
+
+    monkeypatch.setattr(selftest, "compact_type_gm1_multidegree", two_vertex_rule)
+    report = selftest_run(depth="small", seed=0)
+    assert {c["name"] for c in report["checks"] if not c["ok"]} == {"treelike-gm1-rule"}
+
+
 def test_selftest_detects_corrupted_rule_table(capsys, monkeypatch):
     # flipping the sign of the boundary self-intersection rule must be caught
     monkeypatch.setitem(PUSH_RULES, "B2", lambda h, A: [("delta", h, A, 1)])
@@ -594,9 +606,41 @@ def test_one_component_curve_needs_no_basepoint(capsys, mode):
     assert run_json(capsys, *check) == (0, {"mode": mode, "ok": True})
     code, payload = run_json(capsys, *enum)
     assert code == 0 and payload["count"] == 1
-    for argv in (check, enum):
+    # the treelike commands take the same basepoint rule: no edge to orient
+    coefficients = ["twist", "coefficients", "--graph", graph, "--tau", "", "--k", "0"]
+    boundary = ["twist", "boundary", "--graph", graph, "--tau", "", "--k", "0"]
+    gm1 = ["class", "compact-type-gm1", "--graph", graph]
+    assert run_json(capsys, *coefficients) == (0, {"coefficients": []})
+    assert run_json(capsys, *boundary) == (0, {"multidegree": {"a": 0}, "zero": True})
+    assert run_json(capsys, *gm1) == (0, {"multidegree": {"a": 1}})  # g - 1
+    for argv in (check, enum, coefficients, boundary, gm1):
         code, payload = run_json(capsys, *argv, "--basepoint", "zz")
         assert code == 2 and payload["error"] == "BAD_INPUT"
+
+
+@pytest.mark.parametrize("command", ["coefficients", "boundary"])
+def test_twist_answer_splits_each_edge_once(capsys, monkeypatch, command):
+    # a 4-edge path of genus-1 components, marking 1 at one end, no other leg:
+    # each coefficient k(1 - 2h), h the branch genus, is odd, so non-zero
+    ids = [f"v{i}" for i in range(1, 6)]
+    path = json.dumps({"vertices": [{"id": v, "genus": 1, "legs": [1] if v == "v1" else []}
+                                    for v in ids],
+                       "edges": [[a, b] for a, b in zip(ids, ids[1:])]})
+    calls = []
+    split = twister.split_at_edge
+
+    def counted(graph, edge):
+        calls.append(edge)
+        return split(graph, edge)
+
+    monkeypatch.setattr(twister, "split_at_edge", counted)
+    code, payload = run_json(capsys, "twist", command, "--graph", path, "--tau", "8", "--k", "1")
+    assert code == 0
+    if command == "coefficients":
+        assert [e["coefficient"] for e in payload["coefficients"]] == [-7, -5, -3, -1]
+    else:
+        assert payload["zero"] is True
+    assert sorted(calls) == list(zip(ids, ids[1:]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -40,7 +40,7 @@ from jacstab.cli import _json, main
 from test_golden import _graph
 
 SEED = 20261019
-EXPECTED = "182db2e7dc5a65ae4bf27b9795e99dbc4eae032eedfe1e941a2cef84f4678569"
+EXPECTED = "6d918da7de86394aefcbc4854054eeac9cb4e22cc857b9654fc54a8967ca6b84"
 # Python minor version -> SHA-256 of the --help lines and of the usage errors
 _UP_TO_3_12 = ("9b04a72c62c8c75bcb1a430dfaf3c93327c8aa9fa59a809bf993dc2ffb808703",
                "9a86f270d4320275ad4fe006592887b123605549871832f5324a83acd2adf4aa")

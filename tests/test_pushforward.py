@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
-                     Polarization, QSTABLE, check_stability,
+                     Polarization, QSTABLE, check_stability, enumerate_stable,
                      pushforward, c1_twisted_bundle, theta_via_pushforward,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
@@ -15,7 +15,7 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
 from jacstab.divisors import _closed, canonical_indices, canonicalize
 from jacstab.pushforward import GradedAtomPoly
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
-from jacstab.corpus import random_tau
+from jacstab.corpus import random_tau, random_treelike_graph
 from common import banana, two_vertex_tree, path3
 
 
@@ -420,12 +420,33 @@ def test_compact_type_rule_outputs_are_qstable():
 
 
 def test_compact_type_rule_rejects_other_shapes():
-    with pytest.raises(JacstabError) as err:
-        compact_type_gm1_multidegree(banana())
-    assert err.value.code == "WRONG_SHAPE"
-    with pytest.raises(JacstabError) as err:
-        compact_type_gm1_multidegree(path3())
-    assert err.value.code == "WRONG_SHAPE"
+    # the rule covers every treelike graph, and only those
+    assert compact_type_gm1_multidegree(path3()) == {"v1": 0, "v2": 1, "v3": 1}
+    triangle = DualGraph([("a", 0, [1]), ("b", 0, [2]), ("c", 0, [3])],
+                         [("a", "b"), ("b", "c"), ("a", "c")])
+    for graph in (banana(), triangle):
+        with pytest.raises(JacstabError) as err:
+            compact_type_gm1_multidegree(graph)
+        assert err.value.code == "WRONG_SHAPE"
+        assert str(err.value) == "rule applies to treelike graphs only"
+
+
+def test_treelike_gm1_rule_is_the_qstable_multidegree():
+    # on a treelike curve the trivial polarization in degree g-1 has one
+    # q-stable multidegree per basepoint, and the rule must be it
+    rng = random.Random(21)
+    pol = Polarization.trivial_gm1()
+    pairs = loops = 0
+    for _ in range(80):
+        graph = random_treelike_graph(rng, max_vertices=7, loop_chance=0.4)
+        loops += any(a == b for a, b in graph.edges)
+        for base in graph.ids:
+            m = compact_type_gm1_multidegree(graph, basepoint=base)
+            assert enumerate_stable(graph, pol, QSTABLE, basepoint=base) == [m], (graph, base)
+            pairs += 1
+        assert compact_type_gm1_multidegree(graph) == compact_type_gm1_multidegree(
+            graph, basepoint=graph.marking_vertex(1))
+    assert pairs >= 250 and loops >= 30
 
 
 def test_compact_type_member_reading_breaks_strictness():
