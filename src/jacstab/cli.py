@@ -23,6 +23,14 @@ building its text.  ``main`` builds only the form it prints: the text under
 ``--output text``, else ``_json`` of the payload, the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2)``.
 A result record of the library enters a payload through ``_payload``.
+
+A form function may instead return an iterator of chunks already rendered,
+which ``main`` writes one at a time.  ``stability enumerate`` does so: its
+search finishes, so every refusal is raised, before the first chunk is made;
+then each result, a tuple of degrees, fills one row template built once per
+answer (the bytes ``_json`` or the text line would give), and the rows are
+joined ``CHUNK_ROWS`` at a time.  K_8's 262,144 rows (35.5 MB) thus never
+exist as one string or as a map per row.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # the C function where built
 from pathlib import Path
@@ -42,7 +50,7 @@ from .graphs import DualGraph
 from .pushforward import (c1_twisted_bundle, theta_via_pushforward,
                           theta_gm1_via_pushforward, compact_type_gm1_multidegree,
                           exp_truncate)
-from .stability import (Polarization, check_stability, enumerate_stable,
+from .stability import (Polarization, check_stability, _stable_degrees,
                         is_balanced, locus_membership, threshold, INDETERMINACY)
 from .twister import twist_multidegree, reduce_treelike, boundary_multidegree, _branch_table
 
@@ -119,6 +127,33 @@ def _multidegree_text(m: dict[str, int]) -> str:
     return " ".join(f"{v}={m[v]}" for v in sorted(m))
 
 
+# Rows of a chunked answer joined into one write: a few hundred kB of text.
+CHUNK_ROWS = 4096
+
+
+def _json_row(ids: tuple[str, ...]) -> str:
+    """``_json`` of a multidegree on the sorted ``ids`` as an item of a payload's list,
+    as a %-template of its degrees in ``ids`` order."""
+    return "{" + ",".join("\n      " + _quote(v).replace("%", "%%") + ": %d"
+                          for v in ids) + "\n    }"
+
+
+def _text_row(ids: tuple[str, ...]) -> str:
+    """``_multidegree_text`` of a multidegree on the sorted ``ids``, as a %-template of
+    its degrees in ``ids`` order."""
+    return " ".join(v.replace("%", "%%") + "=%d" for v in ids)
+
+
+def _chunks(head: str, row: str, sep: str, tail: str,
+            found: list[tuple[int, ...]]) -> Iterator[str]:
+    """``head + sep.join(row % t for t in found) + tail``, ``CHUNK_ROWS`` rows at a time."""
+    yield head
+    for start in range(0, len(found), CHUNK_ROWS):
+        yield (sep if start else "") + sep.join(map(row.__mod__,
+                                                    found[start:start + CHUNK_ROWS]))
+    yield tail
+
+
 # ----------------------------------------------------------------------
 # Each handler gets its options already converted by their OPTIONS entries
 # and returns (exit code, a function of no arguments -> JSON payload, one -> text).
@@ -186,9 +221,13 @@ def cmd_stability_check(args):
 
 
 def cmd_stability_enumerate(args):
-    found = enumerate_stable(args.graph, args.pol, args.mode, basepoint=args.basepoint)
-    return (0, lambda: {"count": len(found), "multidegrees": found},
-            lambda: "\n".join(_multidegree_text(m) for m in found) or "(none)")
+    found = _stable_degrees(args.graph, args.pol, args.mode, args.basepoint)
+    if not found:
+        return 0, lambda: {"count": 0, "multidegrees": []}, lambda: "(none)"
+    ids = args.graph.ids  # sorted, so a row's keys are in _json's order
+    return (0, lambda: _chunks('{\n  "count": %d,\n  "multidegrees": [\n    ' % len(found),
+                               _json_row(ids), ",\n    ", "\n  ]\n}", found),
+            lambda: _chunks("", _text_row(ids), "\n", "", found))
 
 
 def cmd_stability_balanced(args):
@@ -452,16 +491,24 @@ def main(argv=None) -> int:
         for dest, convert in args.converters:
             setattr(args, dest, convert(getattr(args, dest)))
         code, payload, text = args.func(args)
-        text = _json(payload()) if args.output == "json" else text()
+        form = payload() if args.output == "json" else text()
+        chunks = form if isinstance(form, Iterator) else (
+            _json(form) if args.output == "json" else form,)
     except JacstabError as exc:
-        code, text = 2, _json(exc.to_json_dict())
+        code, chunks = 2, (_json(exc.to_json_dict()),)
     except Exception as exc:  # a defect, not a verdict: report it apart from exit 1
         import traceback  # here, so that no answer pays for importing it
         traceback.print_exc()
         internal = JacstabError("INTERNAL", f"{type(exc).__name__}: {exc}")
-        code, text = 3, _json(internal.to_json_dict())
+        code, chunks = 3, (_json(internal.to_json_dict()),)
+    # a chunk iterator only fills templates with the integers of a finished
+    # search, so what can refuse or fail has run before the first write
+    write = sys.stdout.write
     try:
-        print(text, flush=True)
+        for chunk in chunks:
+            write(chunk)
+        write("\n")
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: send the interpreter's last flush to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

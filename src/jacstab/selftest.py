@@ -24,8 +24,8 @@ from .pushforward import (theta_via_pushforward, theta_gm1_via_pushforward,
                           compact_type_gm1_multidegree, exp_truncate)
 from .stability import (Polarization, QSTABLE, check_stability, enumerate_stable,
                         is_balanced, base_multidegree)
-from .twister import (reduce_treelike, twist_multidegree, branch_coefficients,
-                      branch_side, boundary_multidegree)
+from .twister import (reduce_treelike, reduction_root, twist_multidegree,
+                      branch_coefficients, branch_side, boundary_multidegree)
 
 SMALL = "small"
 FULL = "full"
@@ -80,8 +80,7 @@ def _twister_suite(rng: random.Random, graphs: int, max_v: int):
         graph = corpus.random_treelike_graph(rng, max_vertices=max_v)
         m = corpus.random_zero_sum(rng, list(graph.ids))
         result = reduce_treelike(graph, m)
-        root = graph.marking_vertex(1) or graph.ids[0]
-        expected = oracles.solve_twister(graph, m, root)
+        expected = oracles.solve_twister(graph, m, reduction_root(graph))
         shuffled = reduce_treelike(graph, m, choose_leaf=rng.choice)
         ok = (result.gamma == expected
               and shuffled.gamma == expected

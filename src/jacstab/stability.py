@@ -24,10 +24,13 @@ subcurve, asking :meth:`DualGraph.connected_subsets` for one size at a time.
 :func:`check_stability` stops at its first violated row, so a check that fails
 early never computes the rows after its witness, nor builds the subcurves
 larger than it; :func:`is_balanced` scans its inequalities the same way.
-:func:`enumerate_stable` reads the rows once, so each threshold is computed
-once per search, and takes its box bounds from :func:`_least`.  Since the
-degrees total the target, each row becomes a bound on a subset without the
-last vertex, tested as soon as the subset's largest member is fixed.
+:func:`_stable_degrees`, the search behind :func:`enumerate_stable`, reads the
+rows once, so each threshold is computed once per search, and takes its box
+bounds from :func:`_least`.  Since the degrees total the target, each row
+becomes a bound on a subset without the last vertex, tested as soon as the
+subset's largest member is fixed.  The search keeps each result as a tuple of
+degrees in ``graph.ids`` order, which the CLI renders without a map per
+result; :func:`enumerate_stable` turns each tuple into a vertex -> degree map.
 The balanced inequalities of :func:`is_balanced` keep their own direct loop,
 since their equivalence with q-stability is a theorem the tests compare.
 """
@@ -211,6 +214,16 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
                      basepoint: str | None = None) -> list[dict[str, int]]:
     """Exhaustively enumerate every (semi/q-)stable multidegree.
 
+    The results of :func:`_stable_degrees`, each as a map from vertex to
+    degree, in the same order and with the same refusals.
+    """
+    return [dict(zip(graph.ids, t)) for t in _stable_degrees(graph, pol, mode, basepoint)]
+
+
+def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
+                    basepoint: str | None) -> list[tuple[int, ...]]:
+    """Every (semi/q-)stable multidegree, as its degrees in ``graph.ids`` order.
+
     The subcurve inequalities on singletons and their complements confine each
     vertex degree to a finite box.  Each row of :func:`_rows` becomes a bound
     on a subset without the last vertex (the subcurve, or its complement when
@@ -227,7 +240,7 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     ids = graph.ids
     check_basepoint(graph, basepoint)
     if len(ids) == 1:
-        return [{ids[0]: target}]
+        return [(target,)]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
 
     los, his = [], []
@@ -265,7 +278,7 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
     partial = [0] * len(slot)
     rest_lo = [sum(los[i + 1:]) for i in range(last)]
     rest_hi = [sum(his[i + 1:]) for i in range(last)]
-    results: list[dict[str, int]] = []
+    results: list[tuple[int, ...]] = []
     stack = [0] * len(ids)
 
     def search(i: int, acc: int) -> None:
@@ -283,7 +296,7 @@ def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
             stack[i] = d
             if i + 1 == last:
                 stack[last] = target - acc - d
-                results.append(dict(zip(ids, stack)))
+                results.append(tuple(stack))
                 continue
             for t, source, _, _ in levels[i]:
                 partial[t] = partial[source] + d

@@ -81,6 +81,19 @@ def split_at_edge(graph: DualGraph, edge: tuple[str, str]) -> tuple[frozenset[st
     return frozenset(side), frozenset(graph.ids) - frozenset(side)
 
 
+def reduction_root(graph: DualGraph) -> str:
+    """Where :func:`reduce_treelike` normalizes gamma by default: the vertex
+    carrying marking 1, else the first vertex.
+
+    The root only fixes gamma's additive constant, which the twister action
+    ignores; it is not the stability basepoint of ``resolve_basepoint``.  So an
+    unmarked curve of two components is reduced, while the twist answers,
+    which orient each edge away from a basepoint, refuse it with NO_BASEPOINT.
+    """
+    v = graph.marking_vertex(1)
+    return graph.ids[0] if v is None else v
+
+
 def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = None,
                     choose_leaf: Callable[[tuple[str, ...]], str] | None = None) -> ReduceResult:
     """Reduce a total-zero multidegree on a treelike graph to the zero one.
@@ -88,8 +101,8 @@ def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = N
     Leaves of the loopless tree are peeled one at a time; peeling a leaf with
     current degree c twists by c on the whole branch hanging off it, which
     pushes c across the leaf's unique remaining edge.  The returned gamma is
-    normalized to vanish at the root (the vertex carrying marking 1 unless
-    overridden) and satisfies twist_multidegree(gamma) + m = 0.
+    normalized to vanish at the root (:func:`reduction_root` unless given)
+    and satisfies twist_multidegree(gamma) + m = 0.
 
     ``choose_leaf`` picks among the currently peelable leaves (sorted tuple);
     the result does not depend on the choice, which the tests exercise.
@@ -100,7 +113,7 @@ def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = N
     if sum(degrees.values()) != 0:
         raise JacstabError("NONZERO_TOTAL", "multidegree must have total 0")
     if root is None:
-        root = graph.marking_vertex(1) or graph.ids[0]
+        root = reduction_root(graph)
     elif root not in graph.ids:
         raise JacstabError("BAD_INPUT", f"unknown root vertex {root!r}")
 

@@ -4,11 +4,12 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from jacstab import theta_via_pushforward
-from jacstab.corpus import random_tau
+from jacstab import DualGraph, Polarization, enumerate_stable, theta_via_pushforward
+from jacstab.corpus import random_connected_graph, random_tau
 from jacstab.pushforward import PUSH_RULES
 from jacstab import cli, selftest, twister
 from jacstab.cli import main
@@ -362,7 +363,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "enumerate_stable", broken)
+    monkeypatch.setattr(cli, "_stable_degrees", broken)
     code = main(["stability", "enumerate", "--graph", BANANA, "--output", "text"])
     captured = capsys.readouterr()
     assert code == 3
@@ -481,15 +482,16 @@ def test_renderer_refuses_what_is_not_a_payload(capsys, monkeypatch, value):
     with pytest.raises(TypeError):
         cli._json(value)
     # an answer that is not a payload is a defect: exit 3, rendered by the same function
-    monkeypatch.setattr(cli, "enumerate_stable", lambda *args, **kwargs: [value])
-    code, payload = run_json(capsys, "stability", "enumerate", "--graph", BANANA)
+    monkeypatch.setattr(cli, "locus_membership", lambda *args, **kwargs: value)
+    code, payload = run_json(capsys, "stability", "locus", "--graph", BANANA,
+                             "--tau", "0,0", "--k", "0")
     assert code == 3 and payload["error"] == "INTERNAL"
 
 
 def test_text_is_built_only_for_text_output(capsys, monkeypatch):
     from jacstab.divisors import DivisorClass, LinearClass
 
-    calls = {"text": 0, "multidegree": 0, "json": 0}
+    calls = {"text": 0, "text_row": 0, "json": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -498,16 +500,73 @@ def test_text_is_built_only_for_text_output(capsys, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(LinearClass, "text", counted("text", LinearClass.text))
-    monkeypatch.setattr(cli, "_multidegree_text", counted("multidegree", cli._multidegree_text))
+    monkeypatch.setattr(cli, "_text_row", counted("text_row", cli._text_row))
     monkeypatch.setattr(DivisorClass, "to_json_dict", counted("json", DivisorClass.to_json_dict))
     theta = ("class", "theta", "--g", "3", "--n", "2", "--tau", "2,-2", "--k", "0",
              "--method", "derive")
     assert run_cli(capsys, *theta)[0] == 0
     assert run_cli(capsys, "stability", "enumerate", "--graph", BANANA)[0] == 0
-    assert calls == {"text": 0, "multidegree": 0, "json": 1}
+    assert calls == {"text": 0, "text_row": 0, "json": 1}
     assert run_cli(capsys, *theta, "--output", "text")[0] == 0
     assert run_cli(capsys, "stability", "enumerate", "--graph", BANANA, "--output", "text")[0] == 0
-    assert calls == {"text": 1, "multidegree": 2, "json": 1}
+    assert calls == {"text": 1, "text_row": 1, "json": 1}
+
+
+def _enumerate_answers(graph, pol, mode, basepoint):
+    """The enumerate answer as JSON and as text, rendered from enumerate_stable's maps."""
+    found = enumerate_stable(graph, pol, mode, basepoint=basepoint)
+    payload = json.dumps({"count": len(found), "multidegrees": found}, sort_keys=True, indent=2)
+    text = "\n".join(cli._multidegree_text(m) for m in found) or "(none)"
+    return payload + "\n", text + "\n"
+
+
+def _fractional(graph):
+    """A custom polarization with thirds and halves whose total is an integer."""
+    q = {v: Fraction((-1) ** i * (i + 1), 2 + i % 2) for i, v in enumerate(graph.ids)}
+    q[graph.ids[-1]] -= sum(q.values()) - round(sum(q.values()))
+    return Polarization.custom(q)
+
+
+# ids that need quoting in JSON, or that a %-template would misread
+ODD_IDS = DualGraph([("%d", 0, [1]), ('q"%s', 0, []), ("\u00e9\\", 0, [2]), ("x%%", 1, [])],
+                    [("%d", 'q"%s'), ("%d", 'q"%s'), ('q"%s', "\u00e9\\"), ("\u00e9\\", "x%%"),
+                     ("%d", "x%%")])
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 2, 3])
+def test_chunked_enumerate_answer_is_the_rendered_maps(capsys, monkeypatch, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    rng = random.Random(22)
+    graphs = [random_connected_graph(rng, max_vertices=5) for _ in range(5)]
+    graphs += [single_vertex(), ODD_IDS]
+    chosen = {}
+    # --pol names a preset; its converter returns the polarization under test
+    monkeypatch.setitem(cli.OPTIONS["--pol"], "convert", lambda name: chosen["pol"])
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    for graph in graphs:
+        text = json.dumps(graph.to_json_dict())
+        for pol in (Polarization.canonical_zero(), Polarization.trivial_gm1(),
+                    _fractional(graph)):
+            chosen["pol"] = pol
+            for mode in ("semistable", "stable", "qstable"):
+                basepoint = rng.choice((None, rng.choice(graph.ids)))
+                flags = ["--basepoint", basepoint] if basepoint else []
+                expected = _enumerate_answers(graph, pol, mode, basepoint)
+                for output, want in zip(("json", "text"), expected):
+                    assert run_cli(capsys, "stability", "enumerate", "--graph", text,
+                                   "--mode", mode, "--output", output, *flags) == (0, want)
+
+
+def test_empty_enumerate_answer(capsys):
+    bridge = DualGraph([("a", 1, [1]), ("b", 1, [])], [("a", "b")])
+    argv = ("stability", "enumerate", "--graph", json.dumps(bridge.to_json_dict()),
+            "--pol", "trivial-gm1", "--mode", "stable")
+    json_answer, text_answer = _enumerate_answers(bridge, Polarization.trivial_gm1(),
+                                                  "stable", None)
+    assert run_cli(capsys, *argv) == (0, json_answer)
+    assert json.loads(json_answer) == {"count": 0, "multidegrees": []}
+    assert run_cli(capsys, *argv, "--output", "text") == (0, text_answer) == (0, "(none)\n")
 
 
 def test_graph_from_file_and_stdin(tmp_path, capsys, monkeypatch):
@@ -643,10 +702,16 @@ def test_twist_answer_splits_each_edge_once(capsys, monkeypatch, command):
     assert sorted(calls) == list(zip(ids, ids[1:]))
 
 
+K7 = json.dumps({"vertices": [{"id": f"v{i}", "genus": 0, "legs": [1] if i == 0 else []}
+                              for i in range(7)],
+                 "edges": [[f"v{i}", f"v{j}"] for i in range(7) for j in range(i + 1, 7)]})
+
+
 @pytest.mark.parametrize("argv", [
     ["class", "theta", "--g", "8", "--n", "10", "--tau=1,-1,1,-1,1,-1,1,-1,1,-1", "--k", "0"],
     ["graph", "classify", "--graph", BANANA],
-], ids=["large-answer", "small-answer"])
+    ["stability", "enumerate", "--graph", K7],
+], ids=["large-answer", "small-answer", "chunked-answer"])
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     read, write = os.pipe()
     os.close(read)  # no reader before the child starts, so its first write fails

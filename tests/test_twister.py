@@ -9,7 +9,7 @@ from jacstab import (DualGraph, JacstabError, Polarization, QSTABLE,
 from jacstab.corpus import (random_connected_graph, random_treelike_graph,
                             random_zero_sum, random_tau)
 from jacstab.oracles import solve_twister
-from jacstab.twister import split_at_edge
+from jacstab.twister import reduction_root, split_at_edge
 from common import banana, two_vertex_tree, path3, star, tree_with_loop
 
 
@@ -83,6 +83,17 @@ def test_reduce_star_example():
     g = star()
     result = reduce_treelike(g, {"a": 1, "b": 1, "d": -2, "c": 0}, root="c")
     assert result.gamma == {"a": 1, "b": 1, "d": -2, "c": 0}
+
+
+def test_reduction_root_is_not_the_stability_basepoint():
+    # marking 1's vertex, else the first vertex: gamma's constant, not a basepoint
+    assert reduction_root(path3()) == "v3"
+    unmarked = DualGraph([("a", 1, []), ("b", 1, [])], [("a", "b")])
+    assert reduction_root(unmarked) == "a"
+    assert reduce_treelike(unmarked, {"a": 1, "b": -1}).gamma == {"a": 0, "b": -1}
+    with pytest.raises(JacstabError) as err:
+        branch_coefficients(unmarked, [], 0)
+    assert err.value.code == "NO_BASEPOINT"
 
 
 def test_reduce_rejects_non_treelike_and_nonzero_total():
