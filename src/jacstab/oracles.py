@@ -167,8 +167,8 @@ def _mul_monomials(k1: tuple, k2: tuple) -> list[tuple]:
         return [(("D2", a[1]), 1)] if a[1] == b[1] else []
     if a[0] == "D" and b[0] == "K":
         return [(("D2", a[1]), -1)]  # K*D_i = -D_i^2
-    if a[0] == "B" and b[0] == "D":
-        return [(("DB", b[1], a[1], a[2]), 1)]
+    if a[0] == "B" and b[0] == "D":  # section i lies on the other side when i is not in A
+        return [(("DB", b[1], a[1], a[2]), 1)] if b[1] in a[2] else []
     if a[0] == "K" and b[0] == "K":
         return [(("K2",), 1)]
     if a[0] == "B" and b[0] == "K":

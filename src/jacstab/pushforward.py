@@ -15,20 +15,24 @@ rules.  The ring rules of the product:
 * K * D_i = -D_i^2
 * D_i * D_j = 0 for i != j (disjoint sections)
 * B_{h,A} * B_{l,B} = 0 for distinct indices
-* D_i * B_{h,A} stays symbolic until pushforward
+* D_i * B_{h,A} = 0 for i not in A: on the universal curve, the space of
+  (n+1)-marked curves with * the moving point, the two are delta_{0,{i,*}}
+  and delta_{h,A+{*}}, boundary divisors that meet only when their sides
+  nest, that is when i is in A (Arbarello-Cornalba's boundary calculus)
 
 A product of two degree-1 monomials is therefore non-zero only in five
 families: D_i^2 (K*D_i lands here), K^2, B_{h,A}^2 (one index on both sides),
-K*B_{h,A}, and D_i*B_{h,A} for every i.  The constant multiplies every term,
+K*B_{h,A}, and D_i*B_{h,A} for i in A.  The constant multiplies every term,
 and every other pair exceeds degree 2.  ``FiberClass.mul_raw`` splits each
 factor into its constant, D_i, K, B_{h,A} and degree-2 parts, pairs the two
-factors' coefficients index by index and forms only these families, so its
-work grows with the number of family terms, not with the number of monomial
-pairs.  Every fiber class is thus in normal form for the first three rules,
-and ``==`` compares normal forms.  D_i * B_{h,A} = 0 for i not in A (section
-i lies on the other side) is applied only by the pushforward, not in the
-product: ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))``
-prints ``D_2*B_{1,{1}}`` and is not ``==`` to zero, though it pushes to zero.
+factors' coefficients index by index and forms only these families (D_i*B_{h,A}
+by a loop over the legs i of each A), so its work grows with the number of
+family terms, not with the number of monomial pairs.  A product of classes of
+degree <= 1 is thus in normal form for all four rules, and ``==`` compares
+normal forms: ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))``
+is ``==`` to zero.  A class built by hand may still hold a D_i*B_{h,A} with i
+not in A (and a constant factor keeps it), so the pushforward rule of that
+family still tests ``i in A``.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
 the degree-2 monomials (the rank-2 rows of ``_TAGS``) to divisor classes on
@@ -152,10 +156,13 @@ class FiberClass(LinearClass):
         out: dict[tuple, Exact] = {("K2",): aK * bK}
         for i, (a, b) in D.items():
             out[("D2", i)] = a * b - a * bK - aK * b  # K*D_i = -D_i^2
-            out.update({("DB", i, h, A): a * y + x * b for (h, A), (x, y) in B.items()})
-        for (h, A), (a, b) in B.items():
-            out[("B2", h, A)] = a * b
-            out[("KB", h, A)] = a * bK + aK * b
+        for (h, A), (x, y) in B.items():
+            out[("B2", h, A)] = x * y
+            out[("KB", h, A)] = x * bK + aK * y
+            for i in A:  # D_i*B_{h,A} = 0 for i not in A
+                if i in D:
+                    a, b = D[i]
+                    out[("DB", i, h, A)] = a * y + x * b
         if a0 or b0:  # each constant scales the other factor, const * const once
             for key in self.coeffs.keys() | other.coeffs.keys():
                 c = (a0 * b0 if key == ("const",)

@@ -152,7 +152,13 @@ def test_mul_raw_matches_pairwise_reference():
             seen["const"] += ("const",) in a.coeffs or ("const",) in b.coeffs
             seen["degree 2 input"] += any(key[0] in QUADRATIC_TAGS
                                           for key in (*a.coeffs, *b.coeffs))
+            # a D_i of one factor against a B_{h,A} of the other, on both sides of the rule
+            legs = [(d[1], x[2]) for f, f2 in ((a, b), (b, a)) for d in f.coeffs if d[0] == "D"
+                    for x in f2.coeffs if x[0] == "B"]
+            seen["D*B, i in A"] += any(i in A for i, A in legs)
+            seen["D*B, i not in A"] += any(i not in A for i, A in legs)
     assert seen["error"] >= 100 and seen["const"] >= 100 and seen["degree 2 input"] >= 30, seen
+    assert seen["D*B, i in A"] >= 30 and seen["D*B, i not in A"] >= 30, seen
 
 
 def test_fiber_constructor_sorts_legs_and_adds_equal_keys():
