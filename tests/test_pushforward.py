@@ -189,11 +189,22 @@ def test_product_term_order_at_n_12():
     c1 = c1_twisted_bundle(1, 12, [1, -1] * 6, 0)
     square = c1 * c1
     symbols = [term["monomial"] for term in square.to_json_dict()["terms"]]
-    assert len(symbols) == 41092
+    assert len(symbols) == 22192
     assert symbols[:4] == ["B_{0,{1,10,11}}^2", "B_{0,{1,10,12}}^2", "B_{0,{1,11,12}}^2",
                            "B_{0,{1,11}}^2"]
     assert symbols[-3:] == ["D_9*B_{0,{9,11,12}}", "D_9*B_{0,{9,11}}", "D_9^2"]
     assert (hashlib.sha256(square.text().encode()).hexdigest()
+            == "deb1665cc698e748f2d321640574676296768a86026e251f98f93ad81f323d8d")
+    # the product that keeps every D_i*B_{h,A} (2 tau_i b_{h,A} each) is the
+    # one pinned before D_i*B_{h,A} = 0 for i not in A entered the product:
+    # the two differ by exactly the terms with i not in A
+    tau = {key[1]: c for key, c in c1.coeffs.items() if key[0] == "D"}
+    boundary = {key[1:]: c for key, c in c1.coeffs.items() if key[0] == "B"}
+    dropped = {("DB", i, h, A): 2 * tau[i] * b
+               for (h, A), b in boundary.items() for i in tau if i not in A}
+    unreduced = square + FiberClass(1, 12, dropped)
+    assert len(unreduced.coeffs) == 41092 and not dropped.keys() & square.coeffs.keys()
+    assert (hashlib.sha256(unreduced.text().encode()).hexdigest()
             == "be65e8e8738ac5e20c39ee923f9d734e22ff85f99a17be35bfe6fc1f077de473")
 
 
@@ -227,12 +238,14 @@ def test_fiber_symbols_render_once_per_printout(monkeypatch):
             assert calls == Counter(cls.coeffs.keys()), printout
 
 
-def test_unreduced_section_boundary_product_pushes_to_zero():
-    # D_i * B_{h,A} = 0 for i not in A is applied by the pushforward only
-    prod = FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))
-    assert prod.text() == "D_2*B_{1,{1}}"
-    assert prod != FiberClass.zero(2, 2)
-    assert pushforward(prod).is_zero()
+def test_section_boundary_product_is_zero_off_its_side():
+    # D_i * B_{h,A} = 0 for i not in A is applied by the product itself
+    off = FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))
+    assert off == FiberClass.zero(2, 2) and off.text() == "0"
+    assert pushforward(off).is_zero()
+    on = FiberClass.section(2, 2, 1) * FiberClass.boundary(2, 2, 1, (1,))
+    assert on.text() == "D_1*B_{1,{1}}"
+    assert pushforward(on) == DivisorClass(2, 2, delta={(1, (1,)): 1})
 
 
 def test_graded_keys_that_sort_equal_add():
