@@ -489,7 +489,7 @@ def test_renderer_refuses_what_is_not_a_payload(capsys, monkeypatch, value):
 
 
 def test_text_is_built_only_for_text_output(capsys, monkeypatch):
-    from jacstab.divisors import DivisorClass, LinearClass
+    from jacstab.divisors import LinearClass
 
     calls = {"text": 0, "text_row": 0, "json": 0}
 
@@ -501,7 +501,7 @@ def test_text_is_built_only_for_text_output(capsys, monkeypatch):
 
     monkeypatch.setattr(LinearClass, "text", counted("text", LinearClass.text))
     monkeypatch.setattr(cli, "_text_row", counted("text_row", cli._text_row))
-    monkeypatch.setattr(DivisorClass, "to_json_dict", counted("json", DivisorClass.to_json_dict))
+    monkeypatch.setattr(cli, "_divisor_json", counted("json", cli._divisor_json))
     theta = ("class", "theta", "--g", "3", "--n", "2", "--tau", "2,-2", "--k", "0",
              "--method", "derive")
     assert run_cli(capsys, *theta)[0] == 0
