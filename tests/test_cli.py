@@ -558,6 +558,57 @@ def test_chunked_enumerate_answer_is_the_rendered_maps(capsys, monkeypatch, chun
                                    "--mode", mode, "--output", output, *flags) == (0, want)
 
 
+def _divisor_answers(rng):
+    """(argv, class) of every divisor-class command on seeded (g, n), n >= 10 included,
+    a class whose delta list and psi map are empty, and one of more than 4,096 rows."""
+    from jacstab import (theta_pullback, theta_gm1_pullback, theta_gm1_via_pushforward,
+                         mueller_class)
+    from jacstab.divisors import theta_pullback_hain
+
+    yield ("theta-gm1", "--g", "1", "--n", "1", "--tau=0"), theta_gm1_pullback(1, 1, [0])
+    tau = [1, -1] * 6
+    yield (("theta", "--g", "3", "--n", "12", f"--tau={_csv(tau)}"),
+           theta_pullback(3, 12, tau, 0))
+    for g, n in ((1, 2), (2, 3), (3, 4), (4, 5), (2, 10), (3, 10)):
+        k = rng.choice((-1, 1))
+        tau, zero_sum, gm1 = (random_tau(rng, n, total) for total in (k * (2 * g - 2), 0, g - 1))
+        gm1[0] = -abs(gm1[0]) - 1  # a negative entry, as mueller needs
+        gm1[1] += g - 1 - sum(gm1)
+        head = ("--g", str(g), "--n", str(n))
+        for flags, cls in [
+                (("theta", f"--tau={_csv(tau)}", "--k", str(k)), theta_pullback(g, n, tau, k)),
+                (("theta", f"--tau={_csv(tau)}", "--k", str(k), "--method", "derive"),
+                 theta_via_pushforward(g, n, tau, k)),
+                (("theta", f"--tau={_csv(zero_sum)}", "--method", "hain"),
+                 theta_pullback_hain(g, n, zero_sum)),
+                (("theta-gm1", f"--tau={_csv(gm1)}"), theta_gm1_pullback(g, n, gm1)),
+                (("theta-gm1", f"--tau={_csv(gm1)}", "--method", "derive"),
+                 theta_gm1_via_pushforward(g, n, gm1)),
+                (("mueller", f"--tau={_csv(gm1)}"), mueller_class(g, n, gm1)),
+                (("mueller", f"--tau={_csv(gm1)}", "--exclude-empty"),
+                 mueller_class(g, n, gm1, include_empty=False))]:
+            yield (flags[0], *head, *flags[1:]), cls
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 2, 3])
+def test_chunked_class_answer_is_the_rendered_payload(capsys, monkeypatch, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    seen = {"empty": 0, "psi key 10": 0, "rows": 0}
+    for argv, cls in _divisor_answers(random.Random(23)):
+        payload = cls.to_json_dict()
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert run_cli(capsys, "class", *argv) == (0, want), argv
+        seen["empty"] += not payload["delta"] and not payload["psi"]
+        seen["psi key 10"] += "10" in payload["psi"]
+        seen["rows"] = max(seen["rows"], len(payload["delta"]))
+    assert seen["empty"] == 1 and seen["psi key 10"] >= 8 and seen["rows"] > 4096, seen
+
+
 def test_empty_enumerate_answer(capsys):
     bridge = DualGraph([("a", 1, [1]), ("b", 1, [])], [("a", "b")])
     argv = ("stability", "enumerate", "--graph", json.dumps(bridge.to_json_dict()),
@@ -711,7 +762,8 @@ K7 = json.dumps({"vertices": [{"id": f"v{i}", "genus": 0, "legs": [1] if i == 0 
     ["class", "theta", "--g", "8", "--n", "10", "--tau=1,-1,1,-1,1,-1,1,-1,1,-1", "--k", "0"],
     ["graph", "classify", "--graph", BANANA],
     ["stability", "enumerate", "--graph", K7],
-], ids=["large-answer", "small-answer", "chunked-answer"])
+    ["class", "theta", "--g", "8", "--n", "12", "--tau=" + ",".join(["1,-1"] * 6), "--k", "0"],
+], ids=["large-answer", "small-answer", "chunked-answer", "chunked-class-answer"])
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     read, write = os.pipe()
     os.close(read)  # no reader before the child starts, so its first write fails

@@ -248,6 +248,28 @@ def test_section_boundary_product_is_zero_off_its_side():
     assert pushforward(on) == DivisorClass(2, 2, delta={(1, (1,)): 1})
 
 
+def test_sign_relations_of_the_derivation():
+    # c1 is linear in (tau, k), so c1(-tau, -k) = -c1(tau, k), its square is unchanged and
+    # theta(-tau, -k) = theta(tau, k).  These hold for any bilinear product, so the derived
+    # class at (-tau, -k) is also compared with the closed form at (tau, k), which a product
+    # that formed the wrong D_i*B_{h,A} would miss.
+    rng = random.Random(13)
+    cases = 0
+    for _ in range(60):
+        g, n, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(-2, 2)
+        tau = random_tau(rng, n, k * (2 * g - 2))
+        if tau is None or not (k or any(tau)):
+            continue
+        neg = [-x for x in tau]
+        c1, c1_neg = c1_twisted_bundle(g, n, tau, k), c1_twisted_bundle(g, n, neg, -k)
+        assert c1_neg == c1.scale(-1)
+        assert c1_neg.mul_raw(c1_neg) == c1.mul_raw(c1)
+        derived = theta_via_pushforward(g, n, neg, -k)
+        assert derived == theta_via_pushforward(g, n, tau, k) == theta_pullback(g, n, tau, k)
+        cases += 1
+    assert cases >= 40, cases
+
+
 def test_graded_keys_that_sort_equal_add():
     poly = GradedAtomPoly(3, {((1, 1), (2, 1)): 1, ((2, 1), (1, 1)): 1})
     assert poly.terms == {((1, 1), (2, 1)): Fraction(2)}
