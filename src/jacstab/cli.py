@@ -32,10 +32,10 @@ answer (the bytes ``_json`` or the text line would give), and the rows are
 joined ``CHUNK_ROWS`` at a time.  K_8's 262,144 rows (35.5 MB) thus never
 exist as one string or as a map per row.  The JSON of a divisor class
 (``class theta``, ``theta-gm1`` and ``mueller``) is chunked the same way: the
-class is computed first, then each delta term fills ``_DELTA_ROW``, so
-``DivisorClass.to_json_dict`` is not built; the closed theta at (12,14), with
-106,480 delta terms, peaks at 53 MB instead of 114 MB.  Text answers, ``c1``
-and ``zero-section-shape`` keep the single-string path.
+class is computed first, then each delta term fills ``_DELTA_ROW``, so the
+106,480 delta terms of the closed theta at (12,14) never exist as maps
+(``DivisorClass.to_json_dict``) or as one string.  Text answers, ``c1`` and
+``zero-section-shape`` keep the single-string path.
 """
 
 from __future__ import annotations

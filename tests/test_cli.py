@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -558,9 +559,14 @@ def test_chunked_enumerate_answer_is_the_rendered_maps(capsys, monkeypatch, chun
                                    "--mode", mode, "--output", output, *flags) == (0, want)
 
 
-def _divisor_answers(rng):
+@functools.cache
+def _divisor_answers() -> tuple:
     """(argv, class) of every divisor-class command on seeded (g, n), n >= 10 included,
     a class whose delta list and psi map are empty, and one of more than 4,096 rows."""
+    return tuple(_divisor_cases(random.Random(23)))
+
+
+def _divisor_cases(rng):
     from jacstab import (theta_pullback, theta_gm1_pullback, theta_gm1_via_pushforward,
                          mueller_class)
     from jacstab.divisors import theta_pullback_hain
@@ -599,7 +605,7 @@ def test_chunked_class_answer_is_the_rendered_payload(capsys, monkeypatch, chunk
     if chunk_rows is not None:
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
     seen = {"empty": 0, "psi key 10": 0, "rows": 0}
-    for argv, cls in _divisor_answers(random.Random(23)):
+    for argv, cls in _divisor_answers():
         payload = cls.to_json_dict()
         want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert run_cli(capsys, "class", *argv) == (0, want), argv

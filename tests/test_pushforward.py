@@ -243,6 +243,9 @@ def test_section_boundary_product_is_zero_off_its_side():
     off = FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))
     assert off == FiberClass.zero(2, 2) and off.text() == "0"
     assert pushforward(off).is_zero()
+    # a class built by hand can still hold the term, and the pushforward drops it
+    by_hand = FiberClass(2, 2, {("DB", 2, 1, (1,)): 1})
+    assert by_hand.text() == "D_2*B_{1,{1}}" and pushforward(by_hand).is_zero()
     on = FiberClass.section(2, 2, 1) * FiberClass.boundary(2, 2, 1, (1,))
     assert on.text() == "D_1*B_{1,{1}}"
     assert pushforward(on) == DivisorClass(2, 2, delta={(1, (1,)): 1})
