@@ -53,11 +53,11 @@ from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, m
 from .errors import JacstabError, load_json, strict_int, _unique_keys
 from .graphs import DualGraph
 from .pushforward import (c1_twisted_bundle, theta_via_pushforward,
-                          theta_gm1_via_pushforward, compact_type_gm1_multidegree,
-                          exp_truncate)
-from .stability import (Polarization, check_stability, _stable_degrees,
-                        is_balanced, locus_membership, threshold, INDETERMINACY)
-from .twister import twist_multidegree, reduce_treelike, boundary_multidegree, _branch_table
+                          theta_gm1_via_pushforward, exp_truncate)
+from .stability import (MODES, QSTABLE, CANONICAL_ZERO, TRIVIAL_GM1, INDETERMINACY, Polarization,
+                        check_stability, _stable_degrees, is_balanced, locus_membership, threshold)
+from .twister import (twist_multidegree, reduce_treelike, boundary_multidegree, _branch_table,
+                      compact_type_gm1_multidegree)
 
 
 def _read_json_arg(value: str, what: str) -> str:
@@ -370,9 +370,9 @@ def cmd_selftest(args):
 OPTIONS = {
     "--graph": {"required": True, "convert": _load_graph},
     "--subcurve": {"required": True, "convert": _parse_subcurve},
-    "--pol": {"default": "canonical0", "choices": ("canonical0", "trivial-gm1"),
+    "--pol": {"default": CANONICAL_ZERO, "choices": (CANONICAL_ZERO, TRIVIAL_GM1),
               "convert": Polarization.preset},
-    "--mode": {"default": "qstable", "choices": ("semistable", "stable", "qstable")},
+    "--mode": {"default": QSTABLE, "choices": MODES},
     "--m": {"required": True, "convert": lambda value: _parse_int_map(value, "multidegree")},
     "--gamma": {"required": True, "help": "'v1=0,v2=1' or JSON object",
                 "convert": lambda value: _parse_int_map(value, "gamma")},

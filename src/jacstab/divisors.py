@@ -44,8 +44,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .errors import JacstabError, strict_int
-from .stability import _check_twist, check_tau
+from .errors import JacstabError, check_tau, check_twist, strict_int
 
 Legs = tuple[int, ...]
 Exact = int | Fraction
@@ -322,7 +321,7 @@ def _check_tau_theta(g: int, n: int, tau: Sequence[int], k: int) -> list[int]:
 
 def _check_tau_gm1(g: int, n: int, tau: Sequence[int]) -> list[int]:
     _check_gn(g, n)
-    return _check_twist(tau, n, lambda: ("g-1", g - 1))
+    return check_twist(tau, n, lambda: ("g-1", g - 1))
 
 
 def theta_pullback_hain(g: int, n: int, tau: Sequence[int]) -> DivisorClass:

@@ -3,12 +3,14 @@
 A domain failure carries a stable machine-readable code.  ``strict_int``
 accepts a genuine ``int`` only, never coerced.  ``load_json`` reads every
 JSON input of the package, and ``_unique_keys`` is its rule that no object,
-and no comma-form map, names a key twice.
+and no comma-form map, names a key twice.  ``check_twist`` reads a twist
+vector against a total, ``check_tau`` against k(2g-2), for graphs and classes.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, Iterable
 
 
 class JacstabError(Exception):
@@ -49,3 +51,20 @@ def load_json(text: str, what: str):
         return json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, what))
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise JacstabError("BAD_INPUT", f"malformed {what}: {exc}") from exc
+
+
+def check_tau(graph_g: int, tau: Iterable[int], k: int, n: int) -> list[int]:
+    """Validate an integer twist vector: n entries summing to k(2g-2)."""
+    return check_twist(tau, n, lambda: ("k(2g-2)", strict_int(k, "k") * (2 * graph_g - 2)))
+
+
+def check_twist(tau: Iterable[int], n: int, total: Callable[[], tuple[str, int]]) -> list[int]:
+    """n integer entries summing to the total named by ``total()``, which is
+    called after the entries are read, so it may check its own inputs."""
+    t = [strict_int(x, "tau entry") for x in tau]
+    name, want = total()
+    if len(t) != n:
+        raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
+    if sum(t) != want:
+        raise JacstabError("TAU_SUM", f"sum(tau) = {sum(t)}, expected {name} = {want}")
+    return t

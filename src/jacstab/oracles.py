@@ -15,11 +15,11 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import JacstabError
+from .errors import JacstabError, check_tau
 from .graphs import DualGraph
 from .pushforward import FiberClass
 from .stability import (Polarization, QSTABLE, STABLE, SEMISTABLE, BalanceVerdict,
-                        StabilityVerdict, check_basepoint, check_tau, resolve_basepoint)
+                        StabilityVerdict, check_basepoint, resolve_basepoint)
 
 
 def solve_twister(graph: DualGraph, m: Mapping[str, int], root: str) -> dict[str, int]:

@@ -27,18 +27,16 @@ and every other pair exceeds degree 2.  ``FiberClass.mul_raw`` splits each
 factor into its constant, D_i, K, B_{h,A} and degree-2 parts, pairs the two
 factors' coefficients index by index and forms only these families (D_i*B_{h,A}
 by a loop over the legs i of each A), so its work grows with the number of
-family terms, not with the number of monomial pairs.  A product of classes of
-degree <= 1 is thus in normal form for all four rules, and ``==`` compares
-normal forms: ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))``
-is ``==`` to zero.  A class built by hand may still hold a D_i*B_{h,A} with i
-not in A (and a constant factor keeps it), so the pushforward rule of that
-family still tests ``i in A``.
+family terms, not with the number of monomial pairs.  The constructor drops a
+D_i*B_{h,A} with i not in A, so every class is in normal form for all four
+rules and ``==`` compares normal forms: ``FiberClass(2, 2, {("DB", 2, 1, (1,)): 1})``
+and ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))`` are zero.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
-the degree-2 monomials (the rank-2 rows of ``_TAGS``) to divisor classes on
-the base via ``PUSH_RULES``, with no rewriting of its own: each derivation
-forms one product and pushes it once.  The rule table is module data so that
-corrupting it is observable (the selftest must catch a corrupted table).
+each degree-2 monomial to the one term on the base that ``PUSH_RULES`` names
+for its tag, with no rewriting of its own: each derivation forms one product
+and pushes it once.  The rule table is module data so that corrupting it is
+observable (the selftest must catch a corrupted table).
 
 The derivations run on ``int``s: c1 has integer coefficients (tau and k are
 integers), so has its product, and so has every rule.  The one ``Fraction``
@@ -52,10 +50,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import JacstabError, strict_int
-from .graphs import DualGraph
-from .divisors import (DivisorClass, Exact, LinearClass, canonicalize,
+from .divisors import (DivisorClass, Exact, LinearClass, canonicalize, exact,
                        _check_gn, _check_tau_theta, _check_tau_gm1, _closed, _joined, _legs)
-from .stability import resolve_basepoint
 
 def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
     """Split coefficients into (constant, {i: D_i}, K, {(h, A): B_{h,A}}, degree-2 part)."""
@@ -97,8 +93,9 @@ class FiberClass(LinearClass):
 
     def __init__(self, g: int, n: int, coeffs: Mapping[tuple, Exact] | None = None):
         _check_gn(g, n)
-        self._fill_sum((g, n), ((self._monomial(g, n, key), c)
-                                for key, c in (coeffs or {}).items()))
+        terms = [(self._monomial(g, n, key), exact(c)) for key, c in (coeffs or {}).items()]
+        # D_i*B_{h,A} = 0 for i not in A: every class is built in normal form
+        self._fill_sum((g, n), [(key, c) for key, c in terms if key[0] != "DB" or key[1] in key[3]])
 
     @classmethod
     def _monomial(cls, g: int, n: int, key: tuple) -> tuple:
@@ -186,14 +183,14 @@ class FiberClass(LinearClass):
 # ----------------------------------------------------------------------
 # pushforward rules
 
-# Each rule maps a degree-2 monomial's indices to ``canonicalize`` terms with
-# integer coefficients.
+# Each rule maps a degree-2 monomial's indices to one ``canonicalize`` term
+# head and its integer factor; the tags it does not name push to zero.
 PUSH_RULES = {
-    "D2": lambda i: [("psi", i, -1)],
-    "K2": lambda: [("kappa1t", 1)],
-    "B2": lambda h, A: [("delta", h, A, -1)],
-    "DB": lambda i, h, A: ([("delta", h, A, 1)] if i in A else []),
-    "KB": lambda h, A: [("delta", h, A, 2 * h - 1)],
+    "D2": lambda i: (("psi", i), -1),
+    "K2": lambda: (("kappa1t",), 1),
+    "B2": lambda h, A: (("delta", h, A), -1),
+    "DB": lambda i, h, A: (("delta", h, A), 1),
+    "KB": lambda h, A: (("delta", h, A), 2 * h - 1),
 }
 
 
@@ -205,12 +202,11 @@ def pushforward(fc: FiberClass) -> DivisorClass:
     ``canonicalize`` gets one non-zero term per key.
     """
     pushed: dict[tuple, Exact] = {}
-    tags = FiberClass._TAGS
     for key, c in fc.coeffs.items():
-        if tags[key[0]][0] == 2:
-            for term in PUSH_RULES[key[0]](*key[1:]):
-                head = term[:-1]
-                pushed[head] = pushed.get(head, 0) + c * term[-1]
+        rule = PUSH_RULES.get(key[0])
+        if rule is not None:
+            head, factor = rule(*key[1:])
+            pushed[head] = pushed.get(head, 0) + c * factor
     return canonicalize(fc.g, fc.n, [(*head, c) for head, c in pushed.items() if c])
 
 
@@ -257,21 +253,6 @@ def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int]) -> DivisorClas
     c1 = c1_gm1_bundle(g, n, tau)
     pushed = pushforward(c1.mul_raw(c1 - FiberClass.canonical(g, n)))
     return pushed.scale(Fraction(-1, 2)) + DivisorClass(g, n, lambda1=-1)
-
-
-def compact_type_gm1_multidegree(graph: DualGraph, basepoint: str | None = None) -> dict[str, int]:
-    """Multidegree of the degree g-1 section on a treelike fiber.
-
-    m_v = g_v + loops_v + val'(v) - 2 + [v = base], val' counting non-loop
-    edges, base from :func:`resolve_basepoint`: each branch away from the base
-    gets its genus minus one, the total is g - 1, and this is the unique
-    q-stable multidegree of degree g - 1 for the trivial polarization.
-    """
-    if not graph.classify().treelike:
-        raise JacstabError("WRONG_SHAPE", "rule applies to treelike graphs only")
-    base = resolve_basepoint(graph, basepoint)
-    return {v: graph.genus_of[v] + graph._loops[v] + graph._nonloop_val[v] - 2 + (v == base)
-            for v in graph.ids}
 
 
 # ----------------------------------------------------------------------

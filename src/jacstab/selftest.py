@@ -20,12 +20,12 @@ import random
 from . import corpus, oracles
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
 from .graphs import DualGraph
-from .pushforward import (theta_via_pushforward, theta_gm1_via_pushforward,
-                          compact_type_gm1_multidegree, exp_truncate)
+from .pushforward import theta_via_pushforward, theta_gm1_via_pushforward, exp_truncate
 from .stability import (Polarization, QSTABLE, check_stability, enumerate_stable,
                         is_balanced, base_multidegree)
 from .twister import (reduce_treelike, reduction_root, twist_multidegree,
-                      branch_coefficients, branch_side, boundary_multidegree)
+                      branch_coefficients, branch_side, boundary_multidegree,
+                      compact_type_gm1_multidegree)
 
 SMALL = "small"
 FULL = "full"

@@ -25,12 +25,13 @@ subcurve, asking :meth:`DualGraph.connected_subsets` for one size at a time.
 early never computes the rows after its witness, nor builds the subcurves
 larger than it; :func:`is_balanced` scans its inequalities the same way.
 :func:`_stable_degrees`, the search behind :func:`enumerate_stable`, reads the
-rows once, so each threshold is computed once per search, and takes its box
-bounds from :func:`_least`.  Since the degrees total the target, each row
-becomes a bound on a subset without the last vertex, tested as soon as the
-subset's largest member is fixed.  The search keeps each result as a tuple of
-degrees in ``graph.ids`` order, which the CLI renders without a map per
-result; :func:`enumerate_stable` turns each tuple into a vertex -> degree map.
+rows once and takes its box bounds from :func:`_least`, so it computes 2V box
+thresholds plus one per row, the V singleton thresholds twice (22 on K_4 with
+every edge doubled).  As the degrees total the target, each row becomes a
+bound on a subset without the last vertex, tested as soon as the subset's
+largest member is fixed.  The search keeps each result as a tuple of degrees
+in ``graph.ids`` order, which the CLI renders without a map per result;
+:func:`enumerate_stable` turns each tuple into a vertex -> degree map.
 The balanced inequalities of :func:`is_balanced` keep their own direct loop,
 since their equivalence with q-stability is a theorem the tests compare.
 """
@@ -40,9 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import JacstabError, strict_int
+from .errors import JacstabError, check_tau, strict_int
 from .graphs import DualGraph
 
 SEMISTABLE = "semistable"
@@ -311,23 +312,6 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
 
 # ----------------------------------------------------------------------
 # balanced twist data
-
-def check_tau(graph_g: int, tau: Iterable[int], k: int, n: int) -> list[int]:
-    """Validate an integer twist vector: n entries summing to k(2g-2)."""
-    return _check_twist(tau, n, lambda: ("k(2g-2)", strict_int(k, "k") * (2 * graph_g - 2)))
-
-
-def _check_twist(tau: Iterable[int], n: int, total: Callable[[], tuple[str, int]]) -> list[int]:
-    """n integer entries summing to the total named by ``total()``, which is
-    called after the entries are read, so it may check its own inputs."""
-    t = [strict_int(x, "tau entry") for x in tau]
-    name, want = total()
-    if len(t) != n:
-        raise JacstabError("BAD_INPUT", f"tau has {len(t)} entries, expected {n}")
-    if sum(t) != want:
-        raise JacstabError("TAU_SUM", f"sum(tau) = {sum(t)}, expected {name} = {want}")
-    return t
-
 
 @dataclass(frozen=True)
 class BalanceVerdict:

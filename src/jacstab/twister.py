@@ -4,7 +4,8 @@ A twister supported on vertex components with integer coefficients gamma acts
 on multidegrees by minus the graph Laplacian: m -> m - L.gamma.  On a treelike
 graph the class group is trivial, so any total-zero multidegree is reduced to
 the zero multidegree by repeatedly peeling leaves and pushing their degree
-across their unique separating edge.
+across their unique separating edge.  There the degree g-1 section has the
+multidegree :func:`compact_type_gm1_multidegree`.
 """
 
 from __future__ import annotations
@@ -196,3 +197,18 @@ def boundary_multidegree(graph: DualGraph, tau: Iterable[int], k: int,
             gamma[v] += c
     tw = twist_multidegree(graph, gamma)
     return {v: m[v] + tw[v] for v in graph.ids}
+
+
+def compact_type_gm1_multidegree(graph: DualGraph, basepoint: str | None = None) -> dict[str, int]:
+    """Multidegree of the degree g-1 section on a treelike fiber.
+
+    m_v = g_v + loops_v + val'(v) - 2 + [v = base], val' counting non-loop
+    edges, base from :func:`resolve_basepoint`: each branch away from the base
+    gets its genus minus one, the total is g - 1, and this is the unique
+    q-stable multidegree of degree g - 1 for the trivial polarization.
+    """
+    if not graph.classify().treelike:
+        raise JacstabError("WRONG_SHAPE", "rule applies to treelike graphs only")
+    base = resolve_basepoint(graph, basepoint)
+    return {v: graph.genus_of[v] + graph._loops[v] + graph._nonloop_val[v] - 2 + (v == base)
+            for v in graph.ids}
