@@ -693,7 +693,7 @@ def test_selftest_treelike_gm1_row_catches_the_two_vertex_rule(monkeypatch):
 
 def test_selftest_detects_corrupted_rule_table(capsys, monkeypatch):
     # flipping the sign of the boundary self-intersection rule must be caught
-    monkeypatch.setitem(PUSH_RULES, "B2", lambda h, A: [("delta", h, A, 1)])
+    monkeypatch.setitem(PUSH_RULES, "B2", lambda h, A: (("delta", h, A), 1))
     code, payload = run_json(capsys, "selftest", "--depth", "small")
     assert code == 1 and not payload["ok"]
     broken = {c["name"] for c in payload["checks"] if not c["ok"]}

@@ -195,17 +195,20 @@ def test_product_term_order_at_n_12():
     assert symbols[-3:] == ["D_9*B_{0,{9,11,12}}", "D_9*B_{0,{9,11}}", "D_9^2"]
     assert (hashlib.sha256(square.text().encode()).hexdigest()
             == "deb1665cc698e748f2d321640574676296768a86026e251f98f93ad81f323d8d")
-    # the product that keeps every D_i*B_{h,A} (2 tau_i b_{h,A} each) is the
-    # one pinned before D_i*B_{h,A} = 0 for i not in A entered the product:
-    # the two differ by exactly the terms with i not in A
+    # the product lacks exactly the D_i*B_{h,A} of c1's D_i and B_{h,A} with i not in
+    # A: the 18,900 terms by which the 41,092 of the product before that rule entered
+    # it exceed its 22,192; each of them, built by hand, is zero
     tau = {key[1]: c for key, c in c1.coeffs.items() if key[0] == "D"}
     boundary = {key[1:]: c for key, c in c1.coeffs.items() if key[0] == "B"}
-    dropped = {("DB", i, h, A): 2 * tau[i] * b
-               for (h, A), b in boundary.items() for i in tau if i not in A}
-    unreduced = square + FiberClass(1, 12, dropped)
-    assert len(unreduced.coeffs) == 41092 and not dropped.keys() & square.coeffs.keys()
-    assert (hashlib.sha256(unreduced.text().encode()).hexdigest()
-            == "be65e8e8738ac5e20c39ee923f9d734e22ff85f99a17be35bfe6fc1f077de473")
+    pairs = {("DB", i, h, A) for h, A in boundary for i in tau}
+    off = {key for key in pairs if key[1] not in key[3]}
+    assert len(off) == 41092 - len(square.coeffs) == 18900
+    assert {key for key in square.coeffs if key[0] == "DB"} == pairs - off
+    assert all(FiberClass(1, 12, {key: 1}) == FiberClass.zero(1, 12) for key in off)
+    # so adding them back, with the 2 tau_i b_{h,A} they had, leaves the product
+    dropped = FiberClass(1, 12, {(tag, i, h, A): 2 * tau[i] * boundary[h, A]
+                                 for tag, i, h, A in off})
+    assert dropped.is_zero() and square + dropped == square
 
 
 @pytest.mark.parametrize("key", [
@@ -243,12 +246,14 @@ def test_section_boundary_product_is_zero_off_its_side():
     off = FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))
     assert off == FiberClass.zero(2, 2) and off.text() == "0"
     assert pushforward(off).is_zero()
-    # a class built by hand can still hold the term, and the pushforward drops it
+    # and by the constructor, so a class built by hand is in normal form too
     by_hand = FiberClass(2, 2, {("DB", 2, 1, (1,)): 1})
-    assert by_hand.text() == "D_2*B_{1,{1}}" and pushforward(by_hand).is_zero()
+    assert by_hand == FiberClass.zero(2, 2) and by_hand.text() == "0"
+    assert pushforward(by_hand).is_zero()
     on = FiberClass.section(2, 2, 1) * FiberClass.boundary(2, 2, 1, (1,))
     assert on.text() == "D_1*B_{1,{1}}"
     assert pushforward(on) == DivisorClass(2, 2, delta={(1, (1,)): 1})
+    assert FiberClass(2, 2, {("DB", 2, 1, (1,)): 3, ("DB", 1, 1, (1,)): 1}) == on
 
 
 def test_sign_relations_of_the_derivation():
