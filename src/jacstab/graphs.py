@@ -186,10 +186,8 @@ class DualGraph:
         return comps
 
     def is_connected_subset(self, Y: Iterable[str]) -> bool:
-        S = self._subset(Y)
-        if not S:
-            return False
-        return self._component_count(S) == 1
+        """One component: the empty subcurve has none, so it is not connected."""
+        return self._component_count(self._subset(Y)) == 1
 
     def is_connected(self) -> bool:
         return self._component_count(frozenset(self.ids)) == 1
