@@ -128,6 +128,8 @@ def test_stability_balanced_and_locus(capsys):
 @pytest.mark.parametrize("argv, code, payload", [
     (["stability", "check", "--graph", BANANA, "--m", "v1=0,v2=0"], 0,
      {"ok": True, "mode": "qstable"}),
+    (["stability", "check", "--graph", BANANA, "--m", "v1=0,,v2=0"], 0,
+     {"ok": True, "mode": "qstable"}),
     (["stability", "check", "--graph", BANANA, "--m", "v1=-1,v2=1"], 1,
      {"ok": False, "mode": "qstable", "witness": ["v1"], "degree": -1, "bound": "-1",
       "strict": True}),
@@ -145,7 +147,7 @@ def test_stability_balanced_and_locus(capsys):
      {"gamma": {"v1": 1, "v2": -1, "v3": 0}, "final": {"v1": 0, "v2": 0, "v3": 0},
       "trace": [{"leaf": "v1", "branch": ["v1"], "coefficient": 2},
                 {"leaf": "v2", "branch": ["v1", "v2"], "coefficient": -1}]}),
-], ids=["check-pass", "check-fail-strict", "check-fail-semistable", "balanced-pass",
+], ids=["check-pass", "check-pass-empty-piece", "check-fail-strict", "check-fail-semistable", "balanced-pass",
         "balanced-fail", "classify-banana", "classify-tree", "reduce"])
 def test_result_record_payloads(capsys, argv, code, payload):
     assert run_json(capsys, *argv) == (code, payload)
@@ -308,8 +310,15 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
         {"vertices": [{"id": "a", "genus": 0, "legs": [1, 2, 3]}, {"id": "b", "genus": 0}],
          "edges": [["a", "b"], "ab", ["a", "b"]]})], None,
      "malformed edge 'ab': not a list or tuple of two ids"),
+    (["graph", "classify", "--graph", "/no/such/file.json"], None,
+     "graph file not found: /no/such/file.json"),
+    (["stability", "balanced", "--graph", BANANA, "--data", '{"k": 0}'], None,
+     "malformed tau/k payload: 'tau'"),
+    (["stability", "balanced", "--graph", BANANA, "--data", '{"tau": 3}'], None,
+     "malformed tau/k payload: 'int' object is not iterable"),
 ], ids=["tau-length", "tau-not-integer", "hain-nonzero-k", "seed-not-integer",
-        "subcurve-unknown-vertex", "threshold-unknown-vertex", "edge-not-a-pair"])
+        "subcurve-unknown-vertex", "threshold-unknown-vertex", "edge-not-a-pair",
+        "graph-file-not-found", "data-without-tau", "data-tau-not-a-list"])
 def test_refusal_names_the_bad_input(capsys, monkeypatch, argv, seed, message):
     if seed is not None:
         monkeypatch.setenv("JACSTAB_SEED", seed)

@@ -40,6 +40,13 @@ def test_canonical_pair_folds_to_marking_one_side():
     assert canonical_pair(4, 3, 3, [2]) == (1, (1, 3))
 
 
+@pytest.mark.parametrize("h", [5, -1])
+def test_canonical_pair_refuses_h_outside_0_to_g(h):
+    with pytest.raises(JacstabError) as err:
+        canonical_pair(2, 2, h, (1,))
+    assert (err.value.code, str(err.value)) == ("INVALID_INDEX", f"h = {h} outside 0..2")
+
+
 def test_valid_index_range():
     assert is_valid_index(2, 2, 0, (1, 2))
     assert is_valid_index(2, 2, 1, (1,))

@@ -28,6 +28,12 @@ def test_validate_banana_ok_and_genus():
     assert g.g == 1 + (2 - 2 + 1) == 2
 
 
+def test_validate_reports_negative_genus():
+    g = DualGraph([("a", -1, [1]), ("b", 1, [])], [("a", "b")], n=1)
+    assert [v for v in g.validate() if v["code"] == "NEGATIVE_GENUS"] == [
+        {"code": "NEGATIVE_GENUS", "vertex": "a", "message": "vertex a has genus -1 < 0"}]
+
+
 def test_validate_reports_disconnected_and_bad_legs():
     g = DualGraph([("a", 1, [1]), ("b", 1, [1])], [], n=2)
     codes = {v["code"] for v in g.validate()}
@@ -109,6 +115,13 @@ def test_omega_degree_rejects_empty():
     with pytest.raises(JacstabError) as err:
         banana().omega_degree([])
     assert err.value.code == "EMPTY"
+
+
+def test_empty_subcurve_has_no_genus_and_is_not_connected():
+    with pytest.raises(JacstabError) as err:
+        banana().subcurve_genus([])
+    assert err.value.code == "EMPTY"
+    assert banana().is_connected_subset([]) is False
 
 
 def test_classify_tree_with_loop():
@@ -268,27 +281,32 @@ def test_levels_concatenate_to_all_connected_subsets():
             assert g.connected_subsets(k) == fresh.connected_subsets(k) == (), (g, k)
 
 
-@pytest.mark.parametrize("vertices, edges, n", [
-    ([("a", 1.5, [1])], [], None),
-    ([("a", True, [1])], [], None),
-    ([("a", "1", [1])], [], None),
-    ([("a", 1, [1.7])], [], None),
-    ([("a", 1, [1])], [], "1"),
-    ([("a", 1, [1])], [], False),
-    ([("a", 1, 1)], [], None),
-    ([("a", 1)], [], None),
-    ([("a", 1, [1])], [(["a"], "a")], None),
-    ([("a", 1, [1])], [("a", 1)], None),
-    ([("a", 1, [1])], [("a",)], None),
-    ([("a", 1, [1]), ("b", 1, [])], ["ab"], None),
-    ([("a", 1, [1]), ("b", 1, [])], [{"a": 0, "b": 1}], None),
-    ([("a", 1, [1]), ("b", 1, [])], [{"a", "b"}], None),
-    ([("a", 1, [1]), ("b", 1, [])], [iter(("a", "b"))], None),
-    ([("a", 1, [1]), ("b", 1, [])], [("a", "b", "a")], None),
+@pytest.mark.parametrize("vertices, edges, n, message", [
+    ([("a", 1.5, [1])], [], None, "genus must be an integer, got 1.5"),
+    ([("a", True, [1])], [], None, "genus must be an integer, got True"),
+    ([("a", "1", [1])], [], None, "genus must be an integer, got '1'"),
+    ([("a", 1, [1.7])], [], None, "leg must be an integer, got 1.7"),
+    ([("a", 1, [1])], [], "1", "n must be an integer, got '1'"),
+    ([("a", 1, [1])], [], False, "n must be an integer, got False"),
+    ([("a", 1, 1)], [], None, "malformed vertex ('a', 1, 1)"),
+    ([("a", 1)], [], None, "malformed vertex ('a', 1)"),
+    ([("a", 1, [1])], [(["a"], "a")], None, "references unknown vertex"),
+    ([("a", 1, [1])], [("a", 1)], None, "references unknown vertex"),
+    ([("a", 1, [1])], [("a",)], None, "not a list or tuple of two ids"),
+    ([("a", 1, [1]), ("b", 1, [])], ["ab"], None, "not a list or tuple of two ids"),
+    ([("a", 1, [1]), ("b", 1, [])], [{"a": 0, "b": 1}], None, "not a list or tuple of two ids"),
+    ([("a", 1, [1]), ("b", 1, [])], [{"a", "b"}], None, "not a list or tuple of two ids"),
+    ([("a", 1, [1]), ("b", 1, [])], [iter(("a", "b"))], None, "not a list or tuple of two ids"),
+    ([("a", 1, [1]), ("b", 1, [])], [("a", "b", "a")], None, "not a list or tuple of two ids"),
+    ([("", 1, [1])], [], None, "vertex id must be a non-empty string, got ''"),
+    ([(1, 1, [1])], [], None, "vertex id must be a non-empty string, got 1"),
+    ([("a", 1, [1]), ("a", 0, [])], [], None, "duplicate vertex ids"),
+    ([], [], None, "graph needs at least one vertex"),
 ], ids=["float-genus", "bool-genus", "str-genus", "float-leg", "str-n", "bool-n",
         "legs-not-iterable", "short-vertex", "unhashable-endpoint", "int-endpoint",
-        "short-edge", "str-edge", "dict-edge", "set-edge", "iterator-edge", "long-edge"])
-def test_constructor_is_strict(vertices, edges, n):
+        "short-edge", "str-edge", "dict-edge", "set-edge", "iterator-edge", "long-edge",
+        "empty-id", "int-id", "duplicate-ids", "no-vertices"])
+def test_constructor_is_strict(vertices, edges, n, message):
     with pytest.raises(JacstabError) as err:
         DualGraph(vertices, edges, n=n)
-    assert err.value.code == "BAD_INPUT"
+    assert err.value.code == "BAD_INPUT" and message in str(err.value)
