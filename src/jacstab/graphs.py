@@ -107,11 +107,14 @@ class DualGraph:
 
         # total genus: vertex genera plus first Betti number of the multigraph
         self.g: int = sum(self.genus_of.values()) + len(self.edges) - len(ids) + 1
-        # connected_subsets: level k at index k-1, the bitmasks of the last
-        # level built with their neighbours, and the tables that list members
+        # connected_subsets: level k at index k-1, (kappa, omega) of every
+        # subset of the levels built, the bitmasks of the last level with
+        # their neighbours and pairs, the per-vertex tables that grow a set by
+        # one vertex, and the tables that list members
         self._levels: list[tuple[tuple[str, ...], ...]] = []
-        self._frontier: dict[int, int] = {}
-        self._neighbours: list[int] = []
+        self._carried: dict[tuple[str, ...], tuple[int, int]] = {}
+        self._frontier: dict[int, tuple[int, tuple[int, int]]] = {}
+        self._growth: list[tuple[int, tuple[int, ...], int, int]] = []
         self._chunks: list[tuple[int, list[tuple[str, ...]]]] = []
 
     # ------------------------------------------------------------------
@@ -201,15 +204,26 @@ class DualGraph:
 
         A level is built on its first request and cached, from the level
         below: each connected set of size k+1 is a connected set of size k
-        plus one of its neighbours, so the bitmask of a set's neighbours
-        (loops and edge multiplicities play no part) is all the search needs,
-        and the work follows the number of connected subsets rather than
-        2^V.  A scan that stops at a small subset never builds the larger
-        levels.  Intended for the small graphs this library works with.
+        plus one of its neighbours, so the bitmask of a set's neighbours is
+        all the search needs, and the work follows the number of connected
+        subsets rather than 2^V.  A scan that stops at a small subset never
+        builds the larger levels.  Intended for the small graphs this library
+        works with.
+
+        Each level carries kappa and omega_degree of its subsets, in integers
+        grown with them: adding u to S adds omega_u to omega, and to kappa
+        adds u's non-loop valence less twice the edges from u into S, a bit
+        count of u's neighbour masks (one per edge multiplicity) and S.
+        :meth:`_kappa_omega` reads the pair back for a tuple returned here.
         """
         if size is None:
             return tuple(Y for k in range(1, len(self.ids)) for Y in self._level(k))
         return self._level(size)
+
+    def _kappa_omega(self, Y: tuple[str, ...]) -> tuple[int, int] | None:
+        """``(kappa(Y), omega_degree(Y))`` carried for a subset tuple that
+        :meth:`connected_subsets` returned; None for any other ``Y``."""
+        return self._carried.get(Y) if type(Y) is tuple else None
 
     def _level(self, size: int) -> tuple[tuple[str, ...], ...]:
         if not 0 < size < len(self.ids):
@@ -221,8 +235,16 @@ class DualGraph:
             # of the masks; members are read off 8 bits at a time, highest first
             ids, V = self.ids, len(self.ids)
             bit = {v: 1 << (V - 1 - i) for i, v in enumerate(ids)}
-            self._neighbours = [sum(bit[w] for w in self._adj[v]) for v in reversed(ids)]
-            self._frontier = {bit[v]: self._neighbours[V - 1 - i] for i, v in enumerate(ids)}
+            # per bit: neighbours, the neighbours joined by 2, 3, ... edges,
+            # non-loop valence and omega_degree of the vertex alone
+            self._growth = [
+                (sum(bit[w] for w in self._adj[v]),
+                 tuple(sum(bit[w] for w, k in self._adj[v].items() if k >= j)
+                       for j in range(2, max(self._adj[v].values(), default=1) + 1)),
+                 self._nonloop_val[v], 2 * self.genus_of[v] - 2 + self.val(v))
+                for v in reversed(ids)]
+            self._frontier = {1 << j: (around, (valence, omega))
+                              for j, (around, _, valence, omega) in enumerate(self._growth)}
             self._chunks = []
             for shift in range((V - 1) // 8 * 8, -1, -8):
                 table: list[tuple[str, ...]] = [()]
@@ -232,21 +254,27 @@ class DualGraph:
         while len(levels) < size:
             frontier = self._frontier
             if levels:
-                grown: dict[int, int] = {}
-                neighbours = self._neighbours
-                for mask, around in frontier.items():
+                grown: dict[int, tuple[int, tuple[int, int]]] = {}
+                growth = self._growth
+                for mask, (around, (kappa, omega)) in frontier.items():
                     fresh = around & ~mask
                     while fresh:
                         low = fresh & -fresh
                         fresh ^= low
                         bigger = mask | low
                         if bigger not in grown:
-                            grown[bigger] = around | neighbours[low.bit_length() - 1]
+                            near, parallel, valence, own = growth[low.bit_length() - 1]
+                            shared = (near & mask).bit_count()
+                            for more in parallel:
+                                shared += (more & mask).bit_count()
+                            grown[bigger] = (around | near,
+                                             (kappa + valence - 2 * shared, omega + own))
                 self._frontier = frontier = grown
             masks = sorted(frontier, reverse=True)
             rows: list[tuple[str, ...]] = [()] * len(masks)
             for shift, table in self._chunks:
                 rows = [row + table[mask >> shift & 255] for row, mask in zip(rows, masks)]
+            self._carried.update(zip(rows, [frontier[mask][1] for mask in masks]))
             levels.append(tuple(rows))
         return levels[size - 1]
 

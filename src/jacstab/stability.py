@@ -21,6 +21,9 @@ strictness into the least integer degree the subcurve may carry, so testing a
 multidegree against a row is integer arithmetic only and stays exact for every
 polarization.  :func:`_rows` yields the rows lazily, one per connected
 subcurve, asking :meth:`DualGraph.connected_subsets` for one size at a time.
+The levels it builds carry kappa_Y and omega_Y with each subcurve, grown in
+integers as the subcurve is, so a row's :func:`threshold` reads the pair and
+builds one ``Fraction`` instead of scanning the edges and the vertices again.
 :func:`check_stability` stops at its first violated row, so a check that fails
 early never computes the rows after its witness, nor builds the subcurves
 larger than it; :func:`is_balanced` scans its inequalities the same way.
@@ -33,7 +36,8 @@ largest member is fixed.  The search keeps each result as a tuple of degrees
 in ``graph.ids`` order, which the CLI renders without a map per result;
 :func:`enumerate_stable` turns each tuple into a vertex -> degree map.
 The balanced inequalities of :func:`is_balanced` keep their own direct loop,
-since their equivalence with q-stability is a theorem the tests compare.
+since their equivalence with q-stability is a theorem the tests compare; they
+read the same carried kappa and omega, and compare doubled in integers.
 """
 
 from __future__ import annotations
@@ -105,20 +109,40 @@ class Polarization:
             return Fraction(0)
         if self.kind == TRIVIAL_GM1:
             return Fraction(omega, 2)
+        return self._q_sum(graph, S) + Fraction(omega, 2)
+
+    def _q_sum(self, graph: DualGraph, S: Iterable[str]) -> Fraction:
+        """Sum of a custom q over the distinct vertices ``S``; BAD_INPUT unless
+        q names exactly the graph's vertices."""
         qmap = dict(self.per_vertex_q or ())
         if set(qmap) != set(graph.ids):
             raise JacstabError("BAD_INPUT", f"custom polarization names {sorted(qmap)}, "
                                f"not the vertices {sorted(graph.ids)}")
-        return sum((qmap[v] for v in sorted(S)), Fraction(0)) + Fraction(omega, 2)
+        return sum((qmap[v] for v in S), Fraction(0))
 
 
 def threshold(graph: DualGraph, pol: Polarization, Y: Iterable[str]) -> Fraction:
-    """Lower bound q_Y - kappa_Y/2 that deg_Y must meet."""
-    S = frozenset(Y)
-    if not S or len(S) == len(graph.ids):
-        graph._subset(S)  # an unknown vertex is BAD_INPUT, whatever the size
-        raise JacstabError("EMPTY_OR_FULL", "threshold needs a proper non-empty subcurve")
-    return pol.q_value(graph, S) - Fraction(graph.kappa(S), 2)
+    """Lower bound q_Y - kappa_Y/2 that deg_Y must meet.
+
+    Every polarization has q_Y = (sum of q_v over Y) + omega'_Y/2, with the
+    sum for a custom one only and omega' = 0 for canonical0, omega_degree(Y)
+    for the others; the bound is that sum plus (omega' - kappa_Y)/2.  kappa
+    and omega are the pair carried with a tuple that
+    :meth:`DualGraph.connected_subsets` returned, and for any other ``Y``
+    come from :meth:`DualGraph.kappa` and :meth:`DualGraph.omega_degree`.
+    """
+    pair = graph._kappa_omega(Y)
+    if pair is None:
+        Y = frozenset(Y)
+        if not Y or len(Y) == len(graph.ids):
+            graph._subset(Y)  # an unknown vertex is BAD_INPUT, whatever the size
+            raise JacstabError("EMPTY_OR_FULL", "threshold needs a proper non-empty subcurve")
+        pair = graph.kappa(Y), graph.omega_degree(Y)
+    kappa, omega = pair
+    if pol.kind == CANONICAL_ZERO:
+        return Fraction(-kappa, 2)
+    bound = Fraction(omega - kappa, 2)
+    return bound if pol.kind == TRIVIAL_GM1 else pol._q_sum(graph, Y) + bound
 
 
 @dataclass(frozen=True)
@@ -330,17 +354,24 @@ def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
     on Z.  This is checked directly from the definition, on the connected
     subcurves, independently of :func:`check_stability` and its rows; the
     equivalence with q-stability of the base multidegree is a tested theorem,
-    not an implementation shortcut.
+    not an implementation shortcut.  Each inequality is doubled into
+    integers, 2*leg_sum against 2k*omega_Z - kappa_Z, from the tau sums per
+    vertex and the kappa and omega the subsets carry; only a witness's bound
+    is a ``Fraction``.
     """
     t = check_tau(graph.g, tau, k, n=graph.n)
+    legs_of = graph.legs_of
+    twice = {v: 2 * sum(t[i - 1] for i in legs_of[v]) for v in graph.ids}
+    marked = {v for v in graph.ids if 1 in legs_of[v]}
     for size in range(1, len(graph.ids)):
         for Z in graph.connected_subsets(size):
-            leg_sum = sum(t[i - 1] for v in Z for i in graph.legs_of[v])
-            bound = k * graph.omega_degree(Z) - Fraction(graph.kappa(Z), 2)
-            strict = any(1 in graph.legs_of[v] for v in Z)
-            if leg_sum < bound or (strict and leg_sum == bound):
-                return BalanceVerdict(ok=False, witness=tuple(sorted(Z)),
-                                      leg_sum=leg_sum, bound=bound, strict=strict)
+            kappa, omega = graph._kappa_omega(Z)
+            doubled = sum(twice[v] for v in Z)
+            bound = 2 * k * omega - kappa
+            strict = not marked.isdisjoint(Z)
+            if doubled < bound or (strict and doubled == bound):
+                return BalanceVerdict(ok=False, witness=Z, leg_sum=doubled // 2,
+                                      bound=Fraction(bound, 2), strict=strict)
     return BalanceVerdict(ok=True)
 
 
