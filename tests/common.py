@@ -1,6 +1,7 @@
 """Small named graphs used across the test modules, and a capped child process."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +61,20 @@ def tree_with_loop() -> DualGraph:
 
 def single_vertex(genus: int = 2, legs=(1,)) -> DualGraph:
     return DualGraph([("v1", genus, list(legs))], [])
+
+
+def multigraph(rng: random.Random, max_vertices: int = 9) -> DualGraph:
+    """Seeded connected multigraph: a spanning tree and a few extra pairs, each
+    pair joined by 1-3 parallel edges, loops on some vertices, genus 0-2 and
+    the markings 1..n on random vertices.  Not validated: a vertex may be
+    unstable."""
+    count = rng.randint(1, max_vertices)
+    ids = [f"v{i}" for i in rng.sample(range(10, 100), count)]
+    pairs = {tuple(sorted((ids[rng.randrange(i)], ids[i]))) for i in range(1, count)}
+    pairs |= {tuple(sorted(rng.sample(ids, 2))) for _ in range(rng.randint(0, 3)) if count > 1}
+    edges = [pair for pair in sorted(pairs) for _ in range(rng.randint(1, 3))]
+    edges += [(v, v) for v in ids for _ in range(rng.choice((0, 0, 1, 2)))]
+    legs = {v: [] for v in ids}
+    for label in range(1, rng.randint(1, 4) + 1):
+        legs[rng.choice(ids)].append(label)
+    return DualGraph([(v, rng.randint(0, 2), legs[v]) for v in ids], edges)

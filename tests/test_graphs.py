@@ -4,7 +4,7 @@ import random
 import pytest
 
 from jacstab import DualGraph, JacstabError
-from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex
+from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex, multigraph
 
 from jacstab.corpus import random_connected_graph, random_treelike_graph
 
@@ -86,6 +86,26 @@ def test_kappa_path_middle():
 
 def test_kappa_ignores_loops():
     assert tree_with_loop().kappa(["b"]) == 1
+
+
+def test_levels_carry_kappa_and_omega():
+    # the pair grown with each subset equals the definitions, on graphs with
+    # loops and edges of multiplicity up to 3; nothing but a returned tuple
+    # is held
+    rng = random.Random(25)
+    sizes, multiplicities, loops = set(), set(), 0
+    for _ in range(100):
+        g = multigraph(rng)
+        sizes.add(len(g.ids))
+        multiplicities.update(g.edges.count(e) for e in g.nonloop_edges())
+        loops += len(g.edges) - len(g.nonloop_edges())
+        for k in range(1, len(g.ids)):
+            for Y in g.connected_subsets(k):
+                assert g._kappa_omega(Y) == (g.kappa(Y), g.omega_degree(Y)), (g, Y)
+                assert g._kappa_omega(list(Y)) is None
+                if len(Y) > 1:
+                    assert g._kappa_omega(Y[::-1]) is None
+    assert sizes == set(range(1, 10)) and multiplicities == {1, 2, 3} and loops
 
 
 def test_kappa_rejects_empty_and_full():

@@ -14,7 +14,7 @@ from jacstab.corpus import random_connected_graph, random_treelike_graph, random
 from jacstab.oracles import balanced_exhaustive, brute_force_stable, stability_exhaustive
 import jacstab.stability as stability
 from jacstab.twister import split_at_edge
-from common import banana, two_vertex_tree, path3
+from common import banana, two_vertex_tree, path3, multigraph
 
 CAN0 = Polarization.canonical_zero()
 GM1 = Polarization.trivial_gm1()
@@ -53,6 +53,44 @@ def test_threshold_refuses_an_unknown_vertex_whatever_the_size(Y):
         threshold(banana(), CAN0, Y)
     assert err.value.code == "BAD_INPUT"
     assert str(err.value) == "unknown vertices in subcurve: ['zz']"
+
+
+SUBCURVE_FORMS = {
+    "tuple": tuple,
+    "unsorted": lambda Y: tuple(reversed(Y)),
+    "list": list,
+    "set": set,
+    "generator": lambda Y: (v for v in Y),
+    "repeated": lambda Y: tuple(Y) + tuple(Y[:1]),
+}
+
+
+def test_threshold_matches_the_definition_in_every_input_form():
+    # On a graph whose levels are all built, a connected subset's sorted tuple
+    # reads the carried (kappa, omega); every other form, and every subset of
+    # a graph with only its first level built, reads kappa and omega_degree
+    rng = random.Random(26)
+    for _ in range(16):
+        built = multigraph(rng, max_vertices=8)
+        partial = DualGraph.from_json_dict(built.to_json_dict(), check=False)
+        held = set(built.connected_subsets())
+        partial.connected_subsets(1)
+        thirds = Polarization.custom({v: Fraction(rng.randint(-5, 5), 3) for v in built.ids})
+        for pol in (CAN0, GM1, thirds):
+            for Y in built.proper_subsets():
+                want = pol.q_value(built, Y) - Fraction(built.kappa(Y), 2)
+                assert (built._kappa_omega(Y) is not None) == (Y in held)
+                for g in (built, partial):
+                    for name, form in SUBCURVE_FORMS.items():
+                        got = threshold(g, pol, form(Y))
+                        assert got == want and type(got) is Fraction, (g, pol, Y, name)
+            ids = built.ids
+            for Y, code in [((), "EMPTY_OR_FULL"), (ids, "EMPTY_OR_FULL"),
+                            (ids[:1] + ("zz",), "BAD_INPUT"), (ids + ("zz",), "BAD_INPUT")]:
+                for name, form in SUBCURVE_FORMS.items():
+                    with pytest.raises(JacstabError) as err:
+                        threshold(built, pol, form(Y))
+                    assert err.value.code == code, (built, pol, Y, name)
 
 
 # ----------------------------------------------------------------------
@@ -459,6 +497,45 @@ def test_custom_degree_is_q_of_the_whole_curve():
     assert CAN0.target_degree(g) == 0 and GM1.target_degree(g) == g.g - 1 == 1
     assert enumerate_stable(g, Polarization.custom({"v1": 0, "v2": 0}), QSTABLE) == [
         {"v1": 0, "v2": 1}, {"v1": 1, "v2": 0}, {"v1": 2, "v2": -1}]
+
+
+def test_balanced_fail_fields_match_the_definitions():
+    # the witness is the first connected subcurve whose inequality, computed
+    # from kappa and omega_degree, fails; leg_sum, bound and strict are its own
+    rng = random.Random(28)
+    fails = strict_ties = passes = 0
+    for _ in range(150):
+        g = multigraph(rng, max_vertices=8)
+        k = rng.randint(-1, 1)
+        tau = random_tau(rng, g.n, k * (2 * g.g - 2), bound=4)
+        if tau is None:
+            continue
+        verdict = is_balanced(g, tau, k)
+        for Z in g.connected_subsets():
+            leg_sum = sum(tau[i - 1] for v in Z for i in g.legs_of[v])
+            bound = k * g.omega_degree(Z) - Fraction(g.kappa(Z), 2)
+            strict = any(1 in g.legs_of[v] for v in Z)
+            if leg_sum < bound or (strict and leg_sum == bound):
+                assert verdict == stability.BalanceVerdict(False, Z, leg_sum, bound, strict), (g, tau, k)
+                assert type(verdict.bound) is Fraction
+                fails += 1
+                strict_ties += leg_sum == bound
+                break
+        else:
+            assert verdict == stability.BalanceVerdict(True), (g, tau, k)
+            passes += 1
+    assert fails >= 30 and strict_ties >= 3 and passes >= 30, (fails, strict_ties, passes)
+
+
+def test_balanced_strict_on_any_vertex_with_leg_1():
+    # an unvalidated graph with leg 1 on a and on c: (c) meets its bound -1
+    # exactly and is strict, though a, the first vertex with leg 1, is not in it
+    g = DualGraph([("a", 0, [1]), ("b", 0, [2]), ("c", 0, [1, 3])],
+                  [("a", "b"), ("a", "b"), ("b", "c"), ("b", "c")], n=3)
+    assert g.validate()
+    assert is_balanced(g, [0, 1, -1], 0) == stability.BalanceVerdict(
+        ok=False, witness=("c",), leg_sum=-1, bound=Fraction(-1), strict=True)
+    assert is_balanced(g, [0, 1, -1], 0) == balanced_exhaustive(g, [0, 1, -1], 0)
 
 
 def test_balanced_connected_only_matches_exhaustive():
