@@ -16,21 +16,23 @@ on one of its components; checkers therefore iterate over connected subcurves
 only.  The equivalence with the exhaustive subset scan of ``oracles.py`` is
 asserted by the test suite on small graphs.
 
-Each inequality is one row: :func:`_least` turns a subcurve's threshold and
-strictness into the least integer degree the subcurve may carry, so testing a
-multidegree against a row is integer arithmetic only and stays exact for every
-polarization.  :func:`_rows` yields the rows lazily, one per connected
-subcurve, asking :meth:`DualGraph.connected_subsets` for one size at a time.
-The levels it builds carry kappa_Y and omega_Y with each subcurve, grown in
-integers as the subcurve is, so a row's :func:`threshold` reads the pair and
-builds one ``Fraction`` instead of scanning the edges and the vertices again.
-:func:`check_stability` stops at its first violated row, so a check that fails
-early never computes the rows after its witness, nor builds the subcurves
-larger than it; :func:`is_balanced` scans its inequalities the same way.
-:func:`_stable_degrees`, the search behind :func:`enumerate_stable`, reads the
-rows once and takes its box bounds from :func:`_least`, so it computes 2V box
-thresholds plus one per row, the V singleton thresholds twice (22 on K_4 with
-every edge doubled).  As the degrees total the target, each row becomes a
+Each inequality is one row: :func:`_rows` yields, lazily and one per
+connected subcurve, the subcurve's tuple with its threshold, its strictness
+and the least integer degree it may carry, so testing a multidegree against a
+row is integer arithmetic only and stays exact for every polarization.  It
+asks :meth:`DualGraph.connected_subsets` for one size at a time and keeps the
+tuple that call returned.  The levels it builds carry kappa_Y and omega_Y
+with each subcurve, grown in integers as the subcurve is, so a row's
+:func:`threshold` reads the pair and builds one ``Fraction`` instead of
+scanning the edges and the vertices again.  :func:`check_stability` sums the
+degrees over each row's tuple and stops at its first violated row, which it
+returns as the witness, so a check that fails early never computes the rows
+after it, nor builds the subcurves larger than it; :func:`is_balanced` scans
+its inequalities the same way.  :func:`_stable_degrees`, the search behind
+:func:`enumerate_stable`, reads the rows once and computes no other
+threshold (14 on K_4 with every edge doubled): its box comes from the V
+singleton rows, each degree at least its own least and at most the target
+less the others'.  As the degrees total the target, each row becomes a
 bound on a subset without the last vertex, tested as soon as the subset's
 largest member is fixed.  The search keeps each result as a tuple of degrees
 in ``graph.ids`` order, which the CLI renders without a map per result;
@@ -179,31 +181,23 @@ def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
     return v
 
 
-def _least(graph: DualGraph, pol: Polarization, mode: str, base: str | None,
-           Y: Iterable[str]) -> tuple[int, Fraction, bool]:
-    """Least integer degree ``Y`` may carry, with its threshold and strictness.
-
-    The inequality is strict on every subcurve when stable and on those
-    containing the basepoint ``base`` when q-stable.
-    """
-    bound = threshold(graph, pol, Y)
-    strict = mode == STABLE or (mode == QSTABLE and base in Y)
-    return (math.floor(bound) + 1 if strict else math.ceil(bound)), bound, strict
-
-
 def _rows(graph: DualGraph, pol: Polarization, mode: str,
-          base: str | None) -> Iterator[tuple[tuple[int, ...], int, Fraction, bool]]:
-    """One ``(members, least, bound, strict)`` per connected subcurve.
+          base: str | None) -> Iterator[tuple[tuple[str, ...], int, Fraction, bool]]:
+    """One ``(Y, least, bound, strict)`` per connected subcurve ``Y``.
 
-    Rows follow :meth:`DualGraph.connected_subsets`, read one size at a time,
-    so a scan that stops early never builds the larger levels; ``members``
-    are the subcurve's positions in ``graph.ids``, and a multidegree violates
-    the row exactly when its degree on them is below ``least``.
+    ``Y`` is the very tuple :meth:`DualGraph.connected_subsets` returned, read
+    one size at a time, so a scan that stops early never builds the larger
+    levels, and level 1 is the singletons in ``graph.ids`` order.  ``bound``
+    is its threshold; the inequality is strict on every subcurve when stable
+    and on those containing ``base`` (the basepoint when q-stable, else None),
+    and ``least`` is the least integer degree ``Y`` may carry, so a
+    multidegree violates the row exactly when its degree on ``Y`` is below it.
     """
-    index = graph._index
     for size in range(1, len(graph.ids)):
         for Y in graph.connected_subsets(size):
-            yield (tuple(index[v] for v in Y), *_least(graph, pol, mode, base, Y))
+            bound = threshold(graph, pol, Y)
+            strict = mode == STABLE or base in Y
+            yield Y, (math.floor(bound) + 1 if strict else math.ceil(bound)), bound, strict
 
 
 def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
@@ -225,12 +219,10 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
                            f"multidegree total {total} != polarization degree {target}")
     check_basepoint(graph, basepoint)
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
-    values = list(degrees.values())
-    for members, least, bound, strict in _rows(graph, pol, mode, base):
-        degree = sum(values[i] for i in members)
+    for Y, least, bound, strict in _rows(graph, pol, mode, base):
+        degree = sum(map(degrees.__getitem__, Y))
         if degree < least:
-            return StabilityVerdict(ok=False, mode=mode,
-                                    witness=tuple(graph.ids[i] for i in members),
+            return StabilityVerdict(ok=False, mode=mode, witness=Y,
                                     degree=degree, bound=bound, strict=strict)
     return StabilityVerdict(ok=True, mode=mode)
 
@@ -249,12 +241,14 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
                     basepoint: str | None) -> list[tuple[int, ...]]:
     """Every (semi/q-)stable multidegree, as its degrees in ``graph.ids`` order.
 
-    The subcurve inequalities on singletons and their complements confine each
-    vertex degree to a finite box.  Each row of :func:`_rows` becomes a bound
-    on a subset without the last vertex (the subcurve, or its complement when
-    it holds the last vertex), so the search fixes the degrees one vertex at a
-    time and clamps each to the interval that the box, the total and the
-    bounds whose subset ends at that vertex allow; the last degree is forced.
+    The singleton rows confine each vertex degree to a finite box: at least
+    its own least and, the total being fixed, at most the target less the
+    others'.  The box only seeds the search.  Each row of :func:`_rows` becomes
+    a bound on a subset without the last vertex (the subcurve, or its
+    complement when it holds the last vertex), so the search fixes the degrees
+    one vertex at a time and clamps each to the interval that the box, the
+    total and the bounds whose subset ends at that vertex allow; the last
+    degree is forced.
     The search runs through the box in lexicographic order, so the output is
     sorted by the degrees in ``graph.ids`` order.  The basepoint is taken as
     by :func:`check_stability`.
@@ -268,27 +262,25 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
         return [(target,)]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
 
-    los, his = [], []
-    for v in ids:
-        lo = _least(graph, pol, mode, base, (v,))[0]
-        hi = target - _least(graph, pol, mode, base, tuple(w for w in ids if w != v))[0]
-        if hi < lo:
-            return []
-        los.append(lo)
-        his.append(hi)
-    # With the total fixed, every row bounds a subset S of the positions before
+    rows = list(_rows(graph, pol, mode, base))
+    # The first V rows are the singletons, in ``graph.ids`` order.  With the
+    # total fixed, every row bounds a subset S of the positions before
     # ``last``: (Y, least) is deg_S >= least for S = Y if ``last`` is not in Y,
     # and deg_S <= target - least for S = Y^c if it is.  Rows on one S merge;
     # the open ends, and the bounds of the prefixes added below, are box sums.
+    los = [least for _, least, _, _ in rows[:len(ids)]]
+    spare = target - sum(los)
+    his = [lo + spare for lo in los]
     last = len(ids) - 1
 
     def box(S: tuple[int, ...]) -> tuple[int, int]:
         return sum(los[j] for j in S), sum(his[j] for j in S)
 
     bounds: dict[tuple[int, ...], tuple[int, int]] = {}
-    for members, least, _, _ in _rows(graph, pol, mode, base):
-        upper = last in members
-        S = tuple(j for j in range(last) if (j in members) != upper)
+    for Y, least, _, _ in rows:
+        inside = set(Y)
+        upper = ids[last] in inside
+        S = tuple(j for j in range(last) if (ids[j] in inside) != upper)
         lo, hi = bounds.get(S) or box(S)
         bounds[S] = (lo, min(hi, target - least)) if upper else (max(lo, least), hi)
     for S in list(bounds):
