@@ -641,14 +641,14 @@ def test_passing_check_computes_one_threshold_per_connected_subset(monkeypatch):
 
 
 def test_enumerate_computes_each_row_once(monkeypatch):
-    # K_4 with every edge doubled: 2V box bounds plus one threshold per row,
-    # however many candidates the search tests
+    # K_4 with every edge doubled: one threshold per row and none for the box,
+    # which the singleton rows give, however many candidates the search tests
     ids = ("a", "b", "c", "d")
     g = DualGraph([(v, 0, [1] if v == "a" else []) for v in ids],
                   [(v, w) for i, v in enumerate(ids) for w in ids[i + 1:]] * 2)
     calls = count_thresholds(monkeypatch)
     assert len(enumerate_stable(g, CAN0, QSTABLE)) > 1
-    assert len(calls) == 2 * len(ids) + len(g.connected_subsets()) == 22
+    assert len(calls) == len(g.connected_subsets()) == 14
 
 
 def _star13() -> DualGraph:
