@@ -338,6 +338,17 @@ class BalanceVerdict:
     strict: bool | None = None
 
 
+def _leg_sums(graph: DualGraph, tau: Iterable[int], k: int) -> dict[str, int]:
+    """Sum of tau over each vertex's legs, after :func:`check_tau`'s refusals;
+    BAD_INPUT for a leg outside 1..n, which an unchecked graph may hold."""
+    t = check_tau(graph.g, tau, k, n=graph.n)
+    for v in graph.ids:
+        for i in sorted(graph.legs_of[v]):
+            if not 1 <= i <= graph.n:
+                raise JacstabError("BAD_INPUT", f"leg {i} on {v} is outside 1..{graph.n}")
+    return {v: sum(t[i - 1] for i in graph.legs_of[v]) for v in graph.ids}
+
+
 def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
     """Test the balanced inequalities on every proper subcurve.
 
@@ -351,14 +362,12 @@ def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
     vertex and the kappa and omega the subsets carry; only a witness's bound
     is a ``Fraction``.
     """
-    t = check_tau(graph.g, tau, k, n=graph.n)
-    legs_of = graph.legs_of
-    twice = {v: 2 * sum(t[i - 1] for i in legs_of[v]) for v in graph.ids}
-    marked = {v for v in graph.ids if 1 in legs_of[v]}
+    twice = {v: 2 * s for v, s in _leg_sums(graph, tau, k).items()}
+    marked = {v for v in graph.ids if 1 in graph.legs_of[v]}
     for size in range(1, len(graph.ids)):
         for Z in graph.connected_subsets(size):
             kappa, omega = graph._kappa_omega(Z)
-            doubled = sum(twice[v] for v in Z)
+            doubled = sum(map(twice.__getitem__, Z))
             bound = 2 * k * omega - kappa
             strict = not marked.isdisjoint(Z)
             if doubled < bound or (strict and doubled == bound):
@@ -369,11 +378,8 @@ def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
 
 def base_multidegree(graph: DualGraph, tau: Iterable[int], k: int) -> dict[str, int]:
     """Fiberwise multidegree of the untwisted bundle: leg sums minus k*deg-omega."""
-    t = check_tau(graph.g, tau, k, n=graph.n)
-    return {
-        v: sum(t[i - 1] for i in graph.legs_of[v]) - k * graph.omega_degree((v,))
-        for v in graph.ids
-    }
+    sums = _leg_sums(graph, tau, k)
+    return {v: sums[v] - k * graph.omega_degree((v,)) for v in graph.ids}
 
 
 BALANCED = "BALANCED"

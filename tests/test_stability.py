@@ -13,7 +13,7 @@ from jacstab import (DualGraph, JacstabError, Polarization, QSTABLE, SEMISTABLE,
 from jacstab.corpus import random_connected_graph, random_treelike_graph, random_tau
 from jacstab.oracles import balanced_exhaustive, brute_force_stable, stability_exhaustive
 import jacstab.stability as stability
-from jacstab.twister import split_at_edge
+from jacstab.twister import boundary_multidegree, branch_coefficients, split_at_edge
 from common import banana, two_vertex_tree, path3, multigraph
 
 CAN0 = Polarization.canonical_zero()
@@ -335,6 +335,27 @@ def test_balanced_tau_sum_enforced():
     with pytest.raises(JacstabError) as err:
         is_balanced(banana(), [1, 0], 0)
     assert err.value.code == "TAU_SUM"
+
+
+@pytest.mark.parametrize("stray", [0, 3, -1])
+def test_a_leg_outside_1_to_n_is_refused(stray):
+    # an unchecked graph may hold any leg: a leg 0 read tau_n (and a -1 tau_{n-1}),
+    # so the banana came out balanced and the tree's branch coefficient -3;
+    # a leg above n indexed past tau
+    tree = DualGraph([("a", 1, [1]), ("b", 1, [stray])], [("a", "b")], n=2)
+    banana = DualGraph([("a", 0, [1]), ("b", 0, [stray])], [("a", "b")] * 2, n=2)
+    calls = (base_multidegree, is_balanced, locus_membership,
+             branch_coefficients, boundary_multidegree)
+    for graph, refusing in ((tree, calls), (banana, calls[:3])):
+        for call in refusing:
+            with pytest.raises(JacstabError) as err:
+                call(graph, [3, -3], 0)
+            assert err.value.code == "BAD_INPUT", (graph, call)
+            assert f"leg {stray} on b is outside 1..2" in str(err.value), (graph, call)
+            # after check_tau's refusals
+            with pytest.raises(JacstabError) as err:
+                call(graph, [3, -2], 0)
+            assert err.value.code == "TAU_SUM", (graph, call)
 
 
 def test_locus_membership_examples():
