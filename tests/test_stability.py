@@ -283,6 +283,30 @@ def test_enumerate_agrees_with_brute_force_box():
                     assert result == brute_force_stable(g, pol, mode, basepoint=base)
                     found += len(result)
     assert multiple >= 3 and looped >= 3 and curved >= 3 and found > 4000
+    # cut vertices, where no complement row bounds a vertex's degree from above
+    # and the box's upper ends come from the singleton rows alone: a star whose
+    # centre holds marking 1, its edges single, doubled and tripled, and a path
+    star = DualGraph([("c", 0, [1]), ("x", 1, []), ("y", 0, [2]), ("z", 0, [3])],
+                     [("c", "x")] + [("c", "y")] * 2 + [("c", "z")] * 3)
+    path = DualGraph([(f"p{i}", 1, [1] if i == 3 else []) for i in range(1, 6)],
+                     [(f"p{i}", f"p{i + 1}") for i in range(1, 5)])
+    rng = random.Random(43)
+    cut = False
+    counts = {}
+    for g in (star, path):
+        assert g.validate() == []
+        cut |= any(not g.is_connected_subset(set(g.ids) - {v}) for v in g.ids)
+        for pol in (CAN0, GM1, _fractional_polarization(rng, g)):
+            for base in (None, g.ids[-1]):
+                for mode in (SEMISTABLE, STABLE, QSTABLE):
+                    result = enumerate_stable(g, pol, mode, basepoint=base)
+                    assert result == brute_force_stable(g, pol, mode, basepoint=base)
+                    if g is star and pol in (CAN0, GM1) and base is None:
+                        counts[mode, pol.kind] = len(result)
+    assert cut
+    assert counts == {(SEMISTABLE, "canonical0"): 9, (SEMISTABLE, "trivial-gm1"): 24,
+                      (STABLE, "canonical0"): 3, (STABLE, "trivial-gm1"): 0,
+                      (QSTABLE, "canonical0"): 6, (QSTABLE, "trivial-gm1"): 6}
 
 
 def test_enumerate_on_a_long_path_stays_small():
