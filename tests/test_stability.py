@@ -363,14 +363,14 @@ def test_balanced_tau_sum_enforced():
 
 @pytest.mark.parametrize("stray", [0, 3, -1])
 def test_a_leg_outside_1_to_n_is_refused(stray):
-    # an unchecked graph may hold any leg: a leg 0 read tau_n (and a -1 tau_{n-1}),
-    # so the banana came out balanced and the tree's branch coefficient -3;
-    # a leg above n indexed past tau
+    # an unchecked graph may hold any leg; taken as an index into tau, a leg 0
+    # would read tau_n (the doubled edge balanced, the tree's branch
+    # coefficient -3) and a leg above n would index past tau
     tree = DualGraph([("a", 1, [1]), ("b", 1, [stray])], [("a", "b")], n=2)
-    banana = DualGraph([("a", 0, [1]), ("b", 0, [stray])], [("a", "b")] * 2, n=2)
+    doubled = DualGraph([("a", 0, [1]), ("b", 0, [stray])], [("a", "b")] * 2, n=2)
     calls = (base_multidegree, is_balanced, locus_membership,
              branch_coefficients, boundary_multidegree)
-    for graph, refusing in ((tree, calls), (banana, calls[:3])):
+    for graph, refusing in ((tree, calls), (doubled, calls[:3])):
         for call in refusing:
             with pytest.raises(JacstabError) as err:
                 call(graph, [3, -3], 0)
