@@ -10,14 +10,19 @@ data is structurally well formed (known ids, sane types); the semantic
 invariants (connectivity, per-vertex stability, leg partition, a leg listed
 twice on one vertex included) are reported by :meth:`DualGraph.validate` as
 data, so that invalid graphs can be inspected rather than refused.
+
+The connected subsets of each size are built once per graph, on request, as
+one :class:`Level` of flat integer records; id tuples are rendered from their
+masks only when :meth:`DualGraph.connected_subsets` is called.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from . import stats
 from .errors import JacstabError, load_json, strict_int
 
 
@@ -28,6 +33,18 @@ class ClassifyResult:
     treelike: bool
     compact_type: bool
     banana_like: bool
+
+
+class Level(NamedTuple):
+    """The connected subsets of one size, in the lexicographic order of their
+    sorted id tuples: per subset its mask, the position in the level below of
+    the parent it was grown from (0 at size 1), the position in ``graph.ids``
+    of the vertex it added, and kappa."""
+
+    masks: tuple[int, ...]
+    parents: tuple[int, ...]
+    added: tuple[int, ...]
+    kappas: tuple[int, ...]
 
 
 class DualGraph:
@@ -71,7 +88,9 @@ class DualGraph:
             raise JacstabError("BAD_INPUT", "graph needs at least one vertex")
         by_id = {v[0]: v for v in verts}
         self.ids: tuple[str, ...] = ids
-        self._index = {v: i for i, v in enumerate(ids)}
+        # a subset's mask has bit V-1-i for ids[i]: the lexicographic order of
+        # sorted id tuples of one size is the descending order of their masks
+        self._bit = {v: 1 << (len(ids) - 1 - i) for i, v in enumerate(ids)}
         self._id_set = frozenset(ids)
         self.genus_of = {v: by_id[v][1] for v in ids}
         self.legs_of = {v: by_id[v][2] for v in ids}
@@ -83,8 +102,8 @@ class DualGraph:
                 raise JacstabError("BAD_INPUT",
                                    f"malformed edge {edge!r}: not a list or tuple of two ids")
             a, b = edge
-            if not (isinstance(a, str) and a in self._index
-                    and isinstance(b, str) and b in self._index):
+            if not (isinstance(a, str) and a in self._bit
+                    and isinstance(b, str) and b in self._bit):
                 raise JacstabError("BAD_INPUT", f"edge ({a!r},{b!r}) references unknown vertex")
             canon_edges.append((a, b) if a <= b else (b, a))
         self.edges: tuple[tuple[str, str], ...] = tuple(sorted(canon_edges))
@@ -107,15 +126,9 @@ class DualGraph:
 
         # total genus: vertex genera plus first Betti number of the multigraph
         self.g: int = sum(self.genus_of.values()) + len(self.edges) - len(ids) + 1
-        # connected_subsets: level k at index k-1, (kappa, omega) of every
-        # subset of the levels built, the bitmasks of the last level with
-        # their neighbours and pairs, the per-vertex tables that grow a set by
-        # one vertex, and the tables that list members
-        self._levels: list[tuple[tuple[str, ...], ...]] = []
-        self._carried: dict[tuple[str, ...], tuple[int, int]] = {}
-        self._frontier: dict[int, tuple[int, tuple[int, int]]] = {}
-        self._growth: list[tuple[int, tuple[int, ...], int, int]] = []
-        self._chunks: list[tuple[int, list[tuple[str, ...]]]] = []
+        # level k at index k-1; the first call of _level also sets the
+        # per-vertex growth tables and the last level's ESU frontier
+        self._levels: list[Level] = []
 
     # ------------------------------------------------------------------
     # elementary queries
@@ -200,83 +213,80 @@ class DualGraph:
 
         With ``size``, the subsets of that many vertices, in lexicographic
         order; sizes 0, V and above have none.  Without it, every size from 1
-        to V-1 in turn, the same subsets in the same order.
-
-        A level is built on its first request and cached, from the level
-        below: each connected set of size k+1 is a connected set of size k
-        plus one of its neighbours, so the bitmask of a set's neighbours is
-        all the search needs, and the work follows the number of connected
-        subsets rather than 2^V.  A scan that stops at a small subset never
-        builds the larger levels.  Intended for the small graphs this library
-        works with.
-
-        Each level carries kappa and omega_degree of its subsets, in integers
-        grown with them: adding u to S adds omega_u to omega, and to kappa
-        adds u's non-loop valence less twice the edges from u into S, a bit
-        count of u's neighbour masks (one per edge multiplicity) and S.
-        :meth:`_kappa_omega` reads the pair back for a tuple returned here.
+        to V-1 in turn, the same subsets in the same order.  The tuples are
+        rendered from the masks of :meth:`_level` on each call; the stability
+        scans read the masks and never ask for them.
         """
-        if size is None:
-            return tuple(Y for k in range(1, len(self.ids)) for Y in self._level(k))
-        return self._level(size)
+        sizes = range(1, len(self.ids)) if size is None else (size,)
+        return tuple(self._members(mask) for k in sizes for mask in self._level(k).masks)
 
-    def _kappa_omega(self, Y: tuple[str, ...]) -> tuple[int, int] | None:
-        """``(kappa(Y), omega_degree(Y))`` carried for a subset tuple that
-        :meth:`connected_subsets` returned; None for any other ``Y``."""
-        return self._carried.get(Y) if type(Y) is tuple else None
+    def _members(self, mask: int) -> tuple[str, ...]:
+        """The sorted ids of a subset mask."""
+        return tuple(v for v, bit in self._bit.items() if mask & bit)
 
-    def _level(self, size: int) -> tuple[tuple[str, ...], ...]:
+    def _level(self, size: int) -> Level:
+        """The connected subsets of ``size`` vertices, built on first request
+        from the level below and cached, so a scan that stops at a small
+        subset never builds the larger levels.  Each subset is grown once, from
+        its parent, as in Wernicke's ESU (IEEE/ACM TCBB 3, 2006): it keeps its
+        closed neighbourhood and an extension, the neighbours after its first
+        vertex it may still add; adding w keeps the extension's later bits and
+        adds w's neighbours after the first vertex not yet next to the subset.
+        Adding u to S adds to kappa u's non-loop valence less twice the edges
+        from u into S, a bit count of u's neighbour masks (one per edge
+        multiplicity) and S.  The work follows the number of connected subsets.
+        """
         if not 0 < size < len(self.ids):
-            return ()
-        levels = self._levels
+            return Level((), (), (), ())
+        levels, ids, V = self._levels, self.ids, len(self.ids)
         if not levels:
-            # ids[i] is bit V-1-i, so that among sets of one size the
-            # lexicographic order of the sorted tuples is the descending order
-            # of the masks; members are read off 8 bits at a time, highest first
-            ids, V = self.ids, len(self.ids)
-            bit = {v: 1 << (V - 1 - i) for i, v in enumerate(ids)}
-            # per bit: neighbours, the neighbours joined by 2, 3, ... edges,
-            # non-loop valence and omega_degree of the vertex alone
+            # the vertices after a set's first are the bits below its highest;
+            # per vertex: neighbours, those joined by 2, 3, ... edges, and
+            # non-loop valence
+            bit = self._bit
             self._growth = [
                 (sum(bit[w] for w in self._adj[v]),
                  tuple(sum(bit[w] for w, k in self._adj[v].items() if k >= j)
                        for j in range(2, max(self._adj[v].values(), default=1) + 1)),
-                 self._nonloop_val[v], 2 * self.genus_of[v] - 2 + self.val(v))
-                for v in reversed(ids)]
-            self._frontier = {1 << j: (around, (valence, omega))
-                              for j, (around, _, valence, omega) in enumerate(self._growth)}
-            self._chunks = []
-            for shift in range((V - 1) // 8 * 8, -1, -8):
-                table: list[tuple[str, ...]] = [()]
-                for v in reversed(ids[max(V - shift - 8, 0):V - shift]):
-                    table += [(v,) + t for t in table]
-                self._chunks.append((shift, table))
+                 self._nonloop_val[v])
+                for v in ids]
+            pairs = [(near, b) for (near, _, _), b in zip(self._growth, bit.values())]
+            self._frontier = [tuple(near & (b - 1) for near, b in pairs),
+                              tuple(near | b for near, b in pairs)]
+            levels.append(Level(tuple(bit.values()), (0,) * V, tuple(range(V)),
+                                tuple(self._nonloop_val.values())))
+            stats.COUNTS["graphs.subsets"] += V
+        growth = self._growth
         while len(levels) < size:
-            frontier = self._frontier
-            if levels:
-                grown: dict[int, tuple[int, tuple[int, int]]] = {}
-                growth = self._growth
-                for mask, (around, (kappa, omega)) in frontier.items():
-                    fresh = around & ~mask
-                    while fresh:
-                        low = fresh & -fresh
-                        fresh ^= low
-                        bigger = mask | low
-                        if bigger not in grown:
-                            near, parallel, valence, own = growth[low.bit_length() - 1]
-                            shared = (near & mask).bit_count()
-                            for more in parallel:
-                                shared += (more & mask).bit_count()
-                            grown[bigger] = (around | near,
-                                             (kappa + valence - 2 * shared, omega + own))
-                self._frontier = frontier = grown
-            masks = sorted(frontier, reverse=True)
-            rows: list[tuple[str, ...]] = [()] * len(masks)
-            for shift, table in self._chunks:
-                rows = [row + table[mask >> shift & 255] for row, mask in zip(rows, masks)]
-            self._carried.update(zip(rows, [frontier[mask][1] for mask in masks]))
-            levels.append(tuple(rows))
+            grown = []
+            for p, (mask, kappa, ext, closed) in enumerate(zip(levels[-1].masks, levels[-1].kappas,
+                                                               *self._frontier)):
+                later = (1 << mask.bit_length() - 1) - 1
+                while ext:
+                    low = ext & -ext
+                    ext ^= low
+                    u = V - low.bit_length()
+                    near, parallel, valence = growth[u]
+                    shared = (near & mask).bit_count()
+                    for more in parallel:
+                        shared += (more & mask).bit_count()
+                    grown.append((mask | low, p, u, kappa + valence - 2 * shared,
+                                  ext | near & ~closed & later, closed | near))
+            grown.sort(reverse=True)
+            # a graph that is not connected may have no subset of this size
+            masks, parents, added, kappas, *self._frontier = tuple(zip(*grown)) or ((),) * 6
+            levels.append(Level(masks, parents, added, kappas))
+            stats.COUNTS["graphs.subsets"] += len(masks)
         return levels[size - 1]
+
+    def _sums(self, weights: list[int]) -> Iterator[tuple[Level, list[int]]]:
+        """Each level from size 1 up, as asked, with the sum of ``weights`` (in
+        ``ids`` order) over each subset: its parent's sum plus one weight."""
+        sums = [0]
+        for size in range(1, len(self.ids)):
+            level = self._level(size)
+            sums = [sums[p] + weights[u] for p, u in zip(level.parents, level.added)]
+            yield level, sums
 
     def proper_subsets(self) -> Iterable[tuple[str, ...]]:
         """All proper non-empty vertex subsets (connected or not)."""

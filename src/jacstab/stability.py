@@ -7,8 +7,8 @@ inequality is strict exactly on subcurves containing a fixed basepoint
 component (by default the component carrying marking 1).  The total degree is
 q_V, derived by :meth:`Polarization.target_degree` and refused unless integral.
 
-All arithmetic is exact: thresholds are ``fractions.Fraction`` values and no
-floating point enters any verdict.
+All arithmetic is exact: rows are tested in integers, and a threshold is a
+``fractions.Fraction`` only where it is reported.
 
 Since q_Y, deg_Y and kappa_Y are all additive over the connected components of
 an induced subcurve, a violation on an arbitrary subcurve forces a violation
@@ -16,30 +16,15 @@ on one of its components; checkers therefore iterate over connected subcurves
 only.  The equivalence with the exhaustive subset scan of ``oracles.py`` is
 asserted by the test suite on small graphs.
 
-Each inequality is one row: :func:`_rows` yields, lazily and one per
-connected subcurve, the subcurve's tuple with its threshold, its strictness
-and the least integer degree it may carry, so testing a multidegree against a
-row is integer arithmetic only and stays exact for every polarization.  It
-asks :meth:`DualGraph.connected_subsets` for one size at a time and keeps the
-tuple that call returned.  The levels it builds carry kappa_Y and omega_Y
-with each subcurve, grown in integers as the subcurve is, so a row's
-:func:`threshold` reads the pair and builds one ``Fraction`` instead of
-scanning the edges and the vertices again.  :func:`check_stability` sums the
-degrees over each row's tuple and stops at its first violated row, which it
-returns as the witness, so a check that fails early never computes the rows
-after it, nor builds the subcurves larger than it; :func:`is_balanced` scans
-its inequalities the same way.  :func:`_stable_degrees`, the search behind
-:func:`enumerate_stable`, reads the rows once and computes no other
-threshold (14 on K_4 with every edge doubled): its box comes from the V
-singleton rows, each degree at least its own least and at most the target
-less the others'.  As the degrees total the target, each row becomes a
-bound on a subset without the last vertex, tested as soon as the subset's
-largest member is fixed.  The search keeps each result as a tuple of degrees
-in ``graph.ids`` order, which the CLI renders without a map per result;
-:func:`enumerate_stable` turns each tuple into a vertex -> degree map.
-The balanced inequalities of :func:`is_balanced` keep their own direct loop,
-since their equivalence with q-stability is a theorem the tests compare; they
-read the same carried kappa and omega, and compare doubled in integers.
+The rows come one level of :meth:`DualGraph._level` at a time, so a scan that
+stops early never builds the larger subcurves.  A per-vertex sum over a
+subcurve (degree, q, omega, tau) is its parent's plus one term, strictness is
+a bit test on its mask, and only a FAIL's witness is rendered as ids, with
+its bound from :func:`threshold`.  :func:`check_stability` and the search of
+:func:`_stable_degrees` read the least degrees of :func:`_rows`;
+:func:`is_balanced` keeps its own inequalities, as their equivalence with
+q-stability is a theorem the tests compare.  Each scan adds the rows it read
+to ``stats.COUNTS["stability.rows"]``.
 """
 
 from __future__ import annotations
@@ -47,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator, Mapping
 
+from . import stats
 from .errors import JacstabError, check_tau, strict_int
-from .graphs import DualGraph
+from .graphs import DualGraph, Level
 
 SEMISTABLE = "semistable"
 STABLE = "stable"
@@ -111,40 +98,36 @@ class Polarization:
             return Fraction(0)
         if self.kind == TRIVIAL_GM1:
             return Fraction(omega, 2)
-        return self._q_sum(graph, S) + Fraction(omega, 2)
+        qmap = self._q_map(graph)
+        return sum((qmap[v] for v in S), Fraction(0)) + Fraction(omega, 2)
 
-    def _q_sum(self, graph: DualGraph, S: Iterable[str]) -> Fraction:
-        """Sum of a custom q over the distinct vertices ``S``; BAD_INPUT unless
-        q names exactly the graph's vertices."""
+    def _q_map(self, graph: DualGraph) -> dict[str, Fraction]:
+        """A custom q by vertex; BAD_INPUT unless it names exactly the graph's vertices."""
         qmap = dict(self.per_vertex_q or ())
         if set(qmap) != set(graph.ids):
             raise JacstabError("BAD_INPUT", f"custom polarization names {sorted(qmap)}, "
                                f"not the vertices {sorted(graph.ids)}")
-        return sum((qmap[v] for v in S), Fraction(0))
+        return qmap
+
+    def _scaled(self, graph: DualGraph) -> tuple[int, list[int]]:
+        """``(L, a)``: L the lcm of the q's denominators and the integers
+        a_v = L*(2q_v + omega'_v) in ``graph.ids`` order, so that 2L times the
+        threshold of Y is the sum of a over Y less L*kappa_Y."""
+        q = self._q_map(graph) if self.kind == "custom" else dict.fromkeys(graph.ids, 0)
+        scale = math.lcm(*(x.denominator for x in q.values()))
+        halves = 0 if self.kind == CANONICAL_ZERO else scale
+        return scale, [int(2 * scale * q[v]) + halves * (2 * graph.genus_of[v] - 2 + graph.val(v))
+                       for v in graph.ids]
 
 
 def threshold(graph: DualGraph, pol: Polarization, Y: Iterable[str]) -> Fraction:
-    """Lower bound q_Y - kappa_Y/2 that deg_Y must meet.
-
-    Every polarization has q_Y = (sum of q_v over Y) + omega'_Y/2, with the
-    sum for a custom one only and omega' = 0 for canonical0, omega_degree(Y)
-    for the others; the bound is that sum plus (omega' - kappa_Y)/2.  kappa
-    and omega are the pair carried with a tuple that
-    :meth:`DualGraph.connected_subsets` returned, and for any other ``Y``
-    come from :meth:`DualGraph.kappa` and :meth:`DualGraph.omega_degree`.
-    """
-    pair = graph._kappa_omega(Y)
-    if pair is None:
-        Y = frozenset(Y)
-        if not Y or len(Y) == len(graph.ids):
-            graph._subset(Y)  # an unknown vertex is BAD_INPUT, whatever the size
-            raise JacstabError("EMPTY_OR_FULL", "threshold needs a proper non-empty subcurve")
-        pair = graph.kappa(Y), graph.omega_degree(Y)
-    kappa, omega = pair
-    if pol.kind == CANONICAL_ZERO:
-        return Fraction(-kappa, 2)
-    bound = Fraction(omega - kappa, 2)
-    return bound if pol.kind == TRIVIAL_GM1 else pol._q_sum(graph, Y) + bound
+    """Lower bound q_Y - kappa_Y/2 that deg_Y must meet, from the definitions
+    :meth:`Polarization.q_value` and :meth:`DualGraph.kappa`, on any iterable
+    of known vertex ids.  The scans call it only for a FAIL verdict's bound."""
+    Y = graph._subset(Y)
+    if not Y or len(Y) == len(graph.ids):
+        raise JacstabError("EMPTY_OR_FULL", "threshold needs a proper non-empty subcurve")
+    return pol.q_value(graph, Y) - Fraction(graph.kappa(Y), 2)
 
 
 @dataclass(frozen=True)
@@ -182,22 +165,33 @@ def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
 
 
 def _rows(graph: DualGraph, pol: Polarization, mode: str,
-          base: str | None) -> Iterator[tuple[tuple[str, ...], int, Fraction, bool]]:
-    """One ``(Y, least, bound, strict)`` per connected subcurve ``Y``.
+          base: str | None) -> Iterator[tuple[Level, list[int]]]:
+    """Each level, one size at a time, with the least integer degree each of
+    its subcurves Y may carry.  With (L, a) from :meth:`Polarization._scaled`,
+    t = (sum of a over Y) - L*kappa_Y is 2L times the threshold, and the least
+    degree ceil(t/2L), or floor(t/2L) + 1 when strict: (t + 2L - 1 + strict)
+    // 2L.  Rows are strict on every Y when stable and on those containing
+    ``base`` (the basepoint when q-stable, else None)."""
+    scale, weights = pol._scaled(graph)
+    span = 2 * scale
+    strict = (1 << len(graph.ids)) - 1 if mode == STABLE else graph._bit.get(base, 0)
+    for level, sums in graph._sums(weights):
+        yield level, [(a - scale * kappa + span - 1 + (mask & strict > 0)) // span
+                      for a, kappa, mask in zip(sums, level.kappas, level.masks)]
 
-    ``Y`` is the very tuple :meth:`DualGraph.connected_subsets` returned, read
-    one size at a time, so a scan that stops early never builds the larger
-    levels, and level 1 is the singletons in ``graph.ids`` order.  ``bound``
-    is its threshold; the inequality is strict on every subcurve when stable
-    and on those containing ``base`` (the basepoint when q-stable, else None),
-    and ``least`` is the least integer degree ``Y`` may carry, so a
-    multidegree violates the row exactly when its degree on ``Y`` is below it.
-    """
-    for size in range(1, len(graph.ids)):
-        for Y in graph.connected_subsets(size):
-            bound = threshold(graph, pol, Y)
-            strict = mode == STABLE or base in Y
-            yield Y, (math.floor(bound) + 1 if strict else math.ceil(bound)), bound, strict
+
+def _scan(graph: DualGraph, gaps: Iterable[tuple[Level, list[int]]]) -> tuple[str, ...] | None:
+    """The ids of the first subcurve with a negative gap (a violated row),
+    reading the levels in order; None when no gap is negative."""
+    tested = 0
+    for level, row_gaps in gaps:
+        first = next(filter((0).__gt__, row_gaps), None)
+        if first is not None:  # no earlier gap equals it, as none is negative
+            stats.COUNTS["stability.rows"] += tested + row_gaps.index(first) + 1
+            return graph._members(level.masks[row_gaps.index(first)])
+        tested += len(row_gaps)
+    stats.COUNTS["stability.rows"] += tested
+    return None
 
 
 def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
@@ -219,12 +213,12 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
                            f"multidegree total {total} != polarization degree {target}")
     check_basepoint(graph, basepoint)
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
-    for Y, least, bound, strict in _rows(graph, pol, mode, base):
-        degree = sum(map(degrees.__getitem__, Y))
-        if degree < least:
-            return StabilityVerdict(ok=False, mode=mode, witness=Y,
-                                    degree=degree, bound=bound, strict=strict)
-    return StabilityVerdict(ok=True, mode=mode)
+    rows = zip(_rows(graph, pol, mode, base), graph._sums(list(degrees.values())))
+    Y = _scan(graph, ((level, list(map(sub, sums, least))) for (level, least), (_, sums) in rows))
+    if Y is None:
+        return StabilityVerdict(ok=True, mode=mode)
+    return StabilityVerdict(ok=False, mode=mode, witness=Y, degree=sum(degrees[v] for v in Y),
+                            bound=threshold(graph, pol, Y), strict=mode == STABLE or base in Y)
 
 
 def enumerate_stable(graph: DualGraph, pol: Polarization, mode: str = QSTABLE,
@@ -241,17 +235,14 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
                     basepoint: str | None) -> list[tuple[int, ...]]:
     """Every (semi/q-)stable multidegree, as its degrees in ``graph.ids`` order.
 
-    The singleton rows confine each vertex degree to a finite box: at least
-    its own least and, the total being fixed, at most the target less the
-    others'.  The box only seeds the search.  Each row of :func:`_rows` becomes
-    a bound on a subset without the last vertex (the subcurve, or its
-    complement when it holds the last vertex), so the search fixes the degrees
-    one vertex at a time and clamps each to the interval that the box, the
-    total and the bounds whose subset ends at that vertex allow; the last
-    degree is forced.
-    The search runs through the box in lexicographic order, so the output is
-    sorted by the degrees in ``graph.ids`` order.  The basepoint is taken as
-    by :func:`check_stability`.
+    The singleton rows confine each degree to a box: at least its own least
+    and, the total being fixed, at most the target less the others'.  Each
+    row of :func:`_rows` becomes a bound on a subset without the last vertex
+    (the subcurve, or its complement when it holds the last vertex), so the
+    search fixes the degrees one vertex at a time, each clamped to the
+    interval that the box, the total and the bounds whose subset ends there
+    allow, in lexicographic order; the last degree is forced.  The basepoint
+    is taken as by :func:`check_stability`.
     """
     if mode not in MODES:
         raise JacstabError("BAD_INPUT", f"unknown mode {mode!r}")
@@ -263,45 +254,45 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
 
     rows = list(_rows(graph, pol, mode, base))
-    # The first V rows are the singletons, in ``graph.ids`` order.  With the
-    # total fixed, every row bounds a subset S of the positions before
-    # ``last``: (Y, least) is deg_S >= least for S = Y if ``last`` is not in Y,
-    # and deg_S <= target - least for S = Y^c if it is.  Rows on one S merge;
-    # the open ends, and the bounds of the prefixes added below, are box sums.
-    los = [least for _, least, _, _ in rows[:len(ids)]]
+    stats.COUNTS["stability.rows"] += sum(len(least) for _, least in rows)
+    # Level 1 is the singletons, in ``graph.ids`` order.  Every row bounds a
+    # mask S of the positions before ``last`` (the bit 1): (Y, least) is
+    # deg_S >= least for S = Y if ``last`` is not in Y, else deg_S <= target
+    # - least for S = Y^c.  Open ends and the prefixes' bounds are box sums.
+    los = rows[0][1]
     spare = target - sum(los)
-    his = [lo + spare for lo in los]
     last = len(ids) - 1
 
-    def box(S: tuple[int, ...]) -> tuple[int, int]:
-        return sum(los[j] for j in S), sum(his[j] for j in S)
+    def box(S: int) -> tuple[int, int]:
+        lo = sum(los[j] for j in range(last) if S >> (last - j) & 1)
+        return lo, lo + spare * S.bit_count()
 
-    bounds: dict[tuple[int, ...], tuple[int, int]] = {}
-    for Y, least, _, _ in rows:
-        inside = set(Y)
-        upper = ids[last] in inside
-        S = tuple(j for j in range(last) if (ids[j] in inside) != upper)
-        lo, hi = bounds.get(S) or box(S)
-        bounds[S] = (lo, min(hi, target - least)) if upper else (max(lo, least), hi)
+    bounds: dict[int, tuple[int, int]] = {}
+    for level, least in rows:
+        for mask, need in zip(level.masks, least):
+            upper = mask & 1
+            S = mask ^ ((2 << last) - 1) if upper else mask
+            lo, hi = bounds.get(S) or box(S)
+            bounds[S] = (lo, min(hi, target - need)) if upper else (max(lo, need), hi)
+    # a prefix of S drops its highest positions, the lowest bits
     for S in list(bounds):
-        for k in range(1, len(S)):
-            bounds.setdefault(S[:k], box(S[:k]))
+        while S := S & (S - 1):
+            bounds.setdefault(S, box(S))
     # each subset has a slot for its partial sum, written and tested at the
     # level of its largest member from the slot of the subset without it
-    slot = {S: t for t, S in enumerate([(), *bounds])}
+    slot = {S: t for t, S in enumerate([0, *bounds])}
     levels: list[list[tuple[int, int, int, int]]] = [[] for _ in range(last)]
     for S, (lo, hi) in bounds.items():
-        levels[S[-1]].append((slot[S], slot[S[:-1]], lo, hi))
+        levels[len(ids) - (S & -S).bit_length()].append((slot[S], slot[S & (S - 1)], lo, hi))
     partial = [0] * len(slot)
     rest_lo = [sum(los[i + 1:]) for i in range(last)]
-    rest_hi = [sum(his[i + 1:]) for i in range(last)]
     results: list[tuple[int, ...]] = []
     stack = [0] * len(ids)
 
     def search(i: int, acc: int) -> None:
         # the degrees at level i that keep the total reachable and meet every
         # bound tested here (the singleton's holds the box) form one interval
-        lo = target - acc - rest_hi[i]
+        lo = target - acc - rest_lo[i] - spare * (last - i)
         hi = target - acc - rest_lo[i]
         for _, source, least, most in levels[i]:
             rest = partial[source]
@@ -356,24 +347,22 @@ def is_balanced(graph: DualGraph, tau: Iterable[int], k: int) -> BalanceVerdict:
     at least k*omega_degree(Z) - kappa_Z/2, strictly whenever marking 1 lies
     on Z.  This is checked directly from the definition, on the connected
     subcurves, independently of :func:`check_stability` and its rows; the
-    equivalence with q-stability of the base multidegree is a tested theorem,
-    not an implementation shortcut.  Each inequality is doubled into
-    integers, 2*leg_sum against 2k*omega_Z - kappa_Z, from the tau sums per
-    vertex and the kappa and omega the subsets carry; only a witness's bound
-    is a ``Fraction``.
+    equivalence with q-stability of the base multidegree is a tested theorem.
+    Each inequality is doubled into integers; only a witness's bound is a
+    ``Fraction``.
     """
-    twice = {v: 2 * s for v, s in _leg_sums(graph, tau, k).items()}
-    marked = {v for v in graph.ids if 1 in graph.legs_of[v]}
-    for size in range(1, len(graph.ids)):
-        for Z in graph.connected_subsets(size):
-            kappa, omega = graph._kappa_omega(Z)
-            doubled = sum(map(twice.__getitem__, Z))
-            bound = 2 * k * omega - kappa
-            strict = not marked.isdisjoint(Z)
-            if doubled < bound or (strict and doubled == bound):
-                return BalanceVerdict(ok=False, witness=Z, leg_sum=doubled // 2,
-                                      bound=Fraction(bound, 2), strict=strict)
-    return BalanceVerdict(ok=True)
+    sums = _leg_sums(graph, tau, k)
+    weights = [2 * sums[v] - 2 * k * (2 * graph.genus_of[v] - 2 + graph.val(v)) for v in graph.ids]
+    marked = sum(graph._bit[v] for v in graph.ids if 1 in graph.legs_of[v])
+    # 2*leg_sum - (2k*omega_Z - kappa_Z) - strict is negative when Z fails
+    Z = _scan(graph, ((level, [s + kappa - (mask & marked > 0) for s, kappa, mask
+                               in zip(doubled, level.kappas, level.masks)])
+                      for level, doubled in graph._sums(weights)))
+    if Z is None:
+        return BalanceVerdict(ok=True)
+    return BalanceVerdict(ok=False, witness=Z, leg_sum=sum(sums[v] for v in Z),
+                          bound=k * graph.omega_degree(Z) - Fraction(graph.kappa(Z), 2),
+                          strict=any(1 in graph.legs_of[v] for v in Z))
 
 
 def base_multidegree(graph: DualGraph, tau: Iterable[int], k: int) -> dict[str, int]:
