@@ -89,9 +89,10 @@ def test_kappa_ignores_loops():
 
 
 def test_levels_carry_kappa_and_omega():
-    # the pair grown with each subset equals the definitions, on graphs with
-    # loops and edges of multiplicity up to 3; nothing but a returned tuple
-    # is held
+    # each level record renders to connected_subsets' tuples, its kappa equals
+    # the definition, its parent is itself less the added vertex, and omega
+    # summed by parent equals omega_degree, on graphs with loops and edges of
+    # multiplicity up to 3
     rng = random.Random(25)
     sizes, multiplicities, loops = set(), set(), 0
     for _ in range(100):
@@ -99,12 +100,16 @@ def test_levels_carry_kappa_and_omega():
         sizes.add(len(g.ids))
         multiplicities.update(g.edges.count(e) for e in g.nonloop_edges())
         loops += len(g.edges) - len(g.nonloop_edges())
-        for k in range(1, len(g.ids)):
-            for Y in g.connected_subsets(k):
-                assert g._kappa_omega(Y) == (g.kappa(Y), g.omega_degree(Y)), (g, Y)
-                assert g._kappa_omega(list(Y)) is None
-                if len(Y) > 1:
-                    assert g._kappa_omega(Y[::-1]) is None
+        omega = [g.omega_degree([v]) for v in g.ids]
+        below = (0,)
+        for k, (level, omegas) in enumerate(g._sums(omega), 1):
+            subsets = g.connected_subsets(k)
+            assert tuple(map(g._members, level.masks)) == subsets
+            for Y, mask, parent, u, kappa, om in zip(subsets, *level, omegas):
+                assert kappa == g.kappa(Y) and om == g.omega_degree(Y), (g, Y)
+                added = 1 << (len(g.ids) - 1 - u)
+                assert mask & added and below[parent] == mask ^ added, (g, Y)
+            below = level.masks
     assert sizes == set(range(1, 10)) and multiplicities == {1, 2, 3} and loops
 
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from jacstab import (DualGraph, JacstabError, Polarization, QSTABLE, SEMISTABLE,
 from jacstab.corpus import random_connected_graph, random_treelike_graph, random_tau
 from jacstab.oracles import balanced_exhaustive, brute_force_stable, stability_exhaustive
 import jacstab.stability as stability
+from jacstab import stats
 from jacstab.twister import boundary_multidegree, branch_coefficients, split_at_edge
 from common import banana, two_vertex_tree, path3, multigraph
 
@@ -66,20 +68,20 @@ SUBCURVE_FORMS = {
 
 
 def test_threshold_matches_the_definition_in_every_input_form():
-    # On a graph whose levels are all built, a connected subset's sorted tuple
-    # reads the carried (kappa, omega); every other form, and every subset of
-    # a graph with only its first level built, reads kappa and omega_degree
+    # On a graph whose levels are all built and on one with only its first
+    # level built, every form of every subset gives the definition, and
+    # threshold builds no level
     rng = random.Random(26)
     for _ in range(16):
         built = multigraph(rng, max_vertices=8)
         partial = DualGraph.from_json_dict(built.to_json_dict(), check=False)
-        held = set(built.connected_subsets())
+        built.connected_subsets()
         partial.connected_subsets(1)
+        subsets_before = stats.COUNTS["graphs.subsets"]
         thirds = Polarization.custom({v: Fraction(rng.randint(-5, 5), 3) for v in built.ids})
         for pol in (CAN0, GM1, thirds):
             for Y in built.proper_subsets():
                 want = pol.q_value(built, Y) - Fraction(built.kappa(Y), 2)
-                assert (built._kappa_omega(Y) is not None) == (Y in held)
                 for g in (built, partial):
                     for name, form in SUBCURVE_FORMS.items():
                         got = threshold(g, pol, form(Y))
@@ -91,6 +93,8 @@ def test_threshold_matches_the_definition_in_every_input_form():
                     with pytest.raises(JacstabError) as err:
                         threshold(built, pol, form(Y))
                     assert err.value.code == code, (built, pol, Y, name)
+        assert stats.COUNTS["graphs.subsets"] == subsets_before
+        assert len(partial._levels) == (len(built.ids) > 1)
 
 
 # ----------------------------------------------------------------------
@@ -670,30 +674,50 @@ def count_thresholds(monkeypatch) -> list:
     return calls
 
 
+def work_of(action) -> tuple:
+    """``action()`` and the counts it added to ``stats.COUNTS``."""
+    before = Counter(stats.COUNTS)
+    return action(), stats.COUNTS - before
+
+
 def test_check_computes_rows_up_to_its_witness_only(monkeypatch):
     g = path3()
     calls = count_thresholds(monkeypatch)
-    # v1 = -5 breaks the first row, the singleton v1
-    verdict = check_stability(g, CAN0, {"v1": -5, "v2": 2, "v3": 3}, QSTABLE)
+    # v1 = -5 breaks the first row, the singleton v1: one row read, one level
+    # built, and one threshold, the witness's bound
+    verdict, work = work_of(lambda: check_stability(g, CAN0, {"v1": -5, "v2": 2, "v3": 3}, QSTABLE))
     assert verdict.witness == ("v1",) and len(calls) == 1
+    assert work == {"stability.rows": 1, "graphs.subsets": 3}
 
 
 def test_passing_check_computes_one_threshold_per_connected_subset(monkeypatch):
+    # one integer row per connected subset, no threshold, and no subset
+    # rendered as a tuple of ids, in a passing check and a passing balanced
     g = path3()
+    rows = len(path3().connected_subsets())
     calls = count_thresholds(monkeypatch)
-    assert check_stability(g, CAN0, {"v1": 0, "v2": 0, "v3": 0}, QSTABLE).ok
-    assert len(calls) == len(g.connected_subsets())
+
+    def render(*args):
+        raise AssertionError("a subset was rendered as ids")
+
+    monkeypatch.setattr(DualGraph, "_members", render)
+    monkeypatch.setattr(DualGraph, "connected_subsets", render)
+    verdict, work = work_of(lambda: check_stability(g, CAN0, {"v1": 0, "v2": 0, "v3": 0}, QSTABLE))
+    assert verdict.ok and not calls and work == {"stability.rows": rows, "graphs.subsets": rows}
+    verdict, work = work_of(lambda: is_balanced(g, [0], 0))
+    assert verdict.ok and work == {"stability.rows": rows}
 
 
 def test_enumerate_computes_each_row_once(monkeypatch):
-    # K_4 with every edge doubled: one threshold per row and none for the box,
-    # which the singleton rows give, however many candidates the search tests
+    # K_4 with every edge doubled: each row read once and no threshold, for
+    # the box (the singleton rows give it) or for any candidate
     ids = ("a", "b", "c", "d")
     g = DualGraph([(v, 0, [1] if v == "a" else []) for v in ids],
                   [(v, w) for i, v in enumerate(ids) for w in ids[i + 1:]] * 2)
     calls = count_thresholds(monkeypatch)
-    assert len(enumerate_stable(g, CAN0, QSTABLE)) > 1
-    assert len(calls) == len(g.connected_subsets()) == 14
+    found, work = work_of(lambda: enumerate_stable(g, CAN0, QSTABLE))
+    assert len(found) > 1 and not calls
+    assert work["stability.rows"] == len(g.connected_subsets()) == 14
 
 
 def _star13() -> DualGraph:
@@ -703,39 +727,30 @@ def _star13() -> DualGraph:
                      [("c", v) for v in leaves])
 
 
-def _sizes_built(monkeypatch) -> list:
-    """Record the size of every ``connected_subsets`` call from now on."""
-    sizes = []
-    real = DualGraph.connected_subsets
-
-    def counted(graph, size=None):
-        sizes.append(size)
-        return real(graph, size)
-
-    monkeypatch.setattr(DualGraph, "connected_subsets", counted)
-    return sizes
-
-
-def test_a_singleton_witness_builds_only_the_first_level(monkeypatch):
+def test_a_singleton_witness_builds_only_the_first_level():
+    # the 13 singletons are built and the first two read: l00 is the second
     g = _star13()
-    sizes = _sizes_built(monkeypatch)
     m = {v: 0 for v in g.ids}
     m["l00"], m["l11"] = -4, 4
-    verdict = check_stability(g, CAN0, m, QSTABLE)
-    assert verdict.witness == ("l00",) and sizes == [1] and len(g._levels) == 1
+    verdict, work = work_of(lambda: check_stability(g, CAN0, m, QSTABLE))
+    assert verdict.witness == ("l00",) and len(g._levels) == 1
+    assert work == {"graphs.subsets": 13, "stability.rows": 2}
     g = _star13()
-    sizes.clear()
     # k = 1 asks each leaf for a leg sum of at least 1/2, and leaves have no legs
-    verdict = is_balanced(g, [2 * g.g - 2], 1)
-    assert verdict.witness == ("l00",) and sizes == [1] and len(g._levels) == 1
+    verdict, work = work_of(lambda: is_balanced(g, [2 * g.g - 2], 1))
+    assert verdict.witness == ("l00",) and len(g._levels) == 1
+    assert work == {"graphs.subsets": 13, "stability.rows": 2}
 
 
-def test_a_pass_reads_every_level_once(monkeypatch):
+def test_a_pass_reads_every_level_once():
+    # each subset is built once, by the first scan, and read once per scan
+    subsets = len(_star13().connected_subsets())
     g = _star13()
-    sizes = _sizes_built(monkeypatch)
-    assert check_stability(g, CAN0, {v: 0 for v in g.ids}, QSTABLE).ok
-    assert is_balanced(g, [0] * g.n, 0).ok
-    assert sizes == list(range(1, 13)) * 2 and len(g._levels) == 12
+    verdict, work = work_of(lambda: check_stability(g, CAN0, {v: 0 for v in g.ids}, QSTABLE))
+    assert verdict.ok and work == {"graphs.subsets": subsets, "stability.rows": subsets}
+    verdict, work = work_of(lambda: is_balanced(g, [0] * g.n, 0))
+    assert verdict.ok and work == {"stability.rows": subsets}
+    assert len(g._levels) == 12
 
 
 @pytest.mark.parametrize("mode", [SEMISTABLE, STABLE, QSTABLE])
