@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -15,6 +16,7 @@ from jacstab.corpus import random_connected_graph, random_treelike_graph, random
 from jacstab.oracles import balanced_exhaustive, brute_force_stable, stability_exhaustive
 import jacstab.stability as stability
 from jacstab import stats
+from jacstab.stability import BalanceVerdict, StabilityVerdict
 from jacstab.twister import boundary_multidegree, branch_coefficients, split_at_edge
 from common import banana, two_vertex_tree, path3, multigraph
 
@@ -546,6 +548,103 @@ def test_custom_degree_is_q_of_the_whole_curve():
     assert CAN0.target_degree(g) == 0 and GM1.target_degree(g) == g.g - 1 == 1
     assert enumerate_stable(g, Polarization.custom({"v1": 0, "v2": 0}), QSTABLE) == [
         {"v1": 0, "v2": 1}, {"v1": 1, "v2": 0}, {"v1": 2, "v2": -1}]
+
+
+def test_first_witness_matches_reference_loops_for_every_polarization():
+    # check_stability against a loop over connected_subsets() order with
+    # threshold, and is_balanced against one from kappa and omega_degree, on
+    # multigraphs of up to 8 vertices, in every mode, with both presets and a
+    # custom q in thirds and in sevenths; each multidegree is moved so that a
+    # random connected subcurve meets its bound's ceiling, often with equality
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(70):
+        g = multigraph(rng, max_vertices=8)
+        subsets = g.connected_subsets()
+        pols = [CAN0, GM1]
+        for den in (3, 7):
+            q = {v: Fraction(rng.randint(-9, 9), den) for v in g.ids}
+            q[g.ids[0]] -= sum(q.values()) % 1
+            pols.append(Polarization.custom(q))
+        for pol in pols:
+            bounds = {Y: threshold(g, pol, Y) for Y in subsets}
+            for mode in (SEMISTABLE, STABLE, QSTABLE):
+                basepoint = rng.choice([None, rng.choice(g.ids)])
+                base = stability.resolve_basepoint(g, basepoint) if mode == QSTABLE else None
+                for _ in range(4):
+                    m = {v: rng.randint(-2, 2) for v in g.ids}
+                    m[g.ids[-1]] += pol.target_degree(g) - sum(m.values())
+                    if subsets:
+                        Y = rng.choice(subsets)
+                        out = rng.choice([v for v in g.ids if v not in Y])
+                        shift = math.ceil(bounds[Y]) - sum(m[v] for v in Y)
+                        m[Y[0]] += shift
+                        m[out] -= shift
+                    want = StabilityVerdict(ok=True, mode=mode)
+                    for Y in subsets:
+                        degree, strict = sum(m[v] for v in Y), mode == STABLE or base in Y
+                        if degree < bounds[Y] or strict and degree == bounds[Y]:
+                            want = StabilityVerdict(False, mode, Y, degree, bounds[Y], strict)
+                            break
+                    got = check_stability(g, pol, m, mode, basepoint=basepoint)
+                    assert got == want, (g, pol, m, mode, basepoint)
+                    seen[pol.kind, "pass" if got.ok else "tie" if got.degree == got.bound
+                         else "fail"] += 1
+        for _ in range(4):
+            k = rng.randint(-1, 1)
+            tau = random_tau(rng, g.n, k * (2 * g.g - 2), bound=3)
+            if tau is None:
+                k, tau = 0, [0] * g.n
+            if subsets and rng.random() < 0.5:
+                Z = rng.choice(subsets)
+                legs = [i for v in Z for i in g.legs_of[v]]
+                if legs and len(legs) < g.n:
+                    bound = k * g.omega_degree(Z) - Fraction(g.kappa(Z), 2)
+                    shift = math.ceil(bound) - sum(tau[i - 1] for i in legs)
+                    tau[legs[0] - 1] += shift
+                    tau[next(i for i in range(1, g.n + 1) if i not in legs) - 1] -= shift
+            want = BalanceVerdict(ok=True)
+            for Z in subsets:
+                leg_sum = sum(tau[i - 1] for v in Z for i in g.legs_of[v])
+                bound = k * g.omega_degree(Z) - Fraction(g.kappa(Z), 2)
+                strict = any(1 in g.legs_of[v] for v in Z)
+                if leg_sum < bound or strict and leg_sum == bound:
+                    want = BalanceVerdict(False, Z, leg_sum, bound, strict)
+                    break
+            verdict = is_balanced(g, tau, k)
+            assert verdict == want, (g, tau, k)
+            seen["balanced", "pass" if verdict.ok else "tie" if verdict.leg_sum == verdict.bound
+                 else "fail"] += 1
+    for kind in (CAN0.kind, GM1.kind, "custom"):
+        assert min(seen[kind, "pass"], seen[kind, "tie"], seen[kind, "fail"]) >= 50, seen
+    assert min(seen["balanced", "pass"], seen["balanced", "tie"], seen["balanced", "fail"]) >= 5, seen
+
+
+def test_a_refused_polarization_reads_no_row_and_builds_no_subset():
+    # a custom q that does not name the vertices, or whose degree is not an
+    # integer, is refused before any level is built
+    g = _banana3()
+    for q in ({"v1": Fraction(1, 2), "v2": 0}, {"v1": 0}):
+        for call in (lambda pol: check_stability(g, pol, {"v1": 1, "v2": 0}, QSTABLE),
+                     lambda pol: enumerate_stable(g, pol, QSTABLE)):
+            with pytest.raises(JacstabError) as err:
+                work_of(lambda: call(Polarization.custom(q)))
+            assert err.value.code == "BAD_INPUT" and not g._levels
+
+
+def test_scans_on_a_disconnected_graph_match_the_exhaustive_oracles():
+    # two components of two vertices: the level of size 3 is empty
+    g = DualGraph([("a", 0, [1]), ("b", 1, []), ("c", 0, [2]), ("d", 1, [])],
+                  [("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")], n=2)
+    assert not g.is_connected() and g.connected_subsets(3) == () and g._level(3).masks == ()
+    for pol in (CAN0, GM1):
+        for mode in (SEMISTABLE, STABLE, QSTABLE):
+            for d in range(-3, 4):
+                m = {"a": d, "b": -d, "c": 0, "d": pol.target_degree(g)}
+                assert (check_stability(g, pol, m, mode).ok
+                        == stability_exhaustive(g, pol, m, mode).ok), (pol, mode, m)
+    for tau in ([1, -1], [0, 0], [-2, 2]):
+        assert is_balanced(g, tau, 0).ok == balanced_exhaustive(g, tau, 0).ok, tau
 
 
 def test_balanced_fail_fields_match_the_definitions():
