@@ -256,7 +256,7 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
     rows = list(_rows(graph, pol, mode, base))
     stats.COUNTS["stability.rows"] += sum(len(least) for _, least in rows)
     # Level 1 is the singletons, in ``graph.ids`` order.  Every row bounds a
-    # mask S of the positions before ``last`` (the bit 1): (Y, least) is
+    # mask S of the positions before ``last`` (bit value 1): (Y, least) is
     # deg_S >= least for S = Y if ``last`` is not in Y, else deg_S <= target
     # - least for S = Y^c.  Open ends and the prefixes' bounds are box sums.
     los = rows[0][1]
