@@ -526,14 +526,15 @@ def test_qstable_count_is_the_spanning_tree_count():
 ], ids=["check", "enumerate", "brute-force"])
 def test_bad_custom_polarization_is_refused_before_any_row(monkeypatch, call, q):
     # q_V = 1/2 + (g - 1) = 3/2 on the first; the others do not name V.
-    # Every row of check and enumerate calls threshold, and every inequality
-    # of the brute force reads kappa; the degree reads neither, so no row may
-    # be computed
+    # Every row of check and enumerate reads a level of DualGraph._level, a
+    # FAIL's bound calls threshold, and every inequality of the brute force
+    # reads kappa; the degree reads none of them, so no row may be computed
     g = _banana3()
 
     def no_rows(*args):
         raise AssertionError("a row was computed")
 
+    monkeypatch.setattr(DualGraph, "_level", no_rows)
     monkeypatch.setattr(stability, "threshold", no_rows)
     monkeypatch.setattr(DualGraph, "kappa", no_rows)
     with pytest.raises(JacstabError) as err:
