@@ -44,17 +44,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .errors import JacstabError, check_tau, check_twist, strict_int
+from .errors import JacstabError, check_tau, check_twist, exact, strict_int
 
 Legs = tuple[int, ...]
 Exact = int | Fraction
-
-
-def exact(c, what: str = "coefficient") -> Exact:
-    """``c`` itself if its type is ``int`` or ``Fraction``, else BAD_INPUT (bools and floats too)."""
-    if type(c) is int or type(c) is Fraction:
-        return c
-    raise JacstabError("BAD_INPUT", f"{what} must be an int or a Fraction, got {c!r}")
 
 
 class LinearClass:

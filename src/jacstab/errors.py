@@ -1,7 +1,8 @@
 """Shared error type and the checks at the input boundary.
 
 A domain failure carries a stable machine-readable code.  ``strict_int``
-accepts a genuine ``int`` only, never coerced.  ``load_json`` reads every
+accepts a genuine ``int`` only, never coerced, and ``exact`` an ``int`` or a
+``Fraction``.  ``load_json`` reads every
 JSON input of the package, and ``_unique_keys`` is its rule that no object,
 and no comma-form map, names a key twice.  ``check_twist`` reads a twist
 vector against a total, ``check_tau`` against k(2g-2), for graphs and classes.
@@ -10,6 +11,7 @@ vector against a total, ``check_tau`` against k(2g-2), for graphs and classes.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Callable, Iterable
 
 
@@ -33,6 +35,13 @@ def strict_int(value, what: str) -> int:
     if type(value) is not int:
         raise JacstabError("BAD_INPUT", f"{what} must be an integer, got {value!r}")
     return value
+
+
+def exact(c, what: str = "coefficient") -> int | Fraction:
+    """``c`` itself if its type is ``int`` or ``Fraction``, else BAD_INPUT (bools and floats too)."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    raise JacstabError("BAD_INPUT", f"{what} must be an int or a Fraction, got {c!r}")
 
 
 def _unique_keys(pairs, what: str) -> dict:

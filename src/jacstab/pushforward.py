@@ -49,8 +49,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import JacstabError, strict_int
-from .divisors import (DivisorClass, Exact, LinearClass, canonicalize, exact,
+from .errors import JacstabError, exact, strict_int
+from .divisors import (DivisorClass, Exact, LinearClass, canonicalize,
                        _check_gn, _check_tau_theta, _check_tau_gm1, _closed, _joined, _legs)
 
 def _families(coeffs: Mapping[tuple, Exact]) -> tuple:

@@ -20,8 +20,9 @@ The rows come one level of :meth:`DualGraph._level` at a time, so a scan that
 stops early never builds the larger subcurves.  A per-vertex sum over a
 subcurve (degree, q, omega, tau) is its parent's plus one term, strictness is
 a bit test on its mask, and only a FAIL's witness is rendered as ids, with
-its bound from :func:`threshold`.  :func:`check_stability` and the search of
-:func:`_stable_degrees` read the least degrees of :func:`_rows`;
+its bound from :func:`threshold`.  :func:`_rows` states each inequality as an
+integer gap, negative exactly when it fails, which :func:`check_stability`
+scans and the search of :func:`_stable_degrees` reads as least degrees;
 :func:`is_balanced` keeps its own inequalities, as their equivalence with
 q-stability is a theorem the tests compare.  Each scan adds the rows it read
 to ``stats.COUNTS["stability.rows"]``.
@@ -32,11 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from . import stats
-from .errors import JacstabError, check_tau, strict_int
+from .errors import JacstabError, check_tau, exact, strict_int
 from .graphs import DualGraph, Level
 
 SEMISTABLE = "semistable"
@@ -71,9 +71,8 @@ class Polarization:
     @classmethod
     def custom(cls, per_vertex_q: Mapping[str, Fraction]) -> "Polarization":
         """Exact data only: each q an ``int`` or a ``Fraction``."""
-        exact = {v: q if type(q) is Fraction else Fraction(strict_int(q, f"q of {v!r}"))
-                 for v, q in per_vertex_q.items()}
-        return cls(kind="custom", per_vertex_q=tuple(sorted(exact.items())))
+        qs = {v: Fraction(exact(q, f"q of {v!r}")) for v, q in per_vertex_q.items()}
+        return cls(kind="custom", per_vertex_q=tuple(sorted(qs.items())))
 
     @classmethod
     def preset(cls, name: str) -> "Polarization":
@@ -164,20 +163,18 @@ def resolve_basepoint(graph: DualGraph, basepoint: str | None) -> str:
     return v
 
 
-def _rows(graph: DualGraph, pol: Polarization, mode: str,
-          base: str | None) -> Iterator[tuple[Level, list[int]]]:
-    """Each level, one size at a time, with the least integer degree each of
-    its subcurves Y may carry.  With (L, a) from :meth:`Polarization._scaled`,
-    t = (sum of a over Y) - L*kappa_Y is 2L times the threshold, and the least
-    degree ceil(t/2L), or floor(t/2L) + 1 when strict: (t + 2L - 1 + strict)
-    // 2L.  Rows are strict on every Y when stable and on those containing
-    ``base`` (the basepoint when q-stable, else None)."""
-    scale, weights = pol._scaled(graph)
-    span = 2 * scale
+def _rows(graph: DualGraph, pol: Polarization, mode: str, base: str | None,
+          degrees: list[int]) -> Iterator[tuple[Level, list[int]]]:
+    """Each level, one size at a time, with the gap of each subcurve Y under
+    ``degrees`` (in ``graph.ids`` order): the sum over Y of 2L*d_v - a_v, with
+    (L, a) from :meth:`Polarization._scaled`, plus L*kappa_Y, less 1 if strict,
+    that is 2L*(deg_Y - threshold_Y) - strict, >= 0 exactly when the row holds.
+    Rows are strict on every Y when stable and on those containing ``base``."""
+    scale, a = pol._scaled(graph)
     strict = (1 << len(graph.ids)) - 1 if mode == STABLE else graph._bit.get(base, 0)
-    for level, sums in graph._sums(weights):
-        yield level, [(a - scale * kappa + span - 1 + (mask & strict > 0)) // span
-                      for a, kappa, mask in zip(sums, level.kappas, level.masks)]
+    for level, sums in graph._sums([2 * scale * d - a_v for d, a_v in zip(degrees, a)]):
+        yield level, [s + scale * kappa - (mask & strict > 0)
+                      for s, kappa, mask in zip(sums, level.kappas, level.masks)]
 
 
 def _scan(graph: DualGraph, gaps: Iterable[tuple[Level, list[int]]]) -> tuple[str, ...] | None:
@@ -213,8 +210,7 @@ def check_stability(graph: DualGraph, pol: Polarization, m: Mapping[str, int],
                            f"multidegree total {total} != polarization degree {target}")
     check_basepoint(graph, basepoint)
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
-    rows = zip(_rows(graph, pol, mode, base), graph._sums(list(degrees.values())))
-    Y = _scan(graph, ((level, list(map(sub, sums, least))) for (level, least), (_, sums) in rows))
+    Y = _scan(graph, _rows(graph, pol, mode, base, list(degrees.values())))
     if Y is None:
         return StabilityVerdict(ok=True, mode=mode)
     return StabilityVerdict(ok=False, mode=mode, witness=Y, degree=sum(degrees[v] for v in Y),
@@ -253,13 +249,15 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
         return [(target,)]
     base = resolve_basepoint(graph, basepoint) if mode == QSTABLE else None
 
-    rows = list(_rows(graph, pol, mode, base))
-    stats.COUNTS["stability.rows"] += sum(len(least) for _, least in rows)
-    # Level 1 is the singletons, in ``graph.ids`` order.  Every row bounds a
-    # mask S of the positions before ``last`` (bit value 1): (Y, least) is
-    # deg_S >= least for S = Y if ``last`` is not in Y, else deg_S <= target
-    # - least for S = Y^c.  Open ends and the prefixes' bounds are box sums.
-    los = rows[0][1]
+    rows = list(_rows(graph, pol, mode, base, [0] * len(ids)))
+    stats.COUNTS["stability.rows"] += sum(len(gaps) for _, gaps in rows)
+    # Level 1 is the singletons, in ``graph.ids`` order; a row's least degree
+    # is -(gap // 2L).  Every row bounds a mask S of the positions before
+    # ``last`` (bit value 1): deg_S >= least for S = Y if ``last`` is not in
+    # Y, else deg_S <= target - least for S = Y^c.  Open ends and the
+    # prefixes' bounds are box sums.
+    span = 2 * pol._scaled(graph)[0]
+    los = [-(gap // span) for gap in rows[0][1]]
     spare = target - sum(los)
     last = len(ids) - 1
 
@@ -268,9 +266,9 @@ def _stable_degrees(graph: DualGraph, pol: Polarization, mode: str,
         return lo, lo + spare * S.bit_count()
 
     bounds: dict[int, tuple[int, int]] = {}
-    for level, least in rows:
-        for mask, need in zip(level.masks, least):
-            upper = mask & 1
+    for level, gaps in rows:
+        for mask, gap in zip(level.masks, gaps):
+            need, upper = -(gap // span), mask & 1
             S = mask ^ ((2 << last) - 1) if upper else mask
             lo, hi = bounds.get(S) or box(S)
             bounds[S] = (lo, min(hi, target - need)) if upper else (max(lo, need), hi)

@@ -164,10 +164,12 @@ def test_connected_only_verdict_matches_exhaustive():
      "unknown mode 'bogus'"),
     (lambda: enumerate_stable(banana(), CAN0, "bogus"), "unknown mode 'bogus'"),
     (lambda: Polarization.preset("bogus"), "unknown polarization preset 'bogus'"),
+    (lambda: Polarization.custom({"v1": 0.5, "v2": 0}),
+     "q of 'v1' must be an int or a Fraction, got 0.5"),
 ], ids=["float-degree", "bool-degree", "float-tau", "str-tau", "float-k", "check-mode",
-        "enumerate-mode", "preset"])
+        "enumerate-mode", "preset", "float-q"])
 def test_multidegrees_and_tau_are_strict(call, message):
-    # and so are the names of a mode and of a polarization preset
+    # and so are the names of a mode and of a polarization preset, and a custom q
     with pytest.raises(JacstabError) as err:
         call()
     assert err.value.code == "BAD_INPUT" and str(err.value) == message
@@ -902,3 +904,88 @@ def test_one_component_curve_needs_no_basepoint(mode):
             with pytest.raises(JacstabError) as err:
                 check(unmarked, CAN0, {"v1": 0, "v2": 0}, mode)
             assert err.value.code == "NO_BASEPOINT"
+
+
+def _answer(call):
+    """What ``call()`` returns, or ``("refused", code)`` when it refuses."""
+    try:
+        return call()
+    except JacstabError as err:
+        return "refused", err.code
+
+
+def test_answers_survive_a_vertex_renaming():
+    # a renaming that changes the sorted order of the ids moves every mask,
+    # parent position and the search's vertex order: enumerate gives the
+    # renamed set, check, balanced and locus the same verdicts, a FAIL a
+    # violated connected subcurve (not always the renamed one) and a refusal
+    # the same code; a fifth of the custom q's have no integral degree
+    rng = random.Random(43)
+    seen = Counter()
+    while seen["graphs"] < 60:
+        g = multigraph(rng, max_vertices=6)
+        if len(g.ids) == 1:
+            continue  # one id has only one order
+        new = sorted(g.ids)
+        while new == sorted(new):
+            new = [f"v{i}" for i in rng.sample(range(10, 100), len(g.ids))]
+        name = dict(zip(g.ids, new))
+        h = DualGraph([(name[v], g.genus_of[v], g.legs_of[v]) for v in g.ids],
+                      [(name[a], name[b]) for a, b in g.edges], n=g.n)
+        q = {v: Fraction(rng.randint(-9, 9), 7) for v in g.ids}
+        if rng.random() < 0.8:
+            q[g.ids[0]] -= sum(q.values()) % 1
+        pols = [(CAN0, CAN0), (GM1, GM1),
+                (Polarization.custom(q), Polarization.custom({name[v]: x for v, x in q.items()}))]
+        for pol, renamed in pols:
+            for mode in (SEMISTABLE, STABLE, QSTABLE):
+                basepoint = rng.choice([None, rng.choice(g.ids)])
+                moved = None if basepoint is None else name[basepoint]
+                found = _answer(lambda: enumerate_stable(g, pol, mode, basepoint))
+                got = _answer(lambda: enumerate_stable(h, renamed, mode, moved))
+                if isinstance(found, list):
+                    assert ({frozenset((name[v], d) for v, d in r.items()) for r in found}
+                            == {frozenset(r.items()) for r in got}), (g, pol, mode, basepoint)
+                    seen["enumerate"] += 1
+                else:
+                    assert got == found, (g, pol, mode, basepoint)
+                m = {v: rng.randint(-2, 2) for v in g.ids}
+                if isinstance(found, list) and found and rng.random() < 0.5:
+                    m = rng.choice(found)
+                elif isinstance(found, list):
+                    m[g.ids[-1]] += pol.target_degree(g) - sum(m.values())
+                m_h = {name[v]: d for v, d in m.items()}
+                verdict = _answer(lambda: check_stability(g, pol, m, mode, basepoint))
+                after = _answer(lambda: check_stability(h, renamed, m_h, mode, moved))
+                if isinstance(verdict, tuple):
+                    assert after == verdict, (g, pol, m, mode, basepoint)
+                    seen["refused"] += 1
+                    continue
+                assert after.ok == verdict.ok, (g, pol, m, mode, basepoint)
+                seen["pass" if after.ok else "fail"] += 1
+                if not after.ok:
+                    W = after.witness
+                    base = stability.resolve_basepoint(h, moved) if mode == QSTABLE else None
+                    degree, bound = sum(m_h[v] for v in W), threshold(h, renamed, W)
+                    strict = mode == STABLE or base in W
+                    assert W in h.connected_subsets(len(W)), (h, W)
+                    assert degree < bound or strict and degree == bound, (h, W, m_h, mode)
+                    assert (after.degree, after.bound, after.strict) == (degree, bound, strict)
+                    seen["other witness"] += W != tuple(sorted(name[v] for v in verdict.witness))
+        for _ in range(4):
+            k = rng.randint(-1, 1)
+            tau = random_tau(rng, g.n, k * (2 * g.g - 2), bound=3)
+            if tau is None:
+                k, tau = 0, [0] * g.n
+            if rng.random() < 0.2:
+                tau[0] += 1  # refused: the sum is off
+            balanced = _answer(lambda: is_balanced(g, tau, k).ok)
+            assert _answer(lambda: is_balanced(h, tau, k).ok) == balanced, (g, tau, k)
+            assert (_answer(lambda: locus_membership(h, tau, k))
+                    == _answer(lambda: locus_membership(g, tau, k))), (g, tau, k)
+            seen["balanced", balanced] += 1
+        seen["graphs"] += 1
+    assert seen["enumerate"] >= 450 and min(seen["pass"], seen["fail"]) >= 200, seen
+    assert seen["refused"] >= 20 and seen["other witness"] >= 20, seen
+    assert min(seen["balanced", True], seen["balanced", False]) >= 20, seen
+    assert seen["balanced", ("refused", "TAU_SUM")] >= 20, seen
