@@ -2,10 +2,10 @@
 
 A domain failure carries a stable machine-readable code.  ``strict_int``
 accepts a genuine ``int`` only, never coerced, and ``exact`` an ``int`` or a
-``Fraction``.  ``load_json`` reads every
-JSON input of the package, and ``_unique_keys`` is its rule that no object,
-and no comma-form map, names a key twice.  ``check_twist`` reads a twist
-vector against a total, ``check_tau`` against k(2g-2), for graphs and classes.
+``Fraction``.  ``load_json`` reads every JSON input of the package, and
+``_unique_keys`` is its rule that no object, and no comma-form map, names a
+key twice.  ``check_twist`` reads a twist vector against a total,
+``check_tau`` against k(2g-2), for graphs and classes.
 """
 
 from __future__ import annotations
