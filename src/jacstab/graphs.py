@@ -14,6 +14,11 @@ data, so that invalid graphs can be inspected rather than refused.
 The connected subsets of each size are built once per graph, on request, as
 one :class:`Level` of flat integer records; id tuples are rendered from their
 masks only when :meth:`DualGraph.connected_subsets` is called.
+
+The library has one graph search, :meth:`DualGraph._component`: the vertices
+of a set that one of them reaches inside it.  Connectivity counts components
+with it, and the twister takes the side of a bridge and the branch of a
+peeled leaf from it.
 """
 
 from __future__ import annotations
@@ -184,21 +189,21 @@ class DualGraph:
         comps = self._component_count(S)
         return sum(self.genus_of[v] for v in S) + internal - len(S) + comps
 
+    def _component(self, S: frozenset[str], start: str) -> frozenset[str]:
+        """The vertices of ``S`` that ``start`` reaches along edges inside ``S``."""
+        seen, stack = {start}, [start]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w in S and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(seen)
+
     def _component_count(self, S: frozenset[str]) -> int:
-        seen: set[str] = set()
-        comps = 0
-        for start in sorted(S):
-            if start in seen:
-                continue
+        left, comps = set(S), 0
+        while left:
+            left -= self._component(S, min(left))
             comps += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w in S and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
         return comps
 
     def is_connected_subset(self, Y: Iterable[str]) -> bool:

@@ -46,6 +46,7 @@ step is the final halving of the pushed class, once per output term.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -303,15 +304,10 @@ def exp_truncate(g: int) -> GradedAtomPoly:
     """
     if g < 1:
         raise JacstabError("BAD_INPUT", "exp truncation needs g >= 1")
-    terms: dict[tuple[tuple[int, int], ...], Fraction] = {}
+    # each partition has its own key, sorted, and a non-zero Fraction coefficient
+    terms = {}
     for part in _partitions(g):
-        mult: dict[int, int] = {}
-        for s in part:
-            mult[s] = mult.get(s, 0) + 1
-        coeff = Fraction(1)
-        for s, m in mult.items():
-            base = Fraction((-1) ** s * math.factorial(s - 1))
-            coeff *= base ** m / math.factorial(m)
-        key = tuple(sorted(mult.items()))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return GradedAtomPoly(g, terms)
+        key = tuple(sorted(Counter(part).items()))
+        terms[key] = math.prod(Fraction((-1) ** s * math.factorial(s - 1)) ** m / math.factorial(m)
+                               for s, m in key)
+    return GradedAtomPoly._of((g,), terms)

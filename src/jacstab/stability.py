@@ -70,8 +70,12 @@ class Polarization:
 
     @classmethod
     def custom(cls, per_vertex_q: Mapping[str, Fraction]) -> "Polarization":
-        """Exact data only: each q an ``int`` or a ``Fraction``."""
-        qs = {v: Fraction(exact(q, f"q of {v!r}")) for v, q in per_vertex_q.items()}
+        """Exact data only: each name a non-empty ``str``, each q an ``int`` or a ``Fraction``."""
+        qs = {}
+        for v, q in per_vertex_q.items():
+            if not isinstance(v, str) or not v:
+                raise JacstabError("BAD_INPUT", f"vertex id must be a non-empty string, got {v!r}")
+            qs[v] = Fraction(exact(q, f"q of {v!r}"))
         return cls(kind="custom", per_vertex_q=tuple(sorted(qs.items())))
 
     @classmethod

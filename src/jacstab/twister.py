@@ -68,18 +68,10 @@ def split_at_edge(graph: DualGraph, edge: tuple[str, str]) -> tuple[frozenset[st
         raise JacstabError("BAD_INPUT", f"{edge} is not an edge of the graph")
     if a == b or copies > 1:
         raise JacstabError("NOT_TREELIKE", f"edge {edge} is a loop or a multiple edge")
-    side: set[str] = {a}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        for w in graph._adj[u]:
-            # the removed edge is its pair's only copy, so skip the pair
-            if w not in side and (u, w) != (a, b):
-                side.add(w)
-                stack.append(w)
-    if b in side:
+    side = graph._component(graph._id_set - {b}, a)
+    if graph.kappa(side) != 1:
         raise JacstabError("NOT_TREELIKE", f"edge {edge} is not separating")
-    return frozenset(side), frozenset(graph.ids) - frozenset(side)
+    return side, graph._id_set - side
 
 
 def reduction_root(graph: DualGraph) -> str:
@@ -122,8 +114,6 @@ def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = N
     cur = dict(degrees)
     gamma = {v: 0 for v in graph.ids}
     trace: list[PeelStep] = []
-    # absorbed[v] = vertices absorbed into v's side so far (branch bookkeeping)
-    absorbed: dict[str, set[str]] = {v: {v} for v in graph.ids}
 
     while len(remaining) > 1:
         leaves = tuple(sorted(
@@ -135,15 +125,15 @@ def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = N
         if leaf not in leaves:
             raise JacstabError("BAD_INPUT", f"{leaf!r} is not a peelable leaf")
         target = next(w for w in graph._adj[leaf] if w in remaining)
-        branch = frozenset(absorbed[leaf])
         coeff = cur[leaf]
         if coeff:
+            # the leaf with all it absorbed: its side of the edge to the target
+            branch = graph._component(graph._id_set - {target}, leaf)
             for w in branch:
                 gamma[w] += coeff
             cur[target] += coeff
             cur[leaf] = 0
             trace.append(PeelStep(leaf=leaf, branch=tuple(sorted(branch)), coefficient=coeff))
-        absorbed[target] |= branch
         remaining.discard(leaf)
 
     assert all(d == 0 for d in cur.values())
