@@ -316,9 +316,16 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
      "malformed tau/k payload: 'tau'"),
     (["stability", "balanced", "--graph", BANANA, "--data", '{"tau": 3}'], None,
      "malformed tau/k payload: 'int' object is not iterable"),
+    (["stability", "check", "--graph", BANANA, "--m", "v1"], None,
+     "malformed multidegree entry 'v1'"),
+    (["stability", "check", "--graph", BANANA, "--m", "v1=1=2"], None,
+     "malformed multidegree entry 'v1=1=2'"),
+    (["twist", "apply", "--graph", BANANA, "--gamma", "v1=x,v2=0"], None,
+     "malformed gamma entry 'v1=x'"),
 ], ids=["tau-length", "tau-not-integer", "hain-nonzero-k", "seed-not-integer",
         "subcurve-unknown-vertex", "threshold-unknown-vertex", "edge-not-a-pair",
-        "graph-file-not-found", "data-without-tau", "data-tau-not-a-list"])
+        "graph-file-not-found", "data-without-tau", "data-tau-not-a-list",
+        "m-without-value", "m-two-values", "gamma-not-integer"])
 def test_refusal_names_the_bad_input(capsys, monkeypatch, argv, seed, message):
     if seed is not None:
         monkeypatch.setenv("JACSTAB_SEED", seed)

@@ -166,8 +166,9 @@ def test_connected_only_verdict_matches_exhaustive():
     (lambda: Polarization.preset("bogus"), "unknown polarization preset 'bogus'"),
     (lambda: Polarization.custom({"v1": 0.5, "v2": 0}),
      "q of 'v1' must be an int or a Fraction, got 0.5"),
+    (lambda: Polarization.custom({1: 0, "v2": 0}), "vertex id must be a non-empty string, got 1"),
 ], ids=["float-degree", "bool-degree", "float-tau", "str-tau", "float-k", "check-mode",
-        "enumerate-mode", "preset", "float-q"])
+        "enumerate-mode", "preset", "float-q", "int-name-q"])
 def test_multidegrees_and_tau_are_strict(call, message):
     # and so are the names of a mode and of a polarization preset, and a custom q
     with pytest.raises(JacstabError) as err:

@@ -131,6 +131,29 @@ def test_reduce_matches_exact_solve_and_order_independent():
         assert last.gamma == expected and shuffled.gamma == expected
 
 
+def test_reduction_trace_replays_on_random_trees():
+    # each step twists by its coefficient on a connected branch that hangs off
+    # one edge, holds its leaf but not the root, and carries the current degree
+    rng = random.Random(36)
+    steps = 0
+    for _ in range(60):
+        g = random_treelike_graph(rng, max_vertices=12)
+        m = random_zero_sum(rng, list(g.ids))
+        root = reduction_root(g)
+        for choose in (None, lambda leaves: leaves[-1], lambda leaves: rng.choice(leaves)):
+            cur = dict(m)
+            for step in reduce_treelike(g, m, choose_leaf=choose).trace:
+                assert step.leaf in step.branch and root not in step.branch
+                assert g.is_connected_subset(step.branch) and g.kappa(step.branch) == 1
+                assert step.coefficient == sum(cur[v] for v in step.branch)
+                tw = twist_multidegree(g, {v: (step.coefficient if v in step.branch else 0)
+                                           for v in g.ids})
+                cur = {v: cur[v] + tw[v] for v in g.ids}
+                steps += 1
+            assert cur == dict.fromkeys(g.ids, 0)
+    assert steps > 500
+
+
 def test_treelike_orbit_contains_every_total_zero_multidegree():
     # class group of a treelike graph is trivial: the twister orbit of the
     # base multidegree covers every total-zero vector, so uniqueness of the
