@@ -290,7 +290,7 @@ def cmd_twist_reduce(args):
 
 
 def cmd_twist_coefficients(args):
-    _, table = _branch_table(args.graph, *_resolve_tau_k(args), args.basepoint)
+    _, table, _ = _branch_table(args.graph, *_resolve_tau_k(args), args.basepoint)
     entries = [{"edge": list(edge), "branch": sorted(side), "coefficient": c}
                for edge, (side, c) in sorted(table.items())]
     return (0, lambda: {"coefficients": entries},

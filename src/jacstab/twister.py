@@ -3,9 +3,9 @@
 A twister supported on vertex components with integer coefficients gamma acts
 on multidegrees by minus the graph Laplacian: m -> m - L.gamma.  On a treelike
 graph the class group is trivial, so any total-zero multidegree is reduced to
-the zero multidegree by repeatedly peeling leaves and pushing their degree
-across their unique separating edge.  There the degree g-1 section has the
-multidegree :func:`compact_type_gm1_multidegree`.
+the zero multidegree by repeatedly peeling leaves: each pushes the degree c
+summed over its branch across its unique separating edge.  There the degree
+g-1 section has the multidegree :func:`compact_type_gm1_multidegree`.
 """
 
 from __future__ import annotations
@@ -87,15 +87,41 @@ def reduction_root(graph: DualGraph) -> str:
     return graph.ids[0] if v is None else v
 
 
+def _peel(graph: DualGraph, m: Mapping[str, int], root: str,
+          choose_leaf: Callable[[tuple[str, ...]], str] | None = None):
+    """Peel leaves towards ``root``: steps (leaf, neighbour towards root, branch,
+    sum of m over the branch), zero sums included, and gamma carrying each sum on
+    its branch.  A branch is the leaf with all peeled into it, so its twist pushes
+    the sum across the edge."""
+    remaining = set(graph.ids)
+    gamma = dict.fromkeys(graph.ids, 0)
+    steps = []
+    while len(remaining) > 1:
+        leaves = tuple(sorted(
+            v for v in remaining
+            if v != root and sum(c for w, c in graph._adj[v].items() if w in remaining) == 1))
+        leaf = choose_leaf(leaves) if choose_leaf is not None else leaves[0]
+        if leaf not in leaves:
+            raise JacstabError("BAD_INPUT", f"{leaf!r} is not a peelable leaf")
+        target = next(w for w in graph._adj[leaf] if w in remaining)
+        branch = graph._component(graph._id_set - {target}, leaf)
+        c = sum(m[v] for v in branch)
+        for v in branch:
+            gamma[v] += c
+        steps.append((leaf, target, branch, c))
+        remaining.discard(leaf)
+    return steps, gamma
+
+
 def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = None,
                     choose_leaf: Callable[[tuple[str, ...]], str] | None = None) -> ReduceResult:
     """Reduce a total-zero multidegree on a treelike graph to the zero one.
 
     Leaves of the loopless tree are peeled one at a time; peeling a leaf with
-    current degree c twists by c on the whole branch hanging off it, which
-    pushes c across the leaf's unique remaining edge.  The returned gamma is
-    normalized to vanish at the root (:func:`reduction_root` unless given)
-    and satisfies twist_multidegree(gamma) + m = 0.
+    degree c summed over its branch twists by c on that branch, which pushes c
+    across the leaf's unique remaining edge.  The returned gamma is normalized
+    to vanish at the root (:func:`reduction_root` unless given) and satisfies
+    twist_multidegree(gamma) + m = 0; the trace lists the non-zero twists.
 
     ``choose_leaf`` picks among the currently peelable leaves (sorted tuple);
     the result does not depend on the choice, which the tests exercise.
@@ -110,46 +136,24 @@ def reduce_treelike(graph: DualGraph, m: Mapping[str, int], root: str | None = N
     elif root not in graph.ids:
         raise JacstabError("BAD_INPUT", f"unknown root vertex {root!r}")
 
-    remaining = set(graph.ids)
-    cur = dict(degrees)
-    gamma = {v: 0 for v in graph.ids}
-    trace: list[PeelStep] = []
-
-    while len(remaining) > 1:
-        leaves = tuple(sorted(
-            v for v in remaining
-            if v != root and sum(c for w, c in graph._adj[v].items() if w in remaining) == 1))
-        if not leaves:
-            raise JacstabError("NOT_TREELIKE", "no peelable leaf found")
-        leaf = choose_leaf(leaves) if choose_leaf is not None else leaves[0]
-        if leaf not in leaves:
-            raise JacstabError("BAD_INPUT", f"{leaf!r} is not a peelable leaf")
-        target = next(w for w in graph._adj[leaf] if w in remaining)
-        coeff = cur[leaf]
-        if coeff:
-            # the leaf with all it absorbed: its side of the edge to the target
-            branch = graph._component(graph._id_set - {target}, leaf)
-            for w in branch:
-                gamma[w] += coeff
-            cur[target] += coeff
-            cur[leaf] = 0
-            trace.append(PeelStep(leaf=leaf, branch=tuple(sorted(branch)), coefficient=coeff))
-        remaining.discard(leaf)
-
-    assert all(d == 0 for d in cur.values())
-    assert gamma[root] == 0
-    return ReduceResult(gamma=gamma, final=cur, trace=tuple(trace))
+    steps, gamma = _peel(graph, degrees, root, choose_leaf)
+    final = {v: d + degrees[v] for v, d in twist_multidegree(graph, gamma).items()}
+    assert not any(final.values()) and gamma[root] == 0
+    trace = tuple(PeelStep(leaf=leaf, branch=tuple(sorted(branch)), coefficient=c)
+                  for leaf, _, branch, c in steps if c)
+    return ReduceResult(gamma=gamma, final=final, trace=trace)
 
 
 def _branch_table(graph: DualGraph, tau: Iterable[int], k: int, basepoint: str | None):
-    """Base multidegree and {non-loop edge: (branch side, coefficient)}, one split per
-    edge; refused in the order NOT_TREELIKE, tau, basepoint, even with no edge."""
+    """Base multidegree, {edge: (branch, coefficient)} in sorted edge order and gamma,
+    read from its peel towards the basepoint; refused in the order NOT_TREELIKE,
+    tau, basepoint, even with no edge."""
     if not graph.classify().treelike:
         raise JacstabError("NOT_TREELIKE", "branch coefficients need a treelike graph")
     m = base_multidegree(graph, tau, k)
-    base = resolve_basepoint(graph, basepoint)
-    sides = {edge: branch_side(graph, edge, basepoint=base) for edge in graph.nonloop_edges()}
-    return m, {edge: (side, sum(m[v] for v in side)) for edge, side in sides.items()}
+    steps, gamma = _peel(graph, m, resolve_basepoint(graph, basepoint))
+    table = {(min(a, b), max(a, b)): (branch, c) for a, b, branch, c in steps}
+    return m, dict(sorted(table.items())), gamma
 
 
 def branch_coefficients(graph: DualGraph, tau: Iterable[int], k: int,
@@ -180,13 +184,8 @@ def boundary_multidegree(graph: DualGraph, tau: Iterable[int], k: int,
     :func:`branch_coefficients` value on its :func:`branch_side`.  Equals zero
     for every basepoint; the tests assert this rather than the implementation.
     """
-    m, table = _branch_table(graph, tau, k, basepoint)
-    gamma = dict.fromkeys(graph.ids, 0)
-    for side, c in table.values():
-        for v in side:
-            gamma[v] += c
-    tw = twist_multidegree(graph, gamma)
-    return {v: m[v] + tw[v] for v in graph.ids}
+    m, _, gamma = _branch_table(graph, tau, k, basepoint)
+    return {v: d + m[v] for v, d in twist_multidegree(graph, gamma).items()}
 
 
 def compact_type_gm1_multidegree(graph: DualGraph, basepoint: str | None = None) -> dict[str, int]:
