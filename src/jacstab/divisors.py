@@ -154,6 +154,7 @@ class LinearClass:
 
 
 def _check_gn(g: int, n: int) -> None:
+    g, n = strict_int(g, "g"), strict_int(n, "n")
     if g < 1 or n < 1 or 2 * g - 2 + n <= 0:
         raise JacstabError("BAD_INPUT", f"divisor classes need g >= 1, n >= 1, 2g-2+n > 0 (got g={g}, n={n})")
 
@@ -181,7 +182,7 @@ def _legs(A: Iterable[int]) -> Legs:
 
 def canonical_pair(g: int, n: int, h: int, A: Iterable[int]) -> tuple[int, Legs]:
     """Canonical representative of a boundary index under complementation."""
-    return _fold(g, n, strict_int(h, "h"), _legs(A))
+    return _fold(strict_int(g, "g"), strict_int(n, "n"), strict_int(h, "h"), _legs(A))
 
 
 def _fold(g: int, n: int, h: int, legs: Legs) -> tuple[int, Legs]:

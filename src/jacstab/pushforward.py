@@ -266,7 +266,7 @@ class GradedAtomPoly(LinearClass):
     _space = ("g",)
 
     def __init__(self, g: int, terms: Mapping[tuple[tuple[int, int], ...], Fraction] | None = None):
-        if g < 1:
+        if strict_int(g, "g") < 1:
             raise JacstabError("BAD_INPUT", "graded truncation needs g >= 1")
         self._fill_sum((g,), ((tuple(sorted(key)), c) for key, c in (terms or {}).items()))
 
@@ -302,7 +302,7 @@ def exp_truncate(g: int) -> GradedAtomPoly:
     One term per partition of g: the partition with multiplicities m_s
     contributes prod_s ((-1)^s (s-1)!)^{m_s} / m_s! on prod_s C_s^{m_s}.
     """
-    if g < 1:
+    if strict_int(g, "g") < 1:
         raise JacstabError("BAD_INPUT", "exp truncation needs g >= 1")
     # each partition has its own key, sorted, and a non-zero Fraction coefficient
     terms = {}

@@ -11,7 +11,8 @@ from jacstab import (DivisorClass, JacstabError, canonicalize, canonical_pair,
                      mueller_class, mueller_correction)
 from jacstab.corpus import random_tau
 import jacstab.divisors as divisors
-from jacstab.pushforward import FiberClass, GradedAtomPoly, c1_gm1_bundle, c1_twisted_bundle
+from jacstab.pushforward import (FiberClass, GradedAtomPoly, c1_gm1_bundle, c1_twisted_bundle,
+                                 exp_truncate)
 from jacstab.stability import Polarization
 from common import banana
 
@@ -379,8 +380,17 @@ def test_keyword_constructor_follows_canonicalize():
     lambda: FiberClass(2, 2, {("B", 1, 5): 1}),
     # read like a psi-shaped delta leg: refused whatever its coefficient
     lambda: canonicalize(2, 2, [("psi", 9, 0)]),
+    lambda: theta_pullback(2.0, 2, [1, -1], 0),
+    lambda: FiberClass(2.0, 2),
+    lambda: canonical_indices(2, True),
+    lambda: exp_truncate(2.5),
+    lambda: canonical_pair(2.0, 2, 2, (1,)),
+    lambda: GradedAtomPoly(True),
+    lambda: GradedAtomPoly(0),
 ], ids=["pair-float-leg", "pair-float-h", "psi-float-index", "delta-bool-leg", "delta-float-h",
-        "delta-int-legs", "pair-int-legs", "fiber-int-legs", "psi-index-out-of-range-zero-coeff"])
+        "delta-int-legs", "pair-int-legs", "fiber-int-legs", "psi-index-out-of-range-zero-coeff",
+        "theta-float-g", "fiber-float-g", "indices-bool-n", "exp-float-g", "pair-float-g",
+        "graded-bool-g", "graded-zero-g"])
 def test_library_indices_are_not_truncated(call):
     with pytest.raises(JacstabError) as exc:
         call()
