@@ -716,6 +716,16 @@ def test_selftest_detects_corrupted_rule_table(capsys, monkeypatch):
     assert "theta-derive-vs-closed" in broken
 
 
+def test_selftest_detects_wrong_side_branch_coefficients(monkeypatch):
+    # read on the basepoint's side, each coefficient changes sign: only the
+    # row that checks the peel against branch_side's own split may fail
+    coefficients = selftest.branch_coefficients
+    monkeypatch.setattr(selftest, "branch_coefficients",
+                        lambda *args: {e: -c for e, c in coefficients(*args).items()})
+    report = selftest_run("small", 0)
+    assert {c["name"] for c in report["checks"] if not c["ok"]} == {"branch-coefficient-identity"}
+
+
 @pytest.mark.parametrize("mode", ["semistable", "stable", "qstable"])
 def test_unknown_basepoint_is_bad_input_in_every_mode(capsys, mode):
     graph = json.dumps({"n": 1, "vertices": [{"id": "a", "genus": 1, "legs": [1]},
