@@ -21,20 +21,23 @@ separating boundary divisors delta_{h,A}, keyed ("psi", i), ("lambda1",),
 ``_TAGS``, in their printed order, and the term tags of ``canonicalize``.
 Boundary indices are kept in a
 canonical form under the identification delta_{h,A} = delta_{g-h,A^c}:
-either 2h < g, or 2h = g and marking 1 lies in A.  ``canonicalize`` folds
-every boundary term first, then reads a folded (0,{i}) as -psi_i.
+either 2h < g, or 2h = g and marking 1 lies in A.  The one fold,
+``_fold_checked``, folds every boundary term first, then reads a folded
+(0,{i}) as -psi_i.
 
 An index is a genuine boundary divisor here exactly when
 2 <= h + |A| <= g + n - 2, read through the identification; note this range
 excludes the classes of shape delta_{1,empty} on purpose, matching the ranges
 of all the closed formulas below.
 
-Terms from outside are checked once, by ``canonicalize``: ``DivisorClass(...)``,
-``pushforward`` and ``theta_pullback_hain`` (whose folding is its algorithm) go
-through it.  ``_closed`` builds the theta closed forms and the c1 classes of
-``pushforward``, after they check their twist data, on trusted keys: those of
-``canonical_indices`` are canonical, in range and never of psi shape, and are
-built once per (g, n).
+Terms from outside are checked once, by ``canonicalize``: ``DivisorClass(...)``
+and ``theta_pullback_hain`` (whose folding is its algorithm) go through it.
+It checks each term, then hands them all to ``_fold_checked``; the pushes of
+``pushforward`` hand it their sums per term head directly, since a fiber
+class's keys were checked when it was built.  ``_closed`` builds the theta
+closed forms and the c1 classes of ``pushforward``, after they check their
+twist data, on trusted keys: those of ``canonical_indices`` are canonical, in
+range and never of psi shape, and are built once per (g, n).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
+from . import stats
 from .errors import JacstabError, check_tau, check_twist, exact, strict_int
 
 Legs = tuple[int, ...]
@@ -270,9 +274,10 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
     A psi index, leg or h out of range is rejected whatever its coefficient, as
     is a term of unknown tag or length; a boundary index outside the valid
     range, only if its coefficient is non-zero once equal keys are summed.
+    Each term is checked here, then ``_fold_checked`` folds them all.
     """
     _check_gn(g, n)
-    coeffs: dict[tuple, Exact] = {}
+    checked: list[tuple[tuple, Exact]] = []
     tags = DivisorClass._TAGS
     for term in terms:
         tag = term[0] if type(term) in (tuple, list) and term else None
@@ -287,11 +292,29 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
         elif tag == "delta":
             _, h, A, c = term
             key = ("delta", *_fold(g, n, strict_int(h, "h"), _legs(A)))
-            if key[1] == 0 and len(key[2]) == 1:  # for g >= 1, (g, [n] - {i}) folds here too
-                key, c = ("psi", key[2][0]), -exact(c)
         else:
             key, c = (tag,), term[1]
-        c = exact(c)
+        checked.append((key, exact(c)))
+    return _fold_checked(g, n, checked)
+
+
+def _fold_checked(g: int, n: int, terms: list[tuple[tuple, Exact]]) -> DivisorClass:
+    """The class of checked (key, coefficient) terms: each head is a key of
+    ``DivisorClass``, boundary legs sorted and in range, h in 0..g, and each
+    coefficient exact.  Folds every boundary term, reads a folded (0,{i}) as
+    -psi_i, sums equal keys, drops zeros and refuses a non-zero boundary index
+    outside the valid range.  ``canonicalize`` and the pushes end here.
+    """
+    stats.COUNTS["divisors.fold_terms"] += len(terms)
+    coeffs: dict[tuple, Exact] = {}
+    for key, c in terms:
+        if key[0] == "delta":
+            h, A = key[1], key[2]
+            if 2 * h > g or (2 * h == g and 1 not in A):
+                key = ("delta", g - h, tuple(i for i in range(1, n + 1) if i not in A))
+                h, A = key[1], key[2]
+            if h == 0 and len(A) == 1:  # for g >= 1, (g, [n] - {i}) folds here too
+                key, c = ("psi", A[0]), -c
         coeffs[key] = coeffs[key] + c if key in coeffs else c
     coeffs = {key: c for key, c in coeffs.items() if c}
     for key in coeffs:

@@ -34,13 +34,20 @@ and ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))`` are zer
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
 each degree-2 monomial to the one term on the base that ``PUSH_RULES`` names
-for its tag, with no rewriting of its own: each derivation forms one product
-and pushes it once.  The rule table is module data so that corrupting it is
-observable (the selftest must catch a corrupted table).
+for its tag, with no rewriting of its own.  ``pushforward`` pushes a class
+term by term; ``push_product(a, b)`` equals ``pushforward(a.mul_raw(b))`` but
+never forms the product: it splits both factors the way ``mul_raw`` does and
+adds each non-zero family term, through its rule, straight into a sum per
+term head.  Each derivation builds its c1 once and makes one fused push.  The
+rule table is module data so that corrupting it is observable (the selftest
+must catch a corrupted table).  Both pushes end in the one fold,
+``divisors._fold_checked``, which folds the summed heads to canonical keys
+without checking them again: the fiber class's constructor already has.
 
 The derivations run on ``int``s: c1 has integer coefficients (tau and k are
-integers), so has its product, and so has every rule.  The one ``Fraction``
-step is the final halving of the pushed class, once per output term.
+integers), and so has every rule.  The halving of the pushed class is the one
+step that can leave them, once per output term: an even coefficient stays an
+``int``, an odd one becomes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -50,9 +57,10 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import stats
 from .errors import JacstabError, exact, strict_int
-from .divisors import (DivisorClass, Exact, LinearClass, canonicalize,
-                       _check_gn, _check_tau_theta, _check_tau_gm1, _closed, _joined, _legs)
+from .divisors import (DivisorClass, Exact, LinearClass, _check_gn, _check_tau_theta,
+                       _check_tau_gm1, _closed, _fold_checked, _joined, _legs)
 
 def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
     """Split coefficients into (constant, {i: D_i}, K, {(h, A): B_{h,A}}, degree-2 part)."""
@@ -138,8 +146,9 @@ class FiberClass(LinearClass):
 
     # -- ring operations ----------------------------------------------------
 
-    # The one product; it keeps the name ``mul_raw`` because the benchmark
-    # tracer (``bench/tracing.py``) wraps ``FiberClass.mul_raw`` by name.
+    # The one product.  The derivations do not call it (``push_product`` pushes
+    # its families without forming it); ``bench/tracing.py`` still wraps
+    # ``FiberClass.mul_raw`` by name, so the name stays.
     def mul_raw(self, other: "FiberClass") -> "FiberClass":
         """Product in normal form, forming only the surviving families of the module docstring."""
         self._check_same_space(other)
@@ -184,8 +193,9 @@ class FiberClass(LinearClass):
 # ----------------------------------------------------------------------
 # pushforward rules
 
-# Each rule maps a degree-2 monomial's indices to one ``canonicalize`` term
-# head and its integer factor; the tags it does not name push to zero.
+# Each rule maps a degree-2 monomial's indices to one ``DivisorClass`` term
+# head, which the fold folds, and its integer factor; the tags it does not
+# name push to zero.
 PUSH_RULES = {
     "D2": lambda i: (("psi", i), -1),
     "K2": lambda: (("kappa1t",), 1),
@@ -199,16 +209,84 @@ def pushforward(fc: FiberClass) -> DivisorClass:
     """Push a fiber class down to the base.
 
     Linear; degree 0 and 1 monomials push to zero, degree-2 monomials follow
-    ``PUSH_RULES``.  The pushed coefficients are summed per term key first, so
-    ``canonicalize`` gets one non-zero term per key.
+    ``PUSH_RULES``.  The pushed coefficients are summed per term head first, so
+    the fold gets one non-zero term per head.
     """
     pushed: dict[tuple, Exact] = {}
+    rules = 0
     for key, c in fc.coeffs.items():
         rule = PUSH_RULES.get(key[0])
         if rule is not None:
             head, factor = rule(*key[1:])
             pushed[head] = pushed.get(head, 0) + c * factor
-    return canonicalize(fc.g, fc.n, [(*head, c) for head, c in pushed.items() if c])
+            rules += 1
+    return _folded(fc.g, fc.n, pushed, rules)
+
+
+def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
+    """``pushforward(a.mul_raw(b))``, pushed family by family without forming the product.
+
+    Each non-zero term of the five families of the module docstring, and each
+    constant times the other factor's degree-2 part, goes through its
+    ``PUSH_RULES`` row straight into a sum per term head; degree <= 1 terms
+    push to zero and are never formed.  The refusals are ``mul_raw``'s.
+    """
+    a._check_same_space(b)
+    a0, aD, aK, aB, a2 = _families(a.coeffs)
+    b0, bD, bK, bB, b2 = _families(b.coeffs)
+    if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
+        raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
+    D = {i: (aD.get(i, 0), bD.get(i, 0)) for i in aD.keys() | bD.keys()}
+    D2, K2, B2, DB, KB = (PUSH_RULES[tag] for tag in ("D2", "K2", "B2", "DB", "KB"))
+    pushed: dict[tuple, Exact] = {}
+    rules = 0
+    c = aK * bK
+    if c:
+        head, factor = K2()
+        pushed[head] = c * factor
+        rules += 1
+    for i, (x, y) in D.items():
+        c = x * y - x * bK - aK * y  # K*D_i = -D_i^2
+        if c:
+            head, factor = D2(i)
+            pushed[head] = pushed.get(head, 0) + c * factor
+            rules += 1
+    for h, A in aB.keys() | bB.keys():
+        x, y = aB.get((h, A), 0), bB.get((h, A), 0)
+        for rule, c in ((B2, x * y), (KB, x * bK + aK * y)):
+            if c:
+                head, factor = rule(h, A)
+                pushed[head] = pushed.get(head, 0) + c * factor
+                rules += 1
+        for i in A:  # D_i*B_{h,A} = 0 for i not in A
+            if i in D:
+                s, t = D[i]
+                c = s * y + x * t
+                if c:
+                    head, factor = DB(i, h, A)
+                    pushed[head] = pushed.get(head, 0) + c * factor
+                    rules += 1
+    # a constant times the other factor's degree-2 part; when one factor has
+    # a degree-2 part the other is a constant, so every family above is zero
+    for key in a2.keys() | b2.keys():
+        c = a0 * b2.get(key, 0) + a2.get(key, 0) * b0
+        if c:
+            head, factor = PUSH_RULES[key[0]](*key[1:])
+            pushed[head] = pushed.get(head, 0) + c * factor
+            rules += 1
+    return _folded(a.g, a.n, pushed, rules)
+
+
+def _folded(g: int, n: int, pushed: dict[tuple, Exact], rules: int) -> DivisorClass:
+    """The class of the pushed sums per head, ``rules`` terms pushed to get them."""
+    stats.COUNTS["pushforward.pushed_terms"] += rules
+    return _fold_checked(g, n, [(head, c) for head, c in pushed.items() if c])
+
+
+def _minus_half(cls: DivisorClass) -> DivisorClass:
+    """-cls/2 on an integral class: an even coefficient stays an ``int``."""
+    return cls._like({key: -(c // 2) if c % 2 == 0 else Fraction(-c, 2)
+                      for key, c in cls.coeffs.items()})
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +296,13 @@ def c1_twisted_bundle(g: int, n: int, tau: Sequence[int], k: int) -> FiberClass:
     """c1 of the twisted degree-0 bundle on the universal curve."""
     t = _check_tau_theta(g, n, tau, k)
     head = {("D", i): ti for i, ti in enumerate(t, start=1)} | {("K",): -k}
-    return _closed(FiberClass, g, n, t, head, "B", lambda h, A, s: k * (1 - 2 * h) + s)
+    return _counted(_closed(FiberClass, g, n, t, head, "B", lambda h, A, s: k * (1 - 2 * h) + s))
+
+
+def _counted(c1: FiberClass) -> FiberClass:
+    """``c1``, its terms added to ``stats.COUNTS``."""
+    stats.COUNTS["pushforward.c1_terms"] += len(c1.coeffs)
+    return c1
 
 
 def theta_via_pushforward(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
@@ -230,7 +314,7 @@ def theta_via_pushforward(g: int, n: int, tau: Sequence[int], k: int) -> Divisor
     recorded as documentation rather than as a code path.
     """
     c1 = c1_twisted_bundle(g, n, tau, k)
-    return pushforward(c1.mul_raw(c1)).scale(Fraction(-1, 2))
+    return _minus_half(push_product(c1, c1))
 
 
 def c1_gm1_bundle(g: int, n: int, tau: Sequence[int]) -> FiberClass:
@@ -242,18 +326,18 @@ def c1_gm1_bundle(g: int, n: int, tau: Sequence[int]) -> FiberClass:
     """
     t = _check_tau_gm1(g, n, tau)
     head = {("D", i): ti for i, ti in enumerate(t, start=1)}
-    return _closed(FiberClass, g, n, t, head, "B", lambda h, A, s: s - h + int(1 not in A))
+    return _counted(_closed(FiberClass, g, n, t, head, "B", lambda h, A, s: s - h + int(1 not in A)))
 
 
 def theta_gm1_via_pushforward(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     """Degree g-1 theta pullback from first principles.
 
     Minus the class equals push(c1*(c1 - K))/2 + lambda1: by bilinearity the
-    one product stands for push(c1^2)/2 - push(c1*K)/2; it is pushed once, then halved.
+    one fused push stands for push(c1^2)/2 - push(c1*K)/2; it is pushed once, then halved.
     """
     c1 = c1_gm1_bundle(g, n, tau)
-    pushed = pushforward(c1.mul_raw(c1 - FiberClass.canonical(g, n)))
-    return pushed.scale(Fraction(-1, 2)) + DivisorClass(g, n, lambda1=-1)
+    pushed = push_product(c1, c1 - FiberClass.canonical(g, n))
+    return _minus_half(pushed) + DivisorClass(g, n, lambda1=-1)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
                      compact_type_gm1_multidegree, exp_truncate)
-from jacstab.divisors import _closed, canonical_indices, canonicalize
+from jacstab.divisors import _closed, _fold_checked, canonical_indices
 from jacstab.pushforward import GradedAtomPoly
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau, random_treelike_graph
@@ -355,16 +355,16 @@ def test_pushforward_canonicalizes_one_term_per_key(monkeypatch, theta, gm1):
 
     def recording(g, n, terms):
         seen.append(list(terms))
-        return canonicalize(g, n, seen[-1])
+        return _fold_checked(g, n, seen[-1])
 
-    monkeypatch.setattr(module, "canonicalize", recording)
+    monkeypatch.setattr(module, "_fold_checked", recording)
     c1 = c1_twisted_bundle(*theta)
     c1_gm1 = c1_gm1_bundle(*gm1)
     K = FiberClass.canonical(*gm1[:2])
     for product in (c1 * c1, c1_gm1 * (c1_gm1 - K)):
         pushed = pushforward(product)
         terms = seen.pop()
-        assert len(terms) == len({term[:-1] for term in terms}) == len(pushed.coeffs)
+        assert len(terms) == len({head for head, _ in terms}) == len(pushed.coeffs)
         assert len(terms) < len(product.coeffs)
 
 
