@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacstab import stats
 from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      Polarization, QSTABLE, check_stability, enumerate_stable,
                      pushforward, c1_twisted_bundle, theta_via_pushforward,
@@ -314,22 +315,27 @@ def test_shared_linear_algebra(kind):
 
 
 def test_each_derivation_multiplies_and_pushes_once(monkeypatch):
-    module = importlib.import_module("jacstab.pushforward")
-    calls = Counter()
+    # Each derivation builds its c1 once and makes one fused push of c1*c1'
+    # without forming it: the rules see exactly the product's terms, and the
+    # fold gets each pushed head once (degree g-1's lambda1 adds the three
+    # terms ``DivisorClass(g, n, lambda1=-1)`` hands canonicalize).
+    c1, c1_gm1 = c1_twisted_bundle(3, 3, [2, -1, -1], 0), c1_gm1_bundle(3, 3, [2, 1, -1])
+    cases = [(lambda: theta_via_pushforward(3, 3, [2, -1, -1], 0), c1, c1 * c1, 0),
+             (lambda: theta_gm1_via_pushforward(3, 3, [2, 1, -1]), c1_gm1,
+              c1_gm1 * (c1_gm1 - FiberClass.canonical(3, 3)), 3)]
+    pushed = [pushforward(product) for _, _, product, _ in cases]
 
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    def no_product(*args):
+        raise AssertionError("a derivation formed a product")
 
-    monkeypatch.setattr(FiberClass, "mul_raw", counting("mul_raw", FiberClass.mul_raw))
-    monkeypatch.setattr(module, "pushforward", counting("pushforward", module.pushforward))
-    theta_via_pushforward(3, 3, [2, -1, -1], 0)
-    assert calls == {"mul_raw": 1, "pushforward": 1}
-    calls.clear()
-    theta_gm1_via_pushforward(3, 3, [2, 1, -1])
-    assert calls == {"mul_raw": 1, "pushforward": 1}
+    monkeypatch.setattr(FiberClass, "mul_raw", no_product)
+    monkeypatch.setattr(FiberClass, "__mul__", no_product)
+    names = ("pushforward.c1_terms", "pushforward.pushed_terms", "divisors.fold_terms")
+    for (derive, c1, product, extra), push in zip(cases, pushed):
+        before = {name: stats.COUNTS[name] for name in names}
+        derive()
+        counts = [stats.COUNTS[name] - before[name] for name in names]
+        assert counts == [len(c1.coeffs), len(product.coeffs), len(push.coeffs) + extra]
 
 
 # The derivations' inputs: (g, n, tau, k) for theta, (g, n, tau) for degree g-1.
