@@ -186,18 +186,23 @@ def _legs(A: Iterable[int]) -> Legs:
 
 def canonical_pair(g: int, n: int, h: int, A: Iterable[int]) -> tuple[int, Legs]:
     """Canonical representative of a boundary index under complementation."""
-    return _fold(strict_int(g, "g"), strict_int(n, "n"), strict_int(h, "h"), _legs(A))
+    g, n, h, legs = strict_int(g, "g"), strict_int(n, "n"), strict_int(h, "h"), _legs(A)
+    _check_range(g, n, h, legs)
+    return _fold(g, n, h, legs)
 
 
-def _fold(g: int, n: int, h: int, legs: Legs) -> tuple[int, Legs]:
-    """``canonical_pair`` for legs already sorted, distinct and integer."""
+def _check_range(g: int, n: int, h: int, legs: Legs) -> None:
+    """INVALID_INDEX unless every leg lies in 1..n and h in 0..g."""
     if any(i < 1 or i > n for i in legs):
         raise JacstabError("INVALID_INDEX", f"legs {legs} not within 1..{n}")
     if not 0 <= h <= g:
         raise JacstabError("INVALID_INDEX", f"h = {h} outside 0..{g}")
+
+
+def _fold(g: int, n: int, h: int, legs: Legs) -> tuple[int, Legs]:
+    """``canonical_pair`` for legs already sorted, distinct, integer and in range."""
     if 2 * h > g or (2 * h == g and 1 not in legs):
-        h = g - h
-        legs = tuple(i for i in range(1, n + 1) if i not in legs)
+        return g - h, tuple(i for i in range(1, n + 1) if i not in legs)
     return h, legs
 
 
@@ -291,7 +296,8 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
                 raise JacstabError("BAD_INPUT", "psi index outside 1..n")
         elif tag == "delta":
             _, h, A, c = term
-            key = ("delta", *_fold(g, n, strict_int(h, "h"), _legs(A)))
+            key = ("delta", strict_int(h, "h"), _legs(A))
+            _check_range(g, n, key[1], key[2])
         else:
             key, c = (tag,), term[1]
         checked.append((key, exact(c)))
@@ -309,10 +315,8 @@ def _fold_checked(g: int, n: int, terms: list[tuple[tuple, Exact]]) -> DivisorCl
     coeffs: dict[tuple, Exact] = {}
     for key, c in terms:
         if key[0] == "delta":
-            h, A = key[1], key[2]
-            if 2 * h > g or (2 * h == g and 1 not in A):
-                key = ("delta", g - h, tuple(i for i in range(1, n + 1) if i not in A))
-                h, A = key[1], key[2]
+            h, A = _fold(g, n, key[1], key[2])
+            key = ("delta", h, A)
             if h == 0 and len(A) == 1:  # for g >= 1, (g, [n] - {i}) folds here too
                 key, c = ("psi", A[0]), -c
         coeffs[key] = coeffs[key] + c if key in coeffs else c
