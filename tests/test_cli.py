@@ -707,13 +707,26 @@ def test_selftest_treelike_gm1_row_catches_the_two_vertex_rule(monkeypatch):
     assert {c["name"] for c in report["checks"] if not c["ok"]} == {"treelike-gm1-rule"}
 
 
-def test_selftest_detects_corrupted_rule_table(capsys, monkeypatch):
-    # flipping the sign of the boundary self-intersection rule must be caught
-    monkeypatch.setitem(PUSH_RULES, "B2", lambda h, A: (("delta", h, A), 1))
+# each row of the push rule table with a wrong factor
+WRONG_RULES = {
+    "D2": lambda i: (("psi", i), 1),
+    "K2": lambda: (("kappa1t",), -1),
+    "B2": lambda h, A: (("delta", h, A), 1),
+    "DB": lambda i, h, A: (("delta", h, A), -1),
+    "KB": lambda h, A: (("delta", h, A), 2 * h + 1),
+}
+
+
+@pytest.mark.parametrize("tag", list(WRONG_RULES))
+def test_selftest_detects_corrupted_rule_table(capsys, monkeypatch, tag):
+    # a wrong factor in any row must be caught; degree g-1's c1 has no K
+    # term, so its push never reads the K^2 row
+    monkeypatch.setitem(PUSH_RULES, tag, WRONG_RULES[tag])
     code, payload = run_json(capsys, "selftest", "--depth", "small")
     assert code == 1 and not payload["ok"]
     broken = {c["name"] for c in payload["checks"] if not c["ok"]}
     assert "theta-derive-vs-closed" in broken
+    assert ("theta-gm1-derive-vs-closed" in broken) == (tag != "K2")
 
 
 def test_selftest_detects_wrong_side_branch_coefficients(monkeypatch):

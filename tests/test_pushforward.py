@@ -3,6 +3,7 @@ import importlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +14,8 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
                      compact_type_gm1_multidegree, exp_truncate)
-from jacstab.divisors import _closed, _fold_checked, canonical_indices
-from jacstab.pushforward import GradedAtomPoly
+from jacstab.divisors import _closed, _fold_checked, canonical_indices, is_valid_index
+from jacstab.pushforward import GradedAtomPoly, push_product
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau, random_treelike_graph
 from common import banana, two_vertex_tree, path3
@@ -117,9 +118,10 @@ def test_degree_two_class_times_section_is_rejected():
 QUADRATIC_TAGS = {"D2", "K2", "B2", "KB", "DB"}
 
 
-def random_fiber_class(rng: random.Random, g: int, n: int) -> FiberClass:
-    """A constant plus either degree-1 monomials, degree-2 ones, both or none."""
-    indices = canonical_indices(g, n)
+def random_fiber_class(rng: random.Random, g: int, n: int, indices=None) -> FiberClass:
+    """A constant plus either degree-1 monomials, degree-2 ones, both or none,
+    on the boundary ``indices`` (by default the canonical ones)."""
+    indices = canonical_indices(g, n) if indices is None else indices
     linear = ([("D", i) for i in range(1, n + 1)] + [("K",)]
               + [("B", h, A) for h, A in indices])
     quadratic = ([("D2", i) for i in range(1, n + 1)] + [("K2",)] + [("B2", h, A) for h, A in indices]
@@ -160,6 +162,69 @@ def test_mul_raw_matches_pairwise_reference():
             seen["D*B, i not in A"] += any(i not in A for i, A in legs)
     assert seen["error"] >= 100 and seen["const"] >= 100 and seen["degree 2 input"] >= 30, seen
     assert seen["D*B, i in A"] >= 30 and seen["D*B, i not in A"] >= 30, seen
+
+
+def every_representative(g: int, n: int) -> list:
+    """Both representatives of each valid boundary index, and the psi shapes
+    (0,{i}) and (g,[n]-{i})."""
+    return [(h, A) for h in range(g + 1) for r in range(n + 1)
+            for A in combinations(range(1, n + 1), r)
+            if is_valid_index(g, n, h, A) or (h, r) in ((0, 1), (g, n - 1))]
+
+
+def test_push_product_matches_two_routes():
+    rng = random.Random(62)
+    seen = Counter()
+    for g, n in ((1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (5, 4)):
+        indices = every_representative(g, n)
+        for _ in range(80):
+            a = random_fiber_class(rng, g, n, indices)
+            if rng.random() < 0.2:  # a bare constant, against any class
+                b = FiberClass(g, n, {("const",): Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))})
+            else:
+                b = random_fiber_class(rng, g, n, indices)
+            if rng.random() < 0.5:
+                a, b = b, a
+            try:
+                want = pushforward(a.mul_raw(b))
+            except JacstabError as exc:
+                for route in (lambda: push_product(a, b), lambda: fiber_product_pairwise(a, b)):
+                    with pytest.raises(JacstabError) as err:
+                        route()
+                    assert (err.value.code, str(err.value)) == (exc.code, str(exc))
+                seen["refused"] += 1
+                continue
+            got = push_product(a, b)
+            assert got.coeffs == want.coeffs == pushforward(fiber_product_pairwise(a, b)).coeffs
+            seen["non-zero"] += not got.is_zero()
+            keys = [*a.coeffs, *b.coeffs]
+            seen["const"] += ("const",) in keys
+            seen["Fraction"] += any(type(c) is Fraction for f in (a, b) for c in f.coeffs.values())
+            seen["degree 2 against a constant"] += any(
+                f.coeffs and set(f.coeffs) <= {("const",)} and any(key[0] in QUADRATIC_TAGS for key in f2.coeffs)
+                for f, f2 in ((a, b), (b, a)))
+            boundary = {key[1:] for key in keys if key[0] == "B"}
+            seen["both representatives"] += any(
+                (g - h, tuple(i for i in range(1, n + 1) if i not in A)) in boundary for h, A in boundary)
+            seen["B_{0,{i}}"] += any(h == 0 and len(A) == 1 for h, A in boundary)
+            legs = [(d[1], x[2]) for f, f2 in ((a, b), (b, a)) for d in f.coeffs if d[0] == "D"
+                    for x in f2.coeffs if x[0] == "B"]
+            seen["D*B, i not in A"] += any(i not in A for i, A in legs)
+    assert seen["refused"] >= 100 and seen["non-zero"] >= 100, seen
+    assert min(seen[case] for case in ("const", "Fraction", "degree 2 against a constant",
+                                       "both representatives", "B_{0,{i}}", "D*B, i not in A")) >= 20, seen
+
+
+def test_push_product_refuses_what_mul_raw_refuses():
+    D1 = FiberClass.section(2, 2, 1)
+    square = D1 * D1
+    for a, b in ((square, D1), (D1, square), (square, square), (D1, FiberClass.section(2, 3, 1))):
+        with pytest.raises(JacstabError) as want:
+            a.mul_raw(b)
+        with pytest.raises(JacstabError) as got:
+            push_product(a, b)
+        assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
+        assert got.value.code == "BAD_INPUT"
 
 
 def test_fiber_constructor_sorts_legs_and_adds_equal_keys():
