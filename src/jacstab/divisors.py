@@ -316,9 +316,10 @@ def _fold_checked(g: int, n: int, terms: list[tuple[tuple, Exact]]) -> DivisorCl
     for key, c in terms:
         if key[0] == "delta":
             h, A = _fold(g, n, key[1], key[2])
-            key = ("delta", h, A)
             if h == 0 and len(A) == 1:  # for g >= 1, (g, [n] - {i}) folds here too
                 key, c = ("psi", A[0]), -c
+            elif A is not key[2]:  # _fold returns the very legs it was given unless it flips
+                key = ("delta", h, A)
         coeffs[key] = coeffs[key] + c if key in coeffs else c
     coeffs = {key: c for key, c in coeffs.items() if c}
     for key in coeffs:
