@@ -16,8 +16,13 @@ BAD_INPUT.
 
 Every command is one row of ``COMMANDS`` and every option one entry of
 ``OPTIONS``, which also names the function converting its string;
-``build_parser`` turns them into an argparse tree, which ``main`` builds on its
-first call and reuses.  ``main`` converts the options and calls the handler,
+``_row_options`` reads a row as its flags, keywords and converters.  ``main``
+reads a plain line (a command, then only its own flags, each once, with
+ordinary values) straight from the table with ``_table_parse``, which gives
+the namespace argparse would.  Any other line, help and usage errors
+included, goes to the argparse tree that ``build_parser`` makes from the same
+rows, built on the first such line and reused; it alone prints help and
+usage messages.  ``main`` converts the options and calls the handler,
 which returns its exit code, a function building its JSON payload and one
 building its text.  ``main`` builds only the form it prints: the text under
 ``--output text``, else ``_json`` of the payload, the bytes of
@@ -49,6 +54,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # the C function where built
 from pathlib import Path
 
+from . import stats
 from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
 from .errors import JacstabError, load_json, strict_int, _unique_keys
 from .graphs import DualGraph
@@ -449,6 +455,23 @@ COMMANDS = (
 )
 
 
+def _row_options(options) -> list[tuple[str, str, dict, Callable | None]]:
+    """(flag, dest, ``add_argument`` keywords, converter) of each option of a command's
+    row, ``--output`` last: the one reading of a row that ``build_parser`` and
+    ``_table_parse`` share."""
+    out = []
+    for option in options + ("--output",):
+        flag, override = (option, {}) if isinstance(option, str) else option
+        keywords = {**OPTIONS[flag], **override}
+        convert = keywords.pop("convert", None)
+        out.append((flag, flag[2:].replace("-", "_"), keywords, convert))
+    return out
+
+
+def _converters(rows) -> list[tuple[str, Callable]]:
+    return [(dest, convert) for _, dest, _, convert in rows if convert is not None]
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A fresh argparse tree for every command of COMMANDS."""
     parser = argparse.ArgumentParser(
@@ -460,24 +483,96 @@ def build_parser() -> argparse.ArgumentParser:
               for name, text in GROUPS}
     for group, name, text, func, options in COMMANDS:
         p = (groups[group] if group else top).add_parser(name, help=text)
-        converters = []
-        for option in options + ("--output",):
-            flag, override = (option, {}) if isinstance(option, str) else option
-            keywords = {**OPTIONS[flag], **override}
-            convert = keywords.pop("convert", None)
-            dest = p.add_argument(flag, **keywords).dest
-            if convert is not None:
-                converters.append((dest, convert))
-        p.set_defaults(func=func, converters=converters)
+        rows = _row_options(options)
+        for flag, dest, keywords, _ in rows:
+            p.add_argument(flag, dest=dest, **keywords)
+        p.set_defaults(func=func, converters=_converters(rows))
     return parser
 
 
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` of a plain line, read from COMMANDS; else None.
+
+    A line is plain when it is a command of COMMANDS followed only by flags of
+    its row (``--output`` included), each at most once, as ``--flag value`` or
+    ``--flag=value``, where no separate value starts with ``-``, no value
+    starts with ``--`` and a ``store_true`` flag has no value; where each
+    ``type`` converts its value and each value is one of its ``choices``; and
+    where every required flag is given.  argparse reads such a line the same
+    way on every Python version.  Help, usage errors and every other form
+    (abbreviations, repeats, ``--``, a separate negative value) are left to
+    argparse, whose messages and exits are the CLI's.
+    """
+    for group, name, _, func, options in COMMANDS:
+        if (argv[:2] == [group, name]) if group else (argv[:1] == [name]):
+            break
+    else:
+        return None
+    rows = _row_options(options)
+    by_flag = {row[0]: row for row in rows}
+    given: dict[str, object] = {}
+    items = iter(argv[2 if group else 1:])
+    for item in items:
+        flag, sep, value = item.partition("=")
+        row = by_flag.get(flag)
+        if row is None or row[1] in given:
+            return None
+        _, dest, keywords, _ = row
+        if keywords.get("action") == "store_true":
+            if sep:
+                return None
+            given[dest] = True
+            continue
+        if not sep:
+            value = next(items, "-")  # a missing value is not plain either
+            if value[:1] == "-":
+                return None
+        if value[:2] == "--":
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except Exception:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[dest] = value
+    if any(keywords.get("required") and dest not in given for _, dest, keywords, _ in rows):
+        return None
+    names = {"command": group, "subcommand": name} if group else {"command": name}
+    for _, dest, keywords, _ in rows:
+        names[dest] = given.get(dest, keywords.get(
+            "default", False if keywords.get("action") == "store_true" else None))
+    return argparse.Namespace(**names, func=func, converters=_converters(rows))
+
+
+def _fallback_parse(argv: list[str]) -> argparse.Namespace:
+    """``parse_args`` of a line that is not plain, on the tree built once.
+
+    argparse (Python 3.11 among others) hands an option written ``--opt=--``
+    over as an empty list, past its ``type`` and ``choices``; such a value is
+    BAD_INPUT, the first one in the row's order named.  A version that keeps
+    the string ``--`` leaves it to the type, the choices or the converter.
+    """
+    global _parser
+    stats.COUNTS["cli.argparse_parses"] += 1
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    options = next(row[4] for row in COMMANDS if row[3] is args.func)
+    for flag, dest, _, _ in _row_options(options):
+        if type(getattr(args, dest)) is list:
+            raise JacstabError("BAD_INPUT", f"{flag} takes one value, not '--'")
+    return args
+
+
 def _attach_tau(argv: list[str]) -> list[str]:
-    """Rewrite ``--tau -1,1`` as ``--tau=-1,1``.
+    """Rewrite ``--tau -1,1`` as ``--tau=-1,1``, before either parse reads the line.
 
     argparse reads a separate value that starts with a minus sign and is not
     a plain number as an option, so a tau vector with a negative first entry
-    would otherwise be refused.
+    would otherwise be refused; ``_table_parse`` takes no separate value that
+    starts with a minus sign, so the rewritten line stays plain.
     """
     out: list[str] = []
     for arg in argv:
@@ -517,11 +612,12 @@ def _json(value, indent: str = "\n") -> str:
 
 def main(argv=None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit code."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(_attach_tau(sys.argv[1:] if argv is None else list(argv)))
+    argv = _attach_tau(sys.argv[1:] if argv is None else list(argv))
     try:
+        # argparse exits on help and usage errors: SystemExit is no Exception
+        args = _table_parse(argv)
+        if args is None:
+            args = _fallback_parse(argv)
         # in the order of the command's row, which fixes which bad option is reported
         for dest, convert in args.converters:
             setattr(args, dest, convert(getattr(args, dest)))

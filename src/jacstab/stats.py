@@ -13,8 +13,11 @@ the fused push, the non-zero family terms the product would hold.
 ``COUNTS["divisors.fold_terms"]`` is the number of terms the one fold of
 divisor classes received: every term that
 :func:`~jacstab.divisors.canonicalize` receives, and every non-zero sum per
-term head that a push hands it.  The counts only grow; read a difference
-around the work.
+term head that a push hands it.  ``COUNTS["cli.argparse_parses"]`` is the
+number of command lines that :func:`~jacstab.cli.main` handed to argparse:
+the lines that are not plain (help, usage errors and unusual forms; see
+``cli._table_parse``).  The counts only grow; read a difference around the
+work.
 """
 
 from collections import Counter

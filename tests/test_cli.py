@@ -12,7 +12,7 @@ import pytest
 from jacstab import DualGraph, Polarization, enumerate_stable, theta_via_pushforward
 from jacstab.corpus import random_connected_graph, random_tau
 from jacstab.pushforward import PUSH_RULES
-from jacstab import cli, selftest, twister
+from jacstab import cli, selftest, stats, twister
 from jacstab.cli import main
 from jacstab.selftest import run as selftest_run
 from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex
@@ -822,3 +822,194 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# ----------------------------------------------------------------------
+# the table parse of plain lines and the argparse fallback
+
+# A valid plain line of every command: the flags with their values
+PLAIN = {
+    ("graph", "validate"): {"--graph": BANANA},
+    ("graph", "classify"): {"--graph": BANANA},
+    ("graph", "query"): {"--graph": BANANA, "--subcurve": "v1"},
+    ("stability", "threshold"): {"--graph": BANANA, "--subcurve": "v1"},
+    ("stability", "check"): {"--graph": BANANA, "--m": "v1=0,v2=0"},
+    ("stability", "enumerate"): {"--graph": BANANA},
+    ("stability", "balanced"): {"--graph": BANANA, "--tau": "1,-1"},
+    ("stability", "locus"): {"--graph": BANANA, "--tau": "1,-1"},
+    ("twist", "apply"): {"--graph": TREE, "--gamma": "v1=0,v2=1"},
+    ("twist", "reduce"): {"--graph": PATH3, "--m": "v1=2,v2=-3,v3=1"},
+    ("twist", "coefficients"): {"--graph": TREE, "--tau": "5,-3", "--k": "1"},
+    ("twist", "boundary"): {"--graph": TREE, "--tau": "5,-3", "--k": "1"},
+    ("class", "theta"): {"--g": "2", "--n": "2", "--tau": "1,-1"},
+    ("class", "theta-gm1"): {"--g": "2", "--n": "2", "--tau": "3,-2"},
+    ("class", "mueller"): {"--g": "2", "--n": "2", "--tau": "3,-2"},
+    ("class", "c1"): {"--g": "2", "--n": "2", "--tau": "2,0", "--k": "1"},
+    ("class", "compact-type-gm1"): {"--graph": TREE},
+    ("class", "zero-section-shape"): {"--g": "3"},
+    (None, "selftest"): {"--depth": "small"},
+}
+ROWS = [(group, name, cli._row_options(options))
+        for group, name, _, _, options in cli.COMMANDS]
+
+
+def _head(group, name):
+    return [group, name] if group else [name]
+
+
+def _parsed(parser, argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it exits."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _plain_line(rng, group, name, rows, j):
+    """A plain line of a command: random order, both value forms, the ``j``-th of every
+    choice, negative integers and values argparse keeps as they are."""
+    items = []
+    for flag, _, keywords, _ in rows:
+        if not keywords.get("required") and rng.random() < 0.5:
+            continue
+        if keywords.get("action") == "store_true":
+            items.append([flag])
+            continue
+        if "choices" in keywords:
+            value = keywords["choices"][j % len(keywords["choices"])]
+        elif "type" in keywords:
+            value = str(rng.randint(-20, 20))
+        else:
+            value = rng.choice(("v1=0,v2=1", BANANA, "", "x y", "-1,2", "-", "a=b=c", "+3",
+                                "-x"))
+        separate = value[:1] != "-" and rng.random() < 0.5
+        items.append([flag, value] if separate else [f"{flag}={value}"])
+    rng.shuffle(items)
+    return _head(group, name) + [item for pair in items for item in pair]
+
+
+def test_table_parse_equals_argparse_on_plain_lines():
+    parser, rng = cli.build_parser(), random.Random(32)
+    for group, name, rows in ROWS:
+        for j in range(24):
+            argv = _plain_line(rng, group, name, rows, j)
+            table = cli._table_parse(argv)
+            assert table is not None, argv
+            assert vars(table) == _parsed(parser, argv), argv
+
+
+def _unusual(rng, argv, rows):
+    """``argv`` with one change that may take it off the plain form."""
+    head = 1 if argv[0] == "selftest" else 2
+    at = rng.randint(head, len(argv))
+    valued = [flag for flag, _, keywords, _ in rows if keywords.get("action") != "store_true"]
+    typed = [flag for flag, _, keywords, _ in rows if "type" in keywords] or valued
+    chosen = [flag for flag, _, keywords, _ in rows if "choices" in keywords]
+    required = [flag for flag, _, keywords, _ in rows if keywords.get("required")]
+    flag = rng.choice(valued)
+    pick = rng.randrange(13)
+    if pick == 0:
+        return argv[:at] + [rng.choice(("--help", "-h"))] + argv[at:]
+    if pick == 1:  # an abbreviation, which argparse may resolve, refuse or read exactly
+        return argv + [f"{flag[:rng.randint(3, len(flag) - 1)]}=1"] if len(flag) > 3 else argv
+    if pick == 2:
+        item = argv[rng.randrange(head, len(argv))] if len(argv) > head else "--output=text"
+        return argv + [item if item[:2] == "--" else f"{flag}={item}"]
+    if pick == 3:
+        return argv[:at] + rng.choice((["--bogus", "x"], ["--bogus=x"], ["--bogus"])) + argv[at:]
+    if pick == 4 and required:
+        gone = rng.choice(required)
+        out, skip = [], False
+        for item in argv:
+            if skip:
+                skip = False
+            elif item == gone:
+                skip = True
+            elif not item.startswith(gone + "="):
+                out.append(item)
+        return out
+    if pick == 5 and chosen:
+        return argv + [f"{rng.choice(chosen)}={rng.choice(('bogus', 'JSON', ' json', ''))}"]
+    if pick == 6:
+        value = rng.choice((" 3", "+3", "1_0", "²", "x", "-0", "3 "))
+        flag = rng.choice(typed)
+        return argv + ([f"{flag}={value}"] if rng.random() < 0.5 else [flag, value])
+    if pick == 7:
+        value = rng.choice(("--", "--x", "---"))
+        return argv + ([f"{flag}={value}"] if rng.random() < 0.5 else [flag, value])
+    if pick == 8:
+        return argv + [flag, rng.choice(("-1", "-1,1", "-", "-x", "-5,5"))]
+    if pick == 9:
+        return argv + [rng.choice(("--exclude-empty=x", "--exclude-empty=", "--exclude-empty"))]
+    if pick == 10:
+        return argv[:at] + [rng.choice(("stray", "", "x=1"))] + argv[at:]
+    if pick == 11:
+        return argv[:at] + ["--"] + argv[at:]
+    return rng.choice((["stability", "chek"], ["graph"], ["class", "theta-gm2"], [], ["nosuch"],
+                       ["selftest", "graph"], ["Graph", "classify"])) + argv[head:]
+
+
+def test_table_parse_leaves_unusual_lines_to_argparse(capsys):
+    parser, rng = cli.build_parser(), random.Random(33)
+    taken = refused = 0
+    for group, name, rows in ROWS:
+        for j in range(48):  # 912 lines
+            argv = _unusual(rng, _plain_line(rng, group, name, rows, j), rows)
+            line = cli._attach_tau(argv)
+            table, expected = cli._table_parse(line), _parsed(parser, line)
+            capsys.readouterr()
+            assert table is None or vars(table) == expected, line
+            taken += table is not None
+            refused += expected is None
+    # lines that stay plain (" 3", "+3", an exact flag) and usage errors both occur
+    assert taken > 10 and refused > 600
+
+
+def test_argparse_parses_are_counted(capsys, monkeypatch):
+    # the selftest row's handler answers at once: only the parse is under test
+    monkeypatch.setattr(selftest, "run", lambda depth, seed: {"ok": True, "checks": []})
+
+    def parses(argv):
+        before = stats.COUNTS["cli.argparse_parses"]
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        return stats.COUNTS["cli.argparse_parses"] - before
+
+    assert list(PLAIN) == [(group, name) for group, name, _ in ROWS]
+    for (group, name), flags in PLAIN.items():
+        argv = _head(group, name) + [f"{flag}={value}" for flag, value in flags.items()]
+        assert parses(argv) == 0, argv
+        assert parses(argv + ["--output", "text"]) == 0, argv
+    assert parses(["graph", "classify", "--help"]) == 1
+    assert parses(["graph", "classify", "--graph", BANANA, "--graph", BANANA]) == 1
+    assert parses(["class", "theta", "--g", "2", "--n", "2"]) == 1
+
+
+@pytest.mark.parametrize("group, name, flag", [
+    (group, name, flag) for group, name, rows in ROWS for flag, _, _, _ in rows])
+def test_option_written_dash_dash_exits_2(capsys, group, name, flag):
+    flags = {f: v for f, v in PLAIN[group, name].items() if f != flag}
+    argv = _head(group, name) + [f"{f}={v}" for f, v in flags.items()] + [f"{flag}=--"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err, captured
+    parsed = _parsed(cli.build_parser(), argv)
+    capsys.readouterr()
+    if parsed is not None and type(parsed[flag[2:].replace("-", "_")]) is list:
+        # argparse read '--' as no value at all, past its type and choices
+        assert json.loads(captured.out) == {
+            "error": "BAD_INPUT", "message": f"{flag} takes one value, not '--'"}
+
+
+def test_first_option_written_dash_dash_in_row_order_is_named(capsys):
+    argv = ["stability", "balanced", "--tau=--", "--graph=--"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+    if type(vars(cli.build_parser().parse_args(argv))["graph"]) is list:
+        assert payload["message"] == "--graph takes one value, not '--'"
