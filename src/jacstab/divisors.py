@@ -169,7 +169,7 @@ def is_valid_index(g: int, n: int, h: int, A: Iterable[int]) -> bool:
     The bound 2 <= h+|A| <= g+n-2 is symmetric under (h,A) -> (g-h,A^c), so it
     can be tested on either representative.
     """
-    size = h + len(tuple(A))
+    size = h + len(A if type(A) is tuple else tuple(A))
     return 2 <= size <= g + n - 2
 
 
@@ -323,7 +323,7 @@ def _fold_checked(g: int, n: int, terms: list[tuple[tuple, Exact]]) -> DivisorCl
         coeffs[key] = coeffs[key] + c if key in coeffs else c
     coeffs = {key: c for key, c in coeffs.items() if c}
     for key in coeffs:
-        if key[0] == "delta" and not is_valid_index(g, n, key[1], key[2]):
+        if key[0] == "delta" and not 2 <= key[1] + len(key[2]) <= g + n - 2:  # is_valid_index, inlined
             A = key[2]
             raise JacstabError("INVALID_INDEX",
                                f"({key[1]},{set(A) if A else '{}'}) is not a boundary divisor for g={g}, n={n}")
@@ -368,8 +368,9 @@ def _closed(cls, g: int, n: int, t: list[int], head: dict[tuple, Exact], tag: st
     """Non-zero ``head`` terms plus ``boundary(h, A, s)`` on each (tag, h, A), built by the
     trusted ``cls._of``: (h, A) is canonical and valid, s the sum of t over A."""
     coeffs = {key: c for key, c in head.items() if c}
+    leg = [0, *t].__getitem__  # leg(i) = t[i - 1]
     for (h, A) in _canonical_indices(g, n):
-        c = boundary(h, A, sum(t[i - 1] for i in A))
+        c = boundary(h, A, sum(map(leg, A)))
         if c:
             coeffs[(tag, h, A)] = c
     return cls._of((g, n), coeffs)

@@ -23,11 +23,11 @@ rules.  The ring rules of the product:
 A product of two degree-1 monomials is therefore non-zero only in five
 families: D_i^2 (K*D_i lands here), K^2, B_{h,A}^2 (one index on both sides),
 K*B_{h,A}, and D_i*B_{h,A} for i in A.  The constant multiplies every term,
-and every other pair exceeds degree 2.  ``FiberClass.mul_raw`` splits each
-factor into its constant, D_i, K, B_{h,A} and degree-2 parts, pairs the two
-factors' coefficients index by index and forms only these families (D_i*B_{h,A}
-by a loop over the legs i of each A), so its work grows with the number of
-family terms, not with the number of monomial pairs.  The constructor drops a
+and every other pair exceeds degree 2.  ``_paired`` splits each factor (a square
+once) into its constant, D_i, K, B_{h,A} and degree-2 parts and pairs their
+coefficients index by index, in the factors' own key order; ``FiberClass.mul_raw``
+forms only these families from it (D_i*B_{h,A} by a loop over the legs i of each
+A), so its work grows with the family terms.  The constructor drops a
 D_i*B_{h,A} with i not in A, so every class is in normal form for all four
 rules and ``==`` compares normal forms: ``FiberClass(2, 2, {("DB", 2, 1, (1,)): 1})``
 and ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))`` are zero.
@@ -36,9 +36,10 @@ Pushing forward along the universal curve kills degree <= 1 terms and sends
 each degree-2 monomial to the one term on the base that ``PUSH_RULES`` names
 for its tag, with no rewriting of its own.  ``pushforward`` pushes a class
 term by term; ``push_product(a, b)`` equals ``pushforward(a.mul_raw(b))`` but
-never forms the product: it splits both factors the way ``mul_raw`` does and
-adds each non-zero family term, through its rule, straight into a sum per
-term head.  Each derivation builds its c1 once and makes one fused push.  The
+never forms the product: from ``mul_raw``'s split it adds each non-zero family
+term, through its rule, straight into a sum per term head, in c1's canonical
+(h, lex A) order, so the fold and the printed order's sort get their keys in
+order.  Each derivation builds its c1 once and makes one fused push.  The
 rule table is module data so that corrupting it is observable (the selftest
 must catch a corrupted table).  Both pushes end in the one fold,
 ``divisors._fold_checked``, which folds the summed heads to canonical keys
@@ -81,6 +82,26 @@ def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
         else:
             quadratic[key] = c
     return const, D, K, B, quadratic
+
+
+def _paired(a: "FiberClass", b: "FiberClass") -> tuple:
+    """(a0, b0, aK, bK, D, B, Q) of a*b: constants, K's, then (a's, b's) coefficients per i, per
+    (h, A) and per degree-2 key, in a's key order, then b's.  ``a * a`` splits a once."""
+    a._check_same_space(b)
+    a0, aD, aK, aB, a2 = _families(a.coeffs)
+    b0, bD, bK, bB, b2 = (a0, aD, aK, aB, a2) if b is a else _families(b.coeffs)
+    if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
+        raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
+    return a0, b0, aK, bK, _pair(aD, bD), _pair(aB, bB), _pair(a2, b2)
+
+
+def _pair(x: dict, y: dict) -> dict:
+    """{key: (x's coefficient, y's)} over x's keys in order, then y's other keys."""
+    if x is y:
+        return {key: (c, c) for key, c in x.items()}
+    out = {key: (c, y.get(key, 0)) for key, c in x.items()}
+    out.update((key, (0, c)) for key, c in y.items() if key not in x)
+    return out
 
 
 class FiberClass(LinearClass):
@@ -148,18 +169,12 @@ class FiberClass(LinearClass):
 
     # The one product.  The derivations do not call it (``push_product`` pushes
     # its families without forming it); ``bench/tracing.py`` still wraps
-    # ``FiberClass.mul_raw`` by name, so the name stays.
+    # ``FiberClass.mul_raw`` by name, so the name stays.  It shares ``_paired``.
     def mul_raw(self, other: "FiberClass") -> "FiberClass":
         """Product in normal form, forming only the surviving families of the module docstring."""
-        self._check_same_space(other)
-        a0, aD, aK, aB, a2 = _families(self.coeffs)
-        b0, bD, bK, bB, b2 = _families(other.coeffs)
-        if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
-            raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
+        a0, b0, aK, bK, D, B, _ = _paired(self, other)
         # Each family coefficient is bilinear in one index's pair of factor
         # coefficients, and no two family terms share a key.
-        D = {i: (aD.get(i, 0), bD.get(i, 0)) for i in aD.keys() | bD.keys()}
-        B = {hA: (aB.get(hA, 0), bB.get(hA, 0)) for hA in aB.keys() | bB.keys()}
         out: dict[tuple, Exact] = {("K2",): aK * bK}
         for i, (a, b) in D.items():
             out[("D2", i)] = a * b - a * bK - aK * b  # K*D_i = -D_i^2
@@ -171,7 +186,7 @@ class FiberClass(LinearClass):
                     a, b = D[i]
                     out[("DB", i, h, A)] = a * y + x * b
         if a0 or b0:  # each constant scales the other factor, const * const once
-            for key in self.coeffs.keys() | other.coeffs.keys():
+            for key in self.coeffs | other.coeffs:
                 c = (a0 * b0 if key == ("const",)
                      else a0 * other.coeffs.get(key, 0) + self.coeffs.get(key, 0) * b0)
                 out[key] = out.get(key, 0) + c
@@ -231,12 +246,7 @@ def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
     ``PUSH_RULES`` row straight into a sum per term head; degree <= 1 terms
     push to zero and are never formed.  The refusals are ``mul_raw``'s.
     """
-    a._check_same_space(b)
-    a0, aD, aK, aB, a2 = _families(a.coeffs)
-    b0, bD, bK, bB, b2 = _families(b.coeffs)
-    if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
-        raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
-    D = {i: (aD.get(i, 0), bD.get(i, 0)) for i in aD.keys() | bD.keys()}
+    a0, b0, aK, bK, D, B, Q = _paired(a, b)
     D2, K2, B2, DB, KB = (PUSH_RULES[tag] for tag in ("D2", "K2", "B2", "DB", "KB"))
     pushed: dict[tuple, Exact] = {}
     rules = 0
@@ -251,8 +261,7 @@ def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
             head, factor = D2(i)
             pushed[head] = pushed.get(head, 0) + c * factor
             rules += 1
-    for h, A in aB.keys() | bB.keys():
-        x, y = aB.get((h, A), 0), bB.get((h, A), 0)
+    for (h, A), (x, y) in B.items():
         for rule, c in ((B2, x * y), (KB, x * bK + aK * y)):
             if c:
                 head, factor = rule(h, A)
@@ -268,8 +277,8 @@ def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
                     rules += 1
     # a constant times the other factor's degree-2 part; when one factor has
     # a degree-2 part the other is a constant, so every family above is zero
-    for key in a2.keys() | b2.keys():
-        c = a0 * b2.get(key, 0) + a2.get(key, 0) * b0
+    for key, (x, y) in Q.items():
+        c = a0 * y + x * b0
         if c:
             head, factor = PUSH_RULES[key[0]](*key[1:])
             pushed[head] = pushed.get(head, 0) + c * factor

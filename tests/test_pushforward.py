@@ -185,6 +185,11 @@ def test_push_product_matches_two_routes():
                 b = random_fiber_class(rng, g, n, indices)
             if rng.random() < 0.5:
                 a, b = b, a
+            draw = rng.random()
+            if draw < 0.15:  # one object on both sides: the split is taken once
+                b = a
+            elif draw < 0.3:  # no key of a in b: every index is paired from one side
+                b = FiberClass(g, n, {key: c for key, c in b.coeffs.items() if key not in a.coeffs})
             try:
                 want = pushforward(a.mul_raw(b))
             except JacstabError as exc:
@@ -203,6 +208,11 @@ def test_push_product_matches_two_routes():
             seen["degree 2 against a constant"] += any(
                 f.coeffs and set(f.coeffs) <= {("const",)} and any(key[0] in QUADRATIC_TAGS for key in f2.coeffs)
                 for f, f2 in ((a, b), (b, a)))
+            linear = [{key for key in f.coeffs if key[0] in ("D", "B")} for f in (a, b)]
+            seen["a * a"] += b is a and bool(linear[0])
+            seen["D, B keys disjoint"] += all(linear) and not linear[0] & linear[1]
+            # keys of a, then keys only in b: the pairing walks a's order, then b's
+            seen["D, B keys interleaved"] += bool(linear[0] & linear[1] and linear[1] - linear[0])
             boundary = {key[1:] for key in keys if key[0] == "B"}
             seen["both representatives"] += any(
                 (g - h, tuple(i for i in range(1, n + 1) if i not in A)) in boundary for h, A in boundary)
@@ -212,7 +222,8 @@ def test_push_product_matches_two_routes():
             seen["D*B, i not in A"] += any(i not in A for i, A in legs)
     assert seen["refused"] >= 100 and seen["non-zero"] >= 100, seen
     assert min(seen[case] for case in ("const", "Fraction", "degree 2 against a constant",
-                                       "both representatives", "B_{0,{i}}", "D*B, i not in A")) >= 20, seen
+                                       "both representatives", "B_{0,{i}}", "D*B, i not in A",
+                                       "a * a", "D, B keys disjoint", "D, B keys interleaved")) >= 20, seen
 
 
 def test_push_product_refuses_what_mul_raw_refuses():
@@ -401,6 +412,15 @@ def test_each_derivation_multiplies_and_pushes_once(monkeypatch):
         derive()
         counts = [stats.COUNTS[name] - before[name] for name in names]
         assert counts == [len(c1.coeffs), len(product.coeffs), len(push.coeffs) + extra]
+
+
+def test_derived_classes_hold_their_delta_keys_in_printed_order():
+    # The push walks c1's own canonical (h, lex A) order, so the fold, the
+    # halving and the printed order's sort get the delta keys already sorted.
+    for cls in (theta_via_pushforward(6, 7, [3, -1, 2, 0, 1, 4, 1], 1),
+                theta_gm1_via_pushforward(8, 8, [3, 1, -1, 2, 0, 1, -1, 2])):
+        keys = [key for key in cls.coeffs if key[0] == "delta"]
+        assert len(keys) > 300 and keys == sorted(keys)
 
 
 # The derivations' inputs: (g, n, tau, k) for theta, (g, n, tau) for degree g-1.
