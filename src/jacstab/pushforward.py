@@ -23,27 +23,31 @@ rules.  The ring rules of the product:
 A product of two degree-1 monomials is therefore non-zero only in five
 families: D_i^2 (K*D_i lands here), K^2, B_{h,A}^2 (one index on both sides),
 K*B_{h,A}, and D_i*B_{h,A} for i in A.  The constant multiplies every term,
-and every other pair exceeds degree 2.  ``_paired`` splits each factor (a square
-once) into its constant, D_i, K, B_{h,A} and degree-2 parts and pairs their
-coefficients index by index, in the factors' own key order; ``FiberClass.mul_raw``
-forms only these families from it (D_i*B_{h,A} by a loop over the legs i of each
-A), so its work grows with the family terms.  The constructor drops a
+and every other pair exceeds degree 2.  The constructor drops a
 D_i*B_{h,A} with i not in A, so every class is in normal form for all four
 rules and ``==`` compares normal forms: ``FiberClass(2, 2, {("DB", 2, 1, (1,)): 1})``
 and ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))`` are zero.
 
 Pushing forward along the universal curve kills degree <= 1 terms and sends
 each degree-2 monomial to the one term on the base that ``PUSH_RULES`` names
-for its tag, with no rewriting of its own.  ``pushforward`` pushes a class
-term by term; ``push_product(a, b)`` equals ``pushforward(a.mul_raw(b))`` but
-never forms the product: from ``mul_raw``'s split it adds each non-zero family
-term, through its rule, straight into a sum per term head, in c1's canonical
-(h, lex A) order, so the fold and the printed order's sort get their keys in
-order.  Each derivation builds its c1 once and makes one fused push.  The
-rule table is module data so that corrupting it is observable (the selftest
-must catch a corrupted table).  Both pushes end in the one fold,
+for its tag, with no rewriting of its own.  One walk, ``_walk(a, b, rules)``,
+forms the degree-2 part of a product: it splits each factor (a square once)
+into its constant, D_i, K, B_{h,A} and degree-2 parts, pairs their
+coefficients index by index in the factors' own key order, and sends each
+non-zero family term (D_i*B_{h,A} by a loop over the legs i of each A), and
+each constant times the other factor's degree-2 part, through its row of
+``rules`` into a sum per head.  Its work grows with the family terms.
+``push_product(a, b)`` is the walk with ``PUSH_RULES`` and then the one fold,
 ``divisors._fold_checked``, which folds the summed heads to canonical keys
-without checking them again: the fiber class's constructor already has.
+without checking them again: the fiber class's constructor already has.  It
+equals ``pushforward(a.mul_raw(b))`` but never forms the product, and it
+walks c1's canonical (h, lex A) order, so the fold and the printed order's
+sort get their keys in order.  ``pushforward(fc)`` is ``fc`` times the
+constant 1, pushed.  ``FiberClass.mul_raw`` is the walk with an identity
+table, each degree-2 monomial to itself, plus each constant times the other
+factor's degree <= 1 part; it never reads ``PUSH_RULES``.  Each derivation
+builds its c1 once and makes one push.  The rule table is module data so
+that corrupting it is observable (the selftest must catch a corrupted table).
 
 The derivations run on ``int``s: c1 has integer coefficients (tau and k are
 integers), and so has every rule.  The halving of the pushed class is the one
@@ -82,17 +86,6 @@ def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
         else:
             quadratic[key] = c
     return const, D, K, B, quadratic
-
-
-def _paired(a: "FiberClass", b: "FiberClass") -> tuple:
-    """(a0, b0, aK, bK, D, B, Q) of a*b: constants, K's, then (a's, b's) coefficients per i, per
-    (h, A) and per degree-2 key, in a's key order, then b's.  ``a * a`` splits a once."""
-    a._check_same_space(b)
-    a0, aD, aK, aB, a2 = _families(a.coeffs)
-    b0, bD, bK, bB, b2 = (a0, aD, aK, aB, a2) if b is a else _families(b.coeffs)
-    if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
-        raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
-    return a0, b0, aK, bK, _pair(aD, bD), _pair(aB, bB), _pair(a2, b2)
 
 
 def _pair(x: dict, y: dict) -> dict:
@@ -167,30 +160,20 @@ class FiberClass(LinearClass):
 
     # -- ring operations ----------------------------------------------------
 
-    # The one product.  The derivations do not call it (``push_product`` pushes
-    # its families without forming it); ``bench/tracing.py`` still wraps
-    # ``FiberClass.mul_raw`` by name, so the name stays.  It shares ``_paired``.
+    # The product is the push's walk with ``_IDENTITY`` for the rule table,
+    # so its degree-2 terms are the monomials themselves.
     def mul_raw(self, other: "FiberClass") -> "FiberClass":
         """Product in normal form, forming only the surviving families of the module docstring."""
-        a0, b0, aK, bK, D, B, _ = _paired(self, other)
-        # Each family coefficient is bilinear in one index's pair of factor
-        # coefficients, and no two family terms share a key.
-        out: dict[tuple, Exact] = {("K2",): aK * bK}
-        for i, (a, b) in D.items():
-            out[("D2", i)] = a * b - a * bK - aK * b  # K*D_i = -D_i^2
-        for (h, A), (x, y) in B.items():
-            out[("B2", h, A)] = x * y
-            out[("KB", h, A)] = x * bK + aK * y
-            for i in A:  # D_i*B_{h,A} = 0 for i not in A
-                if i in D:
-                    a, b = D[i]
-                    out[("DB", i, h, A)] = a * y + x * b
-        if a0 or b0:  # each constant scales the other factor, const * const once
+        out, _ = _walk(self, other, _IDENTITY)
+        a0, b0 = self.coeffs.get(("const",), 0), other.coeffs.get(("const",), 0)
+        if a0 or b0:  # each constant scales the other factor's degree <= 1 part, const * const once
             for key in self.coeffs | other.coeffs:
-                c = (a0 * b0 if key == ("const",)
-                     else a0 * other.coeffs.get(key, 0) + self.coeffs.get(key, 0) * b0)
-                out[key] = out.get(key, 0) + c
-        return self._like({key: c for key, c in out.items() if c})
+                if self._TAGS[key[0]][0] < 2:
+                    c = (a0 * b0 if key == ("const",)
+                         else a0 * other.coeffs.get(key, 0) + self.coeffs.get(key, 0) * b0)
+                    if c:
+                        out[key] = c
+        return self._like(out)
 
     __mul__ = mul_raw
 
@@ -220,76 +203,83 @@ PUSH_RULES = {
 }
 
 
-def pushforward(fc: FiberClass) -> DivisorClass:
-    """Push a fiber class down to the base.
-
-    Linear; degree 0 and 1 monomials push to zero, degree-2 monomials follow
-    ``PUSH_RULES``.  The pushed coefficients are summed per term head first, so
-    the fold gets one non-zero term per head.
-    """
-    pushed: dict[tuple, Exact] = {}
-    rules = 0
-    for key, c in fc.coeffs.items():
-        rule = PUSH_RULES.get(key[0])
-        if rule is not None:
-            head, factor = rule(*key[1:])
-            pushed[head] = pushed.get(head, 0) + c * factor
-            rules += 1
-    return _folded(fc.g, fc.n, pushed, rules)
+# ``mul_raw``'s table: each degree-2 monomial to itself, factor 1
+_IDENTITY = {tag: lambda *index, tag=tag: ((tag, *index), 1)
+             for tag, (degree, _, _) in FiberClass._TAGS.items() if degree == 2}
 
 
-def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
-    """``pushforward(a.mul_raw(b))``, pushed family by family without forming the product.
+def _walk(a: FiberClass, b: FiberClass, rules: Mapping) -> tuple[dict[tuple, Exact], int]:
+    """The degree-2 part of a*b through ``rules``: (sums per head, number of terms).
 
     Each non-zero term of the five families of the module docstring, and each
     constant times the other factor's degree-2 part, goes through its
-    ``PUSH_RULES`` row straight into a sum per term head; degree <= 1 terms
-    push to zero and are never formed.  The refusals are ``mul_raw``'s.
+    ``rules`` row, a (head, factor) pair, into a sum per head; degree <= 1
+    terms are never formed.  The coefficients are paired index by index in
+    a's key order, then b's (``_pair``), and ``a * a`` splits a once.
     """
-    a0, b0, aK, bK, D, B, Q = _paired(a, b)
-    D2, K2, B2, DB, KB = (PUSH_RULES[tag] for tag in ("D2", "K2", "B2", "DB", "KB"))
-    pushed: dict[tuple, Exact] = {}
-    rules = 0
+    a._check_same_space(b)
+    a0, aD, aK, aB, a2 = _families(a.coeffs)
+    b0, bD, bK, bB, b2 = (a0, aD, aK, aB, a2) if b is a else _families(b.coeffs)
+    if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
+        raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
+    D = _pair(aD, bD)
+    D2, K2, B2, DB, KB = (rules[tag] for tag in ("D2", "K2", "B2", "DB", "KB"))
+    sums: dict[tuple, Exact] = {}
+    terms = 0
     c = aK * bK
     if c:
         head, factor = K2()
-        pushed[head] = c * factor
-        rules += 1
+        sums[head] = c * factor
+        terms += 1
     for i, (x, y) in D.items():
         c = x * y - x * bK - aK * y  # K*D_i = -D_i^2
         if c:
             head, factor = D2(i)
-            pushed[head] = pushed.get(head, 0) + c * factor
-            rules += 1
-    for (h, A), (x, y) in B.items():
+            sums[head] = sums.get(head, 0) + c * factor
+            terms += 1
+    for (h, A), (x, y) in _pair(aB, bB).items():
         for rule, c in ((B2, x * y), (KB, x * bK + aK * y)):
             if c:
                 head, factor = rule(h, A)
-                pushed[head] = pushed.get(head, 0) + c * factor
-                rules += 1
+                sums[head] = sums.get(head, 0) + c * factor
+                terms += 1
         for i in A:  # D_i*B_{h,A} = 0 for i not in A
             if i in D:
                 s, t = D[i]
                 c = s * y + x * t
                 if c:
                     head, factor = DB(i, h, A)
-                    pushed[head] = pushed.get(head, 0) + c * factor
-                    rules += 1
+                    sums[head] = sums.get(head, 0) + c * factor
+                    terms += 1
     # a constant times the other factor's degree-2 part; when one factor has
     # a degree-2 part the other is a constant, so every family above is zero
-    for key, (x, y) in Q.items():
+    for key, (x, y) in _pair(a2, b2).items():
         c = a0 * y + x * b0
         if c:
-            head, factor = PUSH_RULES[key[0]](*key[1:])
-            pushed[head] = pushed.get(head, 0) + c * factor
-            rules += 1
-    return _folded(a.g, a.n, pushed, rules)
+            head, factor = rules[key[0]](*key[1:])
+            sums[head] = sums.get(head, 0) + c * factor
+            terms += 1
+    return sums, terms
 
 
-def _folded(g: int, n: int, pushed: dict[tuple, Exact], rules: int) -> DivisorClass:
-    """The class of the pushed sums per head, ``rules`` terms pushed to get them."""
-    stats.COUNTS["pushforward.pushed_terms"] += rules
-    return _fold_checked(g, n, [(head, c) for head, c in pushed.items() if c])
+def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
+    """``pushforward(a.mul_raw(b))``, pushed family by family without forming the product.
+
+    The walk with ``PUSH_RULES``, then the one fold; degree <= 1 terms push
+    to zero.  The refusals are ``mul_raw``'s.
+    """
+    pushed, terms = _walk(a, b, PUSH_RULES)
+    stats.COUNTS["pushforward.pushed_terms"] += terms
+    return _fold_checked(a.g, a.n, [(head, c) for head, c in pushed.items() if c])
+
+
+def pushforward(fc: FiberClass) -> DivisorClass:
+    """Push a fiber class down to the base: ``fc`` times the constant 1, pushed.
+
+    Linear; degree 0 and 1 monomials push to zero, degree-2 monomials follow
+    ``PUSH_RULES``, in ``fc``'s key order.
+    """
+    return push_product(fc, fc._like({("const",): 1}))
 
 
 def _minus_half(cls: DivisorClass) -> DivisorClass:
