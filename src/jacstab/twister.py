@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from . import stats
 from .errors import JacstabError
 from .graphs import DualGraph
 from .stability import check_multidegree, base_multidegree, resolve_basepoint
@@ -110,6 +111,7 @@ def _peel(graph: DualGraph, m: Mapping[str, int], root: str,
             gamma[v] += c
         steps.append((leaf, target, branch, c))
         remaining.discard(leaf)
+    stats.COUNTS["twister.peel_steps"] += len(steps)
     return steps, gamma
 
 
