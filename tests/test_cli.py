@@ -781,24 +781,17 @@ def test_twist_answer_splits_each_edge_once(capsys, monkeypatch, command):
     path = json.dumps({"vertices": [{"id": v, "genus": 1, "legs": [1] if v == "v1" else []}
                                     for v in ids],
                        "edges": [[a, b] for a, b in zip(ids, ids[1:])]})
-    splits, searches = [], []
-    component = DualGraph._component
-
-    def counted(graph, S, start):
-        searches.append(start)
-        return component(graph, S, start)
-
+    splits = []
     monkeypatch.setattr(twister, "split_at_edge", lambda graph, edge: splits.append(edge))
-    monkeypatch.setattr(DualGraph, "_component", counted)
+    before = stats.COUNTS["twister.peel_steps"]
     code, payload = run_json(capsys, "twist", command, "--graph", path, "--tau", "8", "--k", "1")
     assert code == 0
     if command == "coefficients":
         assert [e["coefficient"] for e in payload["coefficients"]] == [-7, -5, -3, -1]
     else:
         assert payload["zero"] is True
-    # the answer reads the peel towards the basepoint: one branch search per
-    # edge, after one connectivity search each for loading and classifying
-    assert splits == [] and len(searches) == 6
+    # the answer reads one peel towards the basepoint, one step per edge
+    assert splits == [] and stats.COUNTS["twister.peel_steps"] - before == 4
 
 
 K7 = json.dumps({"vertices": [{"id": f"v{i}", "genus": 0, "legs": [1] if i == 0 else []}
