@@ -17,8 +17,8 @@ masks only when :meth:`DualGraph.connected_subsets` is called.
 
 The library has one graph search, :meth:`DualGraph._component`: the vertices
 of a set that one of them reaches inside it.  Connectivity counts components
-with it, and the twister takes the side of a bridge and the branch of a
-peeled leaf from it.
+with it, and ``twister.split_at_edge`` takes the side of a bridge from it.
+The twister's peel searches nothing: it carries each leaf's branch itself.
 """
 
 from __future__ import annotations

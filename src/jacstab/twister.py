@@ -10,6 +10,7 @@ g-1 section has the multidegree :func:`compact_type_gm1_multidegree`.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -93,24 +94,30 @@ def _peel(graph: DualGraph, m: Mapping[str, int], root: str,
     """Peel leaves towards ``root``: steps (leaf, neighbour towards root, branch,
     sum of m over the branch), zero sums included, and gamma carrying each sum on
     its branch.  A branch is the leaf with all peeled into it, so its twist pushes
-    the sum across the edge."""
-    remaining = set(graph.ids)
+    the sum across the edge.  Each vertex carries its branch and its sum, and
+    counts its neighbours not yet peeled; the peelable leaves are kept sorted."""
+    left = dict(graph._nonloop_val)
+    branch = {v: [v] for v in graph.ids}
+    total = dict(m)
+    leaves = sorted(v for v in graph.ids if v != root and left[v] == 1)
     gamma = dict.fromkeys(graph.ids, 0)
     steps = []
-    while len(remaining) > 1:
-        leaves = tuple(sorted(
-            v for v in remaining
-            if v != root and sum(c for w, c in graph._adj[v].items() if w in remaining) == 1))
-        leaf = choose_leaf(leaves) if choose_leaf is not None else leaves[0]
+    for _ in range(len(graph.ids) - 1):
+        leaf = choose_leaf(tuple(leaves)) if choose_leaf is not None else leaves[0]
         if leaf not in leaves:
             raise JacstabError("BAD_INPUT", f"{leaf!r} is not a peelable leaf")
-        target = next(w for w in graph._adj[leaf] if w in remaining)
-        branch = graph._component(graph._id_set - {target}, leaf)
-        c = sum(m[v] for v in branch)
-        for v in branch:
+        leaves.remove(leaf)
+        left[leaf] = 0
+        target = next(w for w in graph._adj[leaf] if left[w])
+        c = total[leaf]
+        for v in branch[leaf]:
             gamma[v] += c
-        steps.append((leaf, target, branch, c))
-        remaining.discard(leaf)
+        steps.append((leaf, target, branch[leaf], c))
+        branch[target] += branch[leaf]
+        total[target] += c
+        left[target] -= 1
+        if left[target] == 1 and target != root:
+            insort(leaves, target)
     stats.COUNTS["twister.peel_steps"] += len(steps)
     return steps, gamma
 
