@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from jacstab import DualGraph, Polarization, enumerate_stable, theta_via_pushforward
+from jacstab import (DualGraph, Polarization, c1_twisted_bundle, enumerate_stable,
+                     theta_via_pushforward)
 from jacstab.corpus import random_connected_graph, random_tau
 from jacstab.pushforward import PUSH_RULES
 from jacstab import cli, selftest, stats, twister
@@ -721,12 +722,16 @@ WRONG_RULES = {
 def test_selftest_detects_corrupted_rule_table(capsys, monkeypatch, tag):
     # a wrong factor in any row must be caught; degree g-1's c1 has no K
     # term, so its push never reads the K^2 row
+    c1 = c1_twisted_bundle(2, 3, [1, -1, 2], 1)  # D, K and B terms
+    square = c1 * c1
     monkeypatch.setitem(PUSH_RULES, tag, WRONG_RULES[tag])
     code, payload = run_json(capsys, "selftest", "--depth", "small")
     assert code == 1 and not payload["ok"]
     broken = {c["name"] for c in payload["checks"] if not c["ok"]}
     assert "theta-derive-vs-closed" in broken
     assert ("theta-gm1-derive-vs-closed" in broken) == (tag != "K2")
+    # the product never reads the push table
+    assert c1 * c1 == square
 
 
 def test_selftest_detects_wrong_side_branch_coefficients(monkeypatch):

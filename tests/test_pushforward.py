@@ -14,8 +14,9 @@ from jacstab import (DivisorClass, DualGraph, FiberClass, JacstabError,
                      c1_gm1_bundle, theta_gm1_via_pushforward,
                      theta_pullback, theta_gm1_pullback,
                      compact_type_gm1_multidegree, exp_truncate)
-from jacstab.divisors import _closed, _fold_checked, canonical_indices, is_valid_index
-from jacstab.pushforward import GradedAtomPoly, push_product
+from jacstab.divisors import (_closed, _fold_checked, canonical_indices, canonicalize,
+                              is_valid_index)
+from jacstab.pushforward import PUSH_RULES, GradedAtomPoly, push_product
 from jacstab.oracles import exp_series_degree_part, fiber_product_pairwise
 from jacstab.corpus import random_tau, random_treelike_graph
 from common import banana, two_vertex_tree, path3
@@ -201,6 +202,11 @@ def test_push_product_matches_two_routes():
                 continue
             got = push_product(a, b)
             assert got.coeffs == want.coeffs == pushforward(fiber_product_pairwise(a, b)).coeffs
+            # a route through no library walk: the rule rows applied term by term
+            # to the pairwise product, folded by canonicalize
+            terms = [(*head, c * factor) for key, c in fiber_product_pairwise(a, b).coeffs.items()
+                     if key[0] in PUSH_RULES for head, factor in [PUSH_RULES[key[0]](*key[1:])]]
+            assert got.coeffs == canonicalize(g, n, terms).coeffs
             seen["non-zero"] += not got.is_zero()
             keys = [*a.coeffs, *b.coeffs]
             seen["const"] += ("const",) in keys
