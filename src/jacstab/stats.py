@@ -16,9 +16,9 @@ divisor classes received: every term that
 term head that a push hands it.  ``COUNTS["cli.argparse_parses"]`` is the
 number of command lines that :func:`~jacstab.cli.main` handed to argparse:
 the lines that are not plain (help, usage errors and unusual forms; see
-``cli._table_parse``).  ``COUNTS["twister.peel_steps"]`` is the number of steps
-``twister._peel`` recorded, one per peeled leaf, zero sums included.  The counts only grow; read a difference around the
-work.
+``cli._table_parse``).  ``COUNTS["twister.peel_steps"]`` is the number of
+steps that ``twister._peel`` recorded, one per peeled leaf, zero sums
+included.  The counts only grow; read a difference around the work.
 """
 
 from collections import Counter
