@@ -31,23 +31,27 @@ and ``FiberClass.section(2, 2, 2) * FiberClass.boundary(2, 2, 1, (1,))`` are zer
 Pushing forward along the universal curve kills degree <= 1 terms and sends
 each degree-2 monomial to the one term on the base that ``PUSH_RULES`` names
 for its tag, with no rewriting of its own.  One walk, ``_walk(a, b, rules)``,
-forms the degree-2 part of a product: it splits each factor (a square once)
-into its constant, D_i, K, B_{h,A} and degree-2 parts, pairs their
-coefficients index by index in the factors' own key order, and sends each
-non-zero family term (D_i*B_{h,A} by a loop over the legs i of each A), and
-each constant times the other factor's degree-2 part, through its row of
-``rules`` into a sum per head.  Its work grows with the family terms.
-``push_product(a, b)`` is the walk with ``PUSH_RULES`` and then the one fold,
+forms every term of a product: it splits each factor (a square once) into
+its constant, D_i, K, B_{h,A} and degree-2 parts.  When both factors have a
+degree-1 part it pairs their coefficients index by index in the factors' own
+key order and sends each non-zero family term (D_i*B_{h,A} by a loop over
+the legs i of each A) through its row of ``rules`` into a sum per head.
+Then each constant times each term of the other factor goes through the row
+of that term's tag, or to zero when ``rules`` names no such row; the walk
+drops the sums that cancel.  Its work grows with the family terms, and with
+the terms of a factor whose partner has a constant.  ``push_product(a, b)``
+is the walk with ``PUSH_RULES`` and then the one fold,
 ``divisors._fold_checked``, which folds the summed heads to canonical keys
 without checking them again: the fiber class's constructor already has.  It
 equals ``pushforward(a.mul_raw(b))`` but never forms the product, and it
 walks c1's canonical (h, lex A) order, so the fold and the printed order's
 sort get their keys in order.  ``pushforward(fc)`` is ``fc`` times the
-constant 1, pushed.  ``FiberClass.mul_raw`` is the walk with an identity
-table, each degree-2 monomial to itself, plus each constant times the other
-factor's degree <= 1 part; it never reads ``PUSH_RULES``.  Each derivation
-builds its c1 once and makes one push.  The rule table is module data so
-that corrupting it is observable (the selftest must catch a corrupted table).
+constant 1, pushed: no family term, one step per term of ``fc``.
+``FiberClass.mul_raw`` is the walk with ``_IDENTITY``, a row for every tag
+that sends each monomial to itself; it never reads ``PUSH_RULES``.  Each
+derivation builds its c1, which has no constant, once and makes one push.
+The rule table is module data so that corrupting it is observable (the
+selftest must catch a corrupted table).
 
 The derivations run on ``int``s: c1 has integer coefficients (tau and k are
 integers), and so has every rule.  The halving of the pushed class is the one
@@ -160,20 +164,12 @@ class FiberClass(LinearClass):
 
     # -- ring operations ----------------------------------------------------
 
-    # The product is the push's walk with ``_IDENTITY`` for the rule table,
-    # so its degree-2 terms are the monomials themselves.
+    # The product is the push's walk with ``_IDENTITY`` for the rule table:
+    # each term lands on its own monomial, and a sum that cancels, as the
+    # D_1 terms of (1 + D_1)*(1 - D_1) do, is dropped by the walk.
     def mul_raw(self, other: "FiberClass") -> "FiberClass":
         """Product in normal form, forming only the surviving families of the module docstring."""
-        out, _ = _walk(self, other, _IDENTITY)
-        a0, b0 = self.coeffs.get(("const",), 0), other.coeffs.get(("const",), 0)
-        if a0 or b0:  # each constant scales the other factor's degree <= 1 part, const * const once
-            for key in self.coeffs | other.coeffs:
-                if self._TAGS[key[0]][0] < 2:
-                    c = (a0 * b0 if key == ("const",)
-                         else a0 * other.coeffs.get(key, 0) + self.coeffs.get(key, 0) * b0)
-                    if c:
-                        out[key] = c
-        return self._like(out)
+        return self._like(_walk(self, other, _IDENTITY)[0])
 
     __mul__ = mul_raw
 
@@ -203,63 +199,68 @@ PUSH_RULES = {
 }
 
 
-# ``mul_raw``'s table: each degree-2 monomial to itself, factor 1
-_IDENTITY = {tag: lambda *index, tag=tag: ((tag, *index), 1)
-             for tag, (degree, _, _) in FiberClass._TAGS.items() if degree == 2}
+# ``mul_raw``'s table: each monomial of every tag to itself, factor 1
+_IDENTITY = {tag: lambda *index, tag=tag: ((tag, *index), 1) for tag in FiberClass._TAGS}
 
 
 def _walk(a: FiberClass, b: FiberClass, rules: Mapping) -> tuple[dict[tuple, Exact], int]:
-    """The degree-2 part of a*b through ``rules``: (sums per head, number of terms).
+    """a*b through ``rules``: (the non-zero sums per head, number of terms).
 
-    Each non-zero term of the five families of the module docstring, and each
-    constant times the other factor's degree-2 part, goes through its
-    ``rules`` row, a (head, factor) pair, into a sum per head; degree <= 1
-    terms are never formed.  The coefficients are paired index by index in
-    a's key order, then b's (``_pair``), and ``a * a`` splits a once.
+    Each non-zero term of the five families of the module docstring, then
+    each constant times each term of the other factor (the two constants'
+    product once), goes through its ``rules`` row, a (head, factor) pair,
+    into a sum per head; a term whose tag ``rules`` does not name is zero.
+    No family term is formed unless both factors have a degree-1 part, and
+    the degree refusal comes before any term.  The family coefficients are
+    paired index by index in a's key order, then b's (``_pair``), and
+    ``a * a`` splits a once.
     """
     a._check_same_space(b)
     a0, aD, aK, aB, a2 = _families(a.coeffs)
     b0, bD, bK, bB, b2 = (a0, aD, aK, aB, a2) if b is a else _families(b.coeffs)
-    if (a2 and (bD or bK or bB or b2)) or (b2 and (aD or aK or aB)):
+    a1, b1 = aD or aK or aB, bD or bK or bB
+    if (a2 and (b1 or b2)) or (b2 and a1):
         raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
-    D = _pair(aD, bD)
-    D2, K2, B2, DB, KB = (rules[tag] for tag in ("D2", "K2", "B2", "DB", "KB"))
     sums: dict[tuple, Exact] = {}
     terms = 0
-    c = aK * bK
-    if c:
-        head, factor = K2()
-        sums[head] = c * factor
-        terms += 1
-    for i, (x, y) in D.items():
-        c = x * y - x * bK - aK * y  # K*D_i = -D_i^2
+    if a1 and b1:  # then neither factor has a degree-2 part
+        D = _pair(aD, bD)
+        D2, K2, B2, DB, KB = (rules[tag] for tag in ("D2", "K2", "B2", "DB", "KB"))
+        c = aK * bK
         if c:
-            head, factor = D2(i)
-            sums[head] = sums.get(head, 0) + c * factor
+            head, factor = K2()
+            sums[head] = c * factor
             terms += 1
-    for (h, A), (x, y) in _pair(aB, bB).items():
-        for rule, c in ((B2, x * y), (KB, x * bK + aK * y)):
+        for i, (x, y) in D.items():
+            c = x * y - x * bK - aK * y  # K*D_i = -D_i^2
             if c:
-                head, factor = rule(h, A)
+                head, factor = D2(i)
                 sums[head] = sums.get(head, 0) + c * factor
                 terms += 1
-        for i in A:  # D_i*B_{h,A} = 0 for i not in A
-            if i in D:
-                s, t = D[i]
-                c = s * y + x * t
+        for (h, A), (x, y) in _pair(aB, bB).items():
+            for rule, c in ((B2, x * y), (KB, x * bK + aK * y)):
                 if c:
-                    head, factor = DB(i, h, A)
+                    head, factor = rule(h, A)
                     sums[head] = sums.get(head, 0) + c * factor
                     terms += 1
-    # a constant times the other factor's degree-2 part; when one factor has
-    # a degree-2 part the other is a constant, so every family above is zero
-    for key, (x, y) in _pair(a2, b2).items():
-        c = a0 * y + x * b0
-        if c:
-            head, factor = rules[key[0]](*key[1:])
-            sums[head] = sums.get(head, 0) + c * factor
-            terms += 1
-    return sums, terms
+            for i in A:  # D_i*B_{h,A} = 0 for i not in A
+                if i in D:
+                    s, t = D[i]
+                    c = s * y + x * t
+                    if c:
+                        head, factor = DB(i, h, A)
+                        sums[head] = sums.get(head, 0) + c * factor
+                        terms += 1
+    # each constant times each term of the other factor, the constants' product once
+    for c0, other, skip in ((a0, b.coeffs, None), (b0, a.coeffs, ("const",))):
+        if c0:
+            for key, c in other.items():
+                rule = rules.get(key[0])
+                if rule and key != skip:
+                    head, factor = rule(*key[1:])
+                    sums[head] = sums.get(head, 0) + c0 * c * factor
+                    terms += 1
+    return {head: c for head, c in sums.items() if c}, terms
 
 
 def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
@@ -270,7 +271,7 @@ def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
     """
     pushed, terms = _walk(a, b, PUSH_RULES)
     stats.COUNTS["pushforward.pushed_terms"] += terms
-    return _fold_checked(a.g, a.n, [(head, c) for head, c in pushed.items() if c])
+    return _fold_checked(a.g, a.n, list(pushed.items()))
 
 
 def pushforward(fc: FiberClass) -> DivisorClass:
