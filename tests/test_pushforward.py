@@ -163,6 +163,13 @@ def test_mul_raw_matches_pairwise_reference():
             seen["D*B, i not in A"] += any(i not in A for i, A in legs)
     assert seen["error"] >= 100 and seen["const"] >= 100 and seen["degree 2 input"] >= 30, seen
     assert seen["D*B, i in A"] >= 30 and seen["D*B, i not in A"] >= 30, seen
+    # constant terms that cancel, which the random Fractions almost never do:
+    # the D_1 and K terms of (1 + D_1)*(1 - D_1) and (1 + K)*(1 - K)
+    one = FiberClass(2, 2, {("const",): 1})
+    for x in (FiberClass.section(2, 2, 1), FiberClass.canonical(2, 2)):
+        got = (one + x).mul_raw(one - x)
+        assert got.coeffs == fiber_product_pairwise(one + x, one - x).coeffs
+        assert 0 not in got.coeffs.values(), got.coeffs
 
 
 def every_representative(g: int, n: int) -> list:
