@@ -22,10 +22,11 @@ ordinary values) straight from the table with ``_table_parse``, which gives
 the namespace argparse would.  Any other line, help and usage errors
 included, goes to the argparse tree that ``build_parser`` makes from the same
 rows, built on the first such line and reused; it alone prints help and
-usage messages.  ``main`` converts the options and calls the handler,
-which returns its exit code, a function building its JSON payload and one
-building its text.  ``main`` builds only the form it prints: the text under
-``--output text``, else ``_json`` of the payload, the bytes of
+usage messages.  Either parse carries the command's rows in the namespace
+(``rows``); ``main`` runs their converters in row order and calls the
+handler, which returns its exit code, a function building its JSON payload
+and one building its text.  ``main`` builds only the form it prints: the
+text under ``--output text``, else ``_json`` of the payload, the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2)``.
 A result record of the library enters a payload through ``_payload``.
 
@@ -298,7 +299,7 @@ def cmd_twist_reduce(args):
 def cmd_twist_coefficients(args):
     _, table, _ = _branch_table(args.graph, *_resolve_tau_k(args), args.basepoint)
     entries = [{"edge": list(edge), "branch": sorted(side), "coefficient": c}
-               for edge, (side, c) in sorted(table.items())]
+               for edge, (side, c) in table.items()]  # in sorted edge order
     return (0, lambda: {"coefficients": entries},
             lambda: "\n".join(f"{e['edge'][0]}--{e['edge'][1]}: {e['coefficient']}"
                               for e in entries) or "(no separating edges)")
@@ -468,10 +469,6 @@ def _row_options(options) -> list[tuple[str, str, dict, Callable | None]]:
     return out
 
 
-def _converters(rows) -> list[tuple[str, Callable]]:
-    return [(dest, convert) for _, dest, _, convert in rows if convert is not None]
-
-
 def build_parser() -> argparse.ArgumentParser:
     """A fresh argparse tree for every command of COMMANDS."""
     parser = argparse.ArgumentParser(
@@ -486,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         rows = _row_options(options)
         for flag, dest, keywords, _ in rows:
             p.add_argument(flag, dest=dest, **keywords)
-        p.set_defaults(func=func, converters=_converters(rows))
+        p.set_defaults(func=func, rows=rows)
     return parser
 
 
@@ -543,7 +540,7 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
     for _, dest, keywords, _ in rows:
         names[dest] = given.get(dest, keywords.get(
             "default", False if keywords.get("action") == "store_true" else None))
-    return argparse.Namespace(**names, func=func, converters=_converters(rows))
+    return argparse.Namespace(**names, func=func, rows=rows)
 
 
 def _fallback_parse(argv: list[str]) -> argparse.Namespace:
@@ -559,8 +556,7 @@ def _fallback_parse(argv: list[str]) -> argparse.Namespace:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    options = next(row[4] for row in COMMANDS if row[3] is args.func)
-    for flag, dest, _, _ in _row_options(options):
+    for flag, dest, _, _ in args.rows:
         if type(getattr(args, dest)) is list:
             raise JacstabError("BAD_INPUT", f"{flag} takes one value, not '--'")
     return args
@@ -619,8 +615,9 @@ def main(argv=None) -> int:
         if args is None:
             args = _fallback_parse(argv)
         # in the order of the command's row, which fixes which bad option is reported
-        for dest, convert in args.converters:
-            setattr(args, dest, convert(getattr(args, dest)))
+        for _, dest, _, convert in args.rows:
+            if convert is not None:
+                setattr(args, dest, convert(getattr(args, dest)))
         code, payload, text = args.func(args)
         form = payload() if args.output == "json" else text()
         chunks = form if isinstance(form, Iterator) else (
