@@ -11,13 +11,20 @@ import random
 from .graphs import DualGraph
 
 
-def _vertex_ids(count: int) -> list[str]:
-    return [f"v{i:02d}" for i in range(1, count + 1)]
+def _random_tree(rng: random.Random, max_vertices: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """A random vertex count, its ids and a random tree on them: each vertex
+    after the first joins one before it."""
+    count = rng.randint(1, max_vertices)
+    ids = [f"v{i:02d}" for i in range(1, count + 1)]
+    return ids, [(ids[rng.randrange(i)], ids[i]) for i in range(1, count)]
 
 
 def _finish_graph(rng: random.Random, ids: list[str], edges: list[tuple[str, str]],
-                  max_genus: int, extra_legs: int, legful: bool) -> DualGraph:
-    """Assign genera and legs so that every vertex is stable."""
+                  loop_chance: float, max_genus: int, extra_legs: int,
+                  legful: bool) -> DualGraph:
+    """Add a loop at each vertex with ``loop_chance``, then assign genera and
+    legs so that every vertex is stable."""
+    edges += [(v, v) for v in ids if rng.random() < loop_chance]
     val = {v: 0 for v in ids}
     for (a, b) in edges:
         val[a] += 2 if a == b else 1
@@ -50,15 +57,8 @@ def random_treelike_graph(rng: random.Random, max_vertices: int = 10,
                           max_genus: int = 2, loop_chance: float = 0.25,
                           extra_legs: int = 2, legful: bool = False) -> DualGraph:
     """Random valid treelike graph: a random tree plus optional loops."""
-    count = rng.randint(1, max_vertices)
-    ids = _vertex_ids(count)
-    edges: list[tuple[str, str]] = []
-    for i in range(1, count):
-        edges.append((ids[rng.randrange(i)], ids[i]))
-    for v in ids:
-        if rng.random() < loop_chance:
-            edges.append((v, v))
-    return _finish_graph(rng, ids, edges, max_genus, extra_legs, legful)
+    ids, edges = _random_tree(rng, max_vertices)
+    return _finish_graph(rng, ids, edges, loop_chance, max_genus, extra_legs, legful)
 
 
 def random_connected_graph(rng: random.Random, max_vertices: int = 8,
@@ -66,20 +66,12 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 8,
                            loop_chance: float = 0.2, extra_legs: int = 2,
                            legful: bool = False) -> DualGraph:
     """Random valid connected multigraph: spanning tree plus extra edges."""
-    count = rng.randint(1, max_vertices)
-    ids = _vertex_ids(count)
-    edges: list[tuple[str, str]] = []
-    for i in range(1, count):
-        edges.append((ids[rng.randrange(i)], ids[i]))
+    ids, edges = _random_tree(rng, max_vertices)
     for _ in range(rng.randint(0, max_extra_edges)):
-        if count == 1:
+        if len(ids) == 1:
             break
-        a, b = rng.sample(ids, 2)
-        edges.append((a, b))
-    for v in ids:
-        if rng.random() < loop_chance:
-            edges.append((v, v))
-    return _finish_graph(rng, ids, edges, max_genus, extra_legs, legful)
+        edges.append(tuple(rng.sample(ids, 2)))
+    return _finish_graph(rng, ids, edges, loop_chance, max_genus, extra_legs, legful)
 
 
 def banana_graph(marking_on_first: bool = True) -> DualGraph:
