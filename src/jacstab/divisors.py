@@ -42,7 +42,7 @@ range and never of psi shape, and are built once per (g, n).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -304,7 +304,7 @@ def canonicalize(g: int, n: int, terms: Iterable[tuple]) -> DivisorClass:
     return _fold_checked(g, n, checked)
 
 
-def _fold_checked(g: int, n: int, terms: list[tuple[tuple, Exact]]) -> DivisorClass:
+def _fold_checked(g: int, n: int, terms: Collection[tuple[tuple, Exact]]) -> DivisorClass:
     """The class of checked (key, coefficient) terms: each head is a key of
     ``DivisorClass``, boundary legs sorted and in range, h in 0..g, and each
     coefficient exact.  Folds every boundary term, reads a folded (0,{i}) as

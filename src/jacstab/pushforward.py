@@ -260,7 +260,8 @@ def _walk(a: FiberClass, b: FiberClass, rules: Mapping) -> tuple[dict[tuple, Exa
                     head, factor = rule(*key[1:])
                     sums[head] = sums.get(head, 0) + c0 * c * factor
                     terms += 1
-    return {head: c for head, c in sums.items() if c}, terms
+    # most walks cancel no sum: then the sums are returned without a copy
+    return (sums if all(sums.values()) else {head: c for head, c in sums.items() if c}), terms
 
 
 def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
@@ -271,7 +272,7 @@ def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
     """
     pushed, terms = _walk(a, b, PUSH_RULES)
     stats.COUNTS["pushforward.pushed_terms"] += terms
-    return _fold_checked(a.g, a.n, list(pushed.items()))
+    return _fold_checked(a.g, a.n, pushed.items())
 
 
 def pushforward(fc: FiberClass) -> DivisorClass:
