@@ -70,7 +70,8 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 8,
     for _ in range(rng.randint(0, max_extra_edges)):
         if len(ids) == 1:
             break
-        edges.append(tuple(rng.sample(ids, 2)))
+        a, b = rng.sample(ids, 2)
+        edges.append((a, b))
     return _finish_graph(rng, ids, edges, loop_chance, max_genus, extra_legs, legful)
 
 

@@ -251,17 +251,21 @@ def _walk(a: FiberClass, b: FiberClass, rules: Mapping) -> tuple[dict[tuple, Exa
                         head, factor = DB(i, h, A)
                         sums[head] = sums.get(head, 0) + c * factor
                         terms += 1
-    # each constant times each term of the other factor, the constants' product once
-    for c0, other, skip in ((a0, b.coeffs, None), (b0, a.coeffs, ("const",))):
-        if c0:
-            for key, c in other.items():
-                rule = rules.get(key[0])
-                if rule and key != skip:
-                    head, factor = rule(*key[1:])
-                    sums[head] = sums.get(head, 0) + c0 * c * factor
-                    terms += 1
-    # most walks cancel no sum: then the sums are returned without a copy
-    return (sums if all(sums.values()) else {head: c for head, c in sums.items() if c}), terms
+    if a0:  # a's constant times each term of b
+        for key, c in b.coeffs.items():
+            rule = rules.get(key[0])
+            if rule:
+                head, factor = rule(*key[1:])
+                sums[head] = sums.get(head, 0) + a0 * c * factor
+                terms += 1
+    if b0:  # b's constant times each term of a but a's constant, counted above
+        for key, c in a.coeffs.items():
+            rule = rules.get(key[0])
+            if rule and key != ("const",):
+                head, factor = rule(*key[1:])
+                sums[head] = sums.get(head, 0) + b0 * c * factor
+                terms += 1
+    return {head: c for head, c in sums.items() if c}, terms
 
 
 def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
