@@ -12,7 +12,9 @@ is read as text.  Every JSON input, the graph included, is read by
 ``errors.load_json``, so a key repeated in one object is BAD_INPUT, as is a
 vertex repeated in the comma form or in ``--subcurve``.  ``--data`` replaces
 ``--tau`` and ``--k``, so naming it with either (a non-zero ``--k``) is
-BAD_INPUT.
+BAD_INPUT.  Its payload is a JSON object whose only keys are ``tau`` and,
+optionally, ``k``: any other key is BAD_INPUT, so a misspelt ``"K"`` is
+refused instead of being read as k = 0.
 
 Every command is one row of ``COMMANDS`` and every option one entry of
 ``OPTIONS``, which also names the function converting its string;
@@ -119,12 +121,13 @@ def _resolve_tau_k(args) -> tuple[list[int], int]:
         if args.tau is not None or args.k != 0:
             raise JacstabError("BAD_INPUT", "--data excludes --tau and a non-zero --k")
         payload = load_json(_read_json_arg(args.data, "data"), "tau/k payload")
+        if type(payload) is dict and (unknown := sorted(payload.keys() - {"tau", "k"})):
+            raise JacstabError("BAD_INPUT", f"unknown key {unknown[0]!r} in tau/k payload")
         try:
-            tau = [strict_int(x, "tau entry") for x in payload["tau"]]
-            k = strict_int(payload.get("k", 0), "k")
+            return ([strict_int(x, "tau entry") for x in payload["tau"]],
+                    strict_int(payload.get("k", 0), "k"))
         except (KeyError, TypeError) as exc:
             raise JacstabError("BAD_INPUT", f"malformed tau/k payload: {exc}") from exc
-        return tau, k
     if args.tau is None:
         raise JacstabError("BAD_INPUT", "either --tau or --data is required")
     return _parse_tau(args.tau), args.k

@@ -14,6 +14,21 @@ markings, the renderer an f-string of the indices that ``_symbol`` calls.
 Results of the algebra are built by the trusted ``_like``, which neither
 re-validates nor converts coefficients.
 
+One function halves a coefficient, ``_half``: the closed forms halve their
+psi, kappa1t and delta coefficients with it, and ``pushforward._minus_half``
+halves a pushed class with it, so a value has one representation whichever
+route computed it, an ``int`` when it is integral and a ``Fraction`` when not.
+``_half`` tests a coefficient's type, never its value.  The kernel --
+``_closed``, the walk of ``pushforward``, ``_fold_checked``, the
+``LinearClass`` algebra and ``_half`` -- reads a coefficient only through ring
+operations, a zero test and that type test; printing and the twist checks
+aside, no other code reads one.  So the kernel runs unchanged on any exact
+ring whose elements mix with ``int``s, polynomials in the twist included: the
+tests compare the derivations with the closed forms that way, for every twist
+of a (g, n) at once.  ``theta_pullback_hain`` keeps its own quarters, as the
+independent third route, and ``mueller_correction`` stays concrete: it
+branches on the sign of each tau_i.
+
 ``DivisorClass`` lives in the rational span of psi_1..psi_n, lambda1, kappa1t
 (the pushed-forward square of the relative canonical class), delta_irr and the
 separating boundary divisors delta_{h,A}, keyed ("psi", i), ("lambda1",),
@@ -52,6 +67,18 @@ from .errors import JacstabError, check_tau, check_twist, exact, strict_int
 
 Legs = tuple[int, ...]
 Exact = int | Fraction
+
+
+def _half(x):
+    """x/2, the package's one halving of a coefficient (see the module docstring).
+
+    It tests the type, never the value: an ``int`` stays an ``int`` when even
+    and becomes a ``Fraction`` when odd; any other coefficient, a ``Fraction``
+    or a ring element built by a trusted caller, is multiplied by 1/2.
+    """
+    if type(x) is int:
+        return x // 2 if x % 2 == 0 else Fraction(x, 2)
+    return x * Fraction(1, 2)
 
 
 class LinearClass:
@@ -383,18 +410,17 @@ def theta_pullback(g: int, n: int, tau: Sequence[int], k: int) -> DivisorClass:
     counted once, not once per representative.
     """
     t = _check_tau_theta(g, n, tau, k)
-    head = {("psi", i): Fraction(ti * ti, 2) + k * ti for i, ti in enumerate(t, start=1)}
-    head[("kappa1t",)] = Fraction(-k * k, 2)
-    coeff = cache(lambda h, s: Fraction(-(k * (1 - 2 * h) + s) ** 2, 2))  # few distinct (h, s)
+    head = {("psi", i): _half(ti * ti) + k * ti for i, ti in enumerate(t, start=1)}
+    head[("kappa1t",)] = _half(-k * k)
+    coeff = cache(lambda h, s: _half(-(k * (1 - 2 * h) + s) ** 2))  # few distinct (h, s)
     return _closed(DivisorClass, g, n, t, head, "delta", lambda h, A, s: coeff(h, s))
 
 
 def theta_gm1_pullback(g: int, n: int, tau: Sequence[int]) -> DivisorClass:
     """Degree g-1 theta pullback for a total-degree g-1 twist vector."""
     t = _check_tau_gm1(g, n, tau)
-    head = {("psi", i): Fraction(ti * (ti + 1), 2) for i, ti in enumerate(t, start=1)}
-    head[("lambda1",)] = Fraction(-1)
-    coeff = cache(lambda h, s: Fraction(-(s - h) * (s - h + 1), 2))
+    head = {("psi", i): _half(ti * (ti + 1)) for i, ti in enumerate(t, start=1)} | {("lambda1",): -1}
+    coeff = cache(lambda h, s: _half(-(s - h) * (s - h + 1)))
     return _closed(DivisorClass, g, n, t, head, "delta", lambda h, A, s: coeff(h, s))
 
 

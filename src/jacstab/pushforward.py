@@ -54,9 +54,14 @@ The rule table is module data so that corrupting it is observable (the
 selftest must catch a corrupted table).
 
 The derivations run on ``int``s: c1 has integer coefficients (tau and k are
-integers), and so has every rule.  The halving of the pushed class is the one
-step that can leave them, once per output term: an even coefficient stays an
-``int``, an odd one becomes a ``Fraction``.
+integers), and so has every rule.  The halving of the pushed class,
+``_minus_half``, is the one step that can leave them, once per output term.
+It halves with ``divisors._half``, as the closed forms do: an even
+coefficient stays an ``int`` and an odd one becomes a ``Fraction``, so the
+derived and the closed class hold the same type for each value.  The walk,
+the fold and the halving read a coefficient only through ring operations, a
+zero test and ``_half``'s type test, so they run unchanged on polynomials in
+the twist (see ``divisors``).
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from typing import Mapping, Sequence
 from . import stats
 from .errors import JacstabError, exact, strict_int
 from .divisors import (DivisorClass, Exact, LinearClass, _check_gn, _check_tau_theta,
-                       _check_tau_gm1, _closed, _fold_checked, _joined, _legs)
+                       _check_tau_gm1, _closed, _fold_checked, _half, _joined, _legs)
 
 def _families(coeffs: Mapping[tuple, Exact]) -> tuple:
     """Split coefficients into (constant, {i: D_i}, K, {(h, A): B_{h,A}}, degree-2 part)."""
@@ -289,9 +294,8 @@ def pushforward(fc: FiberClass) -> DivisorClass:
 
 
 def _minus_half(cls: DivisorClass) -> DivisorClass:
-    """-cls/2 on an integral class: an even coefficient stays an ``int``."""
-    return cls._like({key: -(c // 2) if c % 2 == 0 else Fraction(-c, 2)
-                      for key, c in cls.coeffs.items()})
+    """-cls/2, each coefficient negated and halved by ``divisors._half``."""
+    return cls._like({key: _half(-c) for key, c in cls.coeffs.items()})
 
 
 # ----------------------------------------------------------------------

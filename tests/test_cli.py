@@ -317,6 +317,10 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
      "malformed tau/k payload: 'tau'"),
     (["stability", "balanced", "--graph", BANANA, "--data", '{"tau": 3}'], None,
      "malformed tau/k payload: 'int' object is not iterable"),
+    (["twist", "coefficients", "--graph", json.dumps(
+        {"vertices": [{"id": "a", "genus": 0, "legs": [1, 3]}, {"id": "b", "genus": 1, "legs": [2]}],
+         "edges": [["a", "b"]]}), "--data", '{"z": 0, "tau": [1, -1, 0], "K": 1}'], None,
+     "unknown key 'K' in tau/k payload"),
     (["stability", "check", "--graph", BANANA, "--m", "v1"], None,
      "malformed multidegree entry 'v1'"),
     (["stability", "check", "--graph", BANANA, "--m", "v1=1=2"], None,
@@ -325,13 +329,24 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
      "malformed gamma entry 'v1=x'"),
 ], ids=["tau-length", "tau-not-integer", "hain-nonzero-k", "seed-not-integer",
         "subcurve-unknown-vertex", "threshold-unknown-vertex", "edge-not-a-pair",
-        "graph-file-not-found", "data-without-tau", "data-tau-not-a-list",
+        "graph-file-not-found", "data-without-tau", "data-tau-not-a-list", "data-unknown-key",
         "m-without-value", "m-two-values", "gamma-not-integer"])
 def test_refusal_names_the_bad_input(capsys, monkeypatch, argv, seed, message):
     if seed is not None:
         monkeypatch.setenv("JACSTAB_SEED", seed)
     code, payload = run_json(capsys, *argv)
     assert code == 2 and payload["error"] == "BAD_INPUT" and payload["message"] == message
+
+
+@pytest.mark.parametrize("text", ['[[1, -1], 0]', '"tau"', "null", "7"])
+def test_data_that_is_not_an_object_is_refused(tmp_path, capsys, text):
+    # only a file can hold one: an inline payload is read as JSON when it starts with "{"
+    data = tmp_path / "tau.json"
+    data.write_text(text)
+    code, payload = run_json(capsys, "stability", "balanced", "--graph", BANANA,
+                             "--data", str(data))
+    assert code == 2 and payload["error"] == "BAD_INPUT"
+    assert payload["message"].startswith("malformed tau/k payload: ")
 
 
 def test_data_with_k_zero_is_the_data(capsys):

@@ -439,7 +439,8 @@ def test_derived_classes_hold_their_delta_keys_in_printed_order():
 # The derivations' inputs: (g, n, tau, k) for theta, (g, n, tau) for degree g-1.
 INTEGRAL_CASES = [((2, 2, [2, 0], 1), (2, 2, [3, -2])),
                   ((4, 3, [3, 1, 2], 1), (4, 3, [5, -1, -1])),
-                  ((5, 4, [1, -3, 2, 0], 0), (5, 4, [2, 2, -1, 1]))]
+                  ((5, 4, [1, -3, 2, 0], 0), (5, 4, [2, 2, -1, 1])),
+                  ((8, 8, [1, -1, 2, -2, 3, -3, 1, 13], 1), (8, 8, [2, -1, 1, 0, 3, 1, -1, 2]))]
 
 
 @pytest.mark.parametrize("theta, gm1", INTEGRAL_CASES)
@@ -450,6 +451,13 @@ def test_derivations_multiply_and_push_on_ints(theta, gm1):
     products = [c1 * c1, c1_gm1 * (c1_gm1 - K)]
     for cls in [c1, c1_gm1, *products, *map(pushforward, products)]:
         assert cls.coeffs and all(type(c) is int for c in cls.coeffs.values()), cls
+    # both routes halve through divisors._half: one coefficient type per value,
+    # an int wherever the value is integral
+    for closed, derived in ((theta_pullback(*theta), theta_via_pushforward(*theta)),
+                            (theta_gm1_pullback(*gm1), theta_gm1_via_pushforward(*gm1))):
+        types = {key: type(c) for key, c in derived.coeffs.items()}
+        assert closed == derived and {key: type(c) for key, c in closed.coeffs.items()} == types
+        assert all(types[key] is int for key, c in derived.coeffs.items() if c.denominator == 1)
 
 
 @pytest.mark.parametrize("theta, gm1", INTEGRAL_CASES)
@@ -549,6 +557,104 @@ def test_derive_theta_gm1_chi_convention_independent():
         assert theta_gm1_via_pushforward(g, n, tau) == b
         cases += 1
     assert cases >= 10
+
+
+class Poly:
+    """An exact polynomial: sorted (variable, exponent) pairs -> non-zero Fraction.
+
+    It mixes with ``int`` and ``Fraction`` on either side, so the library's
+    ring operations, zero tests and halving run on it unchanged.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {mono: Fraction(c) for mono, c in terms.items() if c}
+
+    @staticmethod
+    def of(x):
+        return x if type(x) is Poly else Poly({(): x})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for mono, c in Poly.of(other).terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out, other = {}, Poly.of(other)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                powers = Counter(dict(m1))
+                powers.update(dict(m2))
+                mono = tuple(sorted(powers.items()))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        out = Poly({(): 1})
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return type(other) in (Poly, int, Fraction) and self.terms == Poly.of(other).terms
+
+    def __hash__(self):  # a constant hashes as its value, as it compares
+        if set(self.terms) <= {()}:
+            return hash(self.terms.get((), 0))
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return " + ".join(f"{c}*{mono}" for mono, c in sorted(self.terms.items())) or "0"
+
+
+def _variables(count):
+    return [Poly({((v, 1),): 1}) for v in range(count)]
+
+
+def _no_twist_check(monkeypatch, name, check):
+    # the library's twist checks refuse a polynomial through strict_int, by design
+    for module in ("jacstab.divisors", "jacstab.pushforward"):
+        monkeypatch.setattr(importlib.import_module(module), name, check)
+
+
+@pytest.mark.parametrize("g, n", [(g, n) for g in range(1, 4) for n in range(1, 6)])
+def test_derive_theta_is_closed_as_polynomials_in_the_twist(monkeypatch, g, n):
+    # tau_1..tau_{n-1} and k are free, tau_n = k(2g-2) - sum of the others:
+    # one comparison covers every twist of this (g, n)
+    _no_twist_check(monkeypatch, "_check_tau_theta", lambda g, n, tau, k: list(tau))
+    *tau, k = _variables(n)
+    tau.append(k * (2 * g - 2) - sum(tau))
+    derived = theta_via_pushforward(g, n, tau, k)
+    assert derived == theta_pullback(g, n, tau, k)
+    assert all(type(c) is Poly for c in derived.coeffs.values())
+
+
+@pytest.mark.parametrize("g, n", [(g, n) for g in range(1, 4) for n in range(2, 6)])
+def test_derive_theta_gm1_is_closed_as_polynomials_in_the_twist(monkeypatch, g, n):
+    _no_twist_check(monkeypatch, "_check_tau_gm1", lambda g, n, tau: list(tau))
+    tau = _variables(n - 1)
+    tau.append(g - 1 - sum(tau))
+    derived = theta_gm1_via_pushforward(g, n, tau)
+    assert derived == theta_gm1_pullback(g, n, tau)
+    assert any(type(c) is Poly for c in derived.coeffs.values())
 
 
 # ----------------------------------------------------------------------
