@@ -10,7 +10,9 @@ Multidegree, twister and tau/k JSON payloads take JSON integers only; a float,
 a boolean or a string is rejected with BAD_INPUT.  The comma form ``v1=1,v2=-1``
 is read as text.  Every JSON input, the graph included, is read by
 ``errors.load_json``, so a key repeated in one object is BAD_INPUT, as is a
-vertex repeated in the comma form or in ``--subcurve``.  ``--data`` replaces
+vertex repeated in the comma form or in ``--subcurve``.  A ``--graph`` or
+``--data`` value that starts with ``{`` or ``[`` is inline JSON, any other
+the name of a file (``--graph -`` reads standard input).  ``--data`` replaces
 ``--tau`` and ``--k``, so naming it with either (a non-zero ``--k``) is
 BAD_INPUT.  Its payload is a JSON object whose only keys are ``tau`` and,
 optionally, ``k``: any other key is BAD_INPUT, so a misspelt ``"K"`` is
@@ -21,11 +23,11 @@ Every command is one row of ``COMMANDS`` and every option one entry of
 ``_row_options`` reads a row as its flags, keywords and converters.  ``main``
 reads a plain line (a command, then only its own flags, each once, with
 ordinary values) straight from the table with ``_table_parse``, which gives
-the namespace argparse would.  Any other line, help and usage errors
-included, goes to the argparse tree that ``build_parser`` makes from the same
-rows, built on the first such line and reused; it alone prints help and
-usage messages.  Either parse carries the command's rows in the namespace
-(``rows``); ``main`` runs their converters in row order and calls the
+the attributes of the namespace argparse would.  Any other line, help and
+usage errors included, goes to the argparse tree that ``build_parser`` makes
+from the same rows, built on the first such line and reused; it alone prints
+help and usage messages.  Either parse carries the command's rows in the
+namespace (``rows``); ``main`` runs their converters in row order and calls the
 handler, which returns its exit code, a function building its JSON payload
 and one building its text.  ``main`` builds only the form it prints: the
 text under ``--output text``, else ``_json`` of the payload, the bytes of
@@ -44,38 +46,41 @@ class is computed first, then each delta term fills ``_DELTA_ROW``, so the
 106,480 delta terms of the closed theta at (12,14) never exist as maps
 (``DivisorClass.to_json_dict``) or as one string.  Text answers, ``c1`` and
 ``zero-section-shape`` keep the single-string path.
+
+The import rule: this module imports only ``errors`` and ``stats`` of the
+package, and neither argparse nor dataclasses, so that a one-shot command
+pays only for what it runs.  Each handler and converter imports its layer
+inside the function, when it runs: ``--graph`` loads ``graphs``, ``--pol``
+``stability``, a closed class ``divisors`` and a derived one ``pushforward``
+too.  argparse is imported by ``build_parser`` alone, on the first line that
+is not plain; ``_payload`` imports dataclasses, already loaded by the layer
+that made the record.  The option names ``OPTIONS`` reads (the modes and the
+polarization presets) come from ``errors``, which ``stability`` re-exports.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import os
 import sys
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # the C function where built
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import stats
-from .divisors import theta_pullback, theta_pullback_hain, theta_gm1_pullback, mueller_class
-from .errors import JacstabError, load_json, strict_int, _unique_keys
-from .graphs import DualGraph
-from .pushforward import (c1_twisted_bundle, theta_via_pushforward,
-                          theta_gm1_via_pushforward, exp_truncate)
-from .stability import (MODES, QSTABLE, CANONICAL_ZERO, TRIVIAL_GM1, INDETERMINACY, Polarization,
-                        check_stability, _stable_degrees, is_balanced, locus_membership, threshold)
-from .twister import (twist_multidegree, reduce_treelike, boundary_multidegree, _branch_table,
-                      compact_type_gm1_multidegree)
+from .errors import (CANONICAL_ZERO, MODES, QSTABLE, TRIVIAL_GM1, JacstabError, load_json,
+                     strict_int, _unique_keys)
 
 
 def _read_json_arg(value: str, what: str) -> str:
-    """Inline JSON as given, else the text of the file it names.
+    """Inline JSON (a value starting with ``{`` or ``[``) as given, else the text of
+    the file it names.
 
     A missing file, one that cannot be read (a directory, say), one that is
     not UTF-8 and a name the system refuses (too long, say) are all BAD_INPUT.
     """
-    if value.lstrip().startswith("{"):
+    if value.lstrip()[:1] in ("{", "["):
         return value
     path = Path(value)
     try:
@@ -86,7 +91,9 @@ def _read_json_arg(value: str, what: str) -> str:
         raise JacstabError("BAD_INPUT", f"cannot read {what} file {value}: {exc}") from exc
 
 
-def _load_graph(source: str, check: bool = True) -> DualGraph:
+def _load_graph(source: str, check: bool = True):
+    from .graphs import DualGraph
+
     text = sys.stdin.read() if source == "-" else _read_json_arg(source, "graph")
     return DualGraph.from_json(text, check=check)
 
@@ -173,15 +180,26 @@ def _chunks(head: str, row: str, sep: str, tail: str,
 # Each handler gets its options already converted by their OPTIONS entries
 # and returns (exit code, a function of no arguments -> JSON payload, one -> text).
 
+# Types that are never a dataclass, which ``_payload`` passes on as they are.
+_JSON_LEAVES = frozenset((str, int, bool, type(None), dict, list))
+
+
 def _payload(value):
     """A result record's JSON form: a dataclass as its fields that are not
     None, a tuple as a list, a Fraction as its text, recursively."""
+    kind = type(value)
+    if kind is tuple:
+        return [_payload(x) for x in value]
+    if kind is Fraction:
+        return str(value)
+    if kind in _JSON_LEAVES:  # never a dataclass; most values of a record end here
+        return value
+    import dataclasses  # loaded already by the layer that made the record
+
     if dataclasses.is_dataclass(value):
         return {field.name: _payload(getattr(value, field.name))
                 for field in dataclasses.fields(value) if getattr(value, field.name) is not None}
-    if type(value) is tuple:
-        return [_payload(x) for x in value]
-    return str(value) if type(value) is Fraction else value
+    return value
 
 
 def _verdict(verdict) -> tuple[int, Callable[[], dict], Callable[[], str]]:
@@ -255,16 +273,22 @@ def cmd_graph_query(args):
 # stability commands
 
 def cmd_stability_threshold(args):
+    from .stability import threshold
+
     value = str(threshold(args.graph, args.pol, args.subcurve))
     return 0, lambda: {"threshold": value}, lambda: value
 
 
 def cmd_stability_check(args):
+    from .stability import check_stability
+
     return _verdict(check_stability(args.graph, args.pol, args.m, args.mode,
                                     basepoint=args.basepoint))
 
 
 def cmd_stability_enumerate(args):
+    from .stability import _stable_degrees
+
     found = _stable_degrees(args.graph, args.pol, args.mode, args.basepoint)
     if not found:
         return 0, lambda: {"count": 0, "multidegrees": []}, lambda: "(none)"
@@ -275,10 +299,14 @@ def cmd_stability_enumerate(args):
 
 
 def cmd_stability_balanced(args):
+    from .stability import is_balanced
+
     return _verdict(is_balanced(args.graph, *_resolve_tau_k(args)))
 
 
 def cmd_stability_locus(args):
+    from .stability import INDETERMINACY, locus_membership
+
     result = locus_membership(args.graph, *_resolve_tau_k(args))
     return (0 if result != INDETERMINACY else 1), lambda: {"locus": result}, lambda: result
 
@@ -287,11 +315,15 @@ def cmd_stability_locus(args):
 # twister commands
 
 def cmd_twist_apply(args):
+    from .twister import twist_multidegree
+
     m = twist_multidegree(args.graph, args.gamma)
     return 0, lambda: {"multidegree": m}, lambda: _multidegree_text(m)
 
 
 def cmd_twist_reduce(args):
+    from .twister import reduce_treelike
+
     result = reduce_treelike(args.graph, args.m, root=args.root)
     return (0, lambda: _payload(result),
             lambda: "gamma: " + _multidegree_text(result.gamma) + "\n"
@@ -300,6 +332,8 @@ def cmd_twist_reduce(args):
 
 
 def cmd_twist_coefficients(args):
+    from .twister import _branch_table
+
     _, table, _ = _branch_table(args.graph, *_resolve_tau_k(args), args.basepoint)
     entries = [{"edge": list(edge), "branch": sorted(side), "coefficient": c}
                for edge, (side, c) in table.items()]  # in sorted edge order
@@ -309,6 +343,8 @@ def cmd_twist_coefficients(args):
 
 
 def cmd_twist_boundary(args):
+    from .twister import boundary_multidegree
+
     m = boundary_multidegree(args.graph, *_resolve_tau_k(args), basepoint=args.basepoint)
     return (0, lambda: {"multidegree": m, "zero": all(v == 0 for v in m.values())},
             lambda: _multidegree_text(m))
@@ -319,34 +355,48 @@ def cmd_twist_boundary(args):
 
 def cmd_class_theta(args):
     if args.method == "closed":
+        from .divisors import theta_pullback
         return _divisor_class(theta_pullback(args.g, args.n, args.tau, args.k))
     if args.method == "derive":
+        from .pushforward import theta_via_pushforward
         return _divisor_class(theta_via_pushforward(args.g, args.n, args.tau, args.k))
     if args.k != 0:
         raise JacstabError("BAD_INPUT", "the hain method is the k = 0 case")
+    from .divisors import theta_pullback_hain
     return _divisor_class(theta_pullback_hain(args.g, args.n, args.tau))
 
 
 def cmd_class_theta_gm1(args):
-    method = theta_gm1_pullback if args.method == "closed" else theta_gm1_via_pushforward
+    if args.method == "closed":
+        from .divisors import theta_gm1_pullback as method
+    else:
+        from .pushforward import theta_gm1_via_pushforward as method
     return _divisor_class(method(args.g, args.n, args.tau))
 
 
 def cmd_class_mueller(args):
+    from .divisors import mueller_class
+
     return _divisor_class(mueller_class(args.g, args.n, args.tau,
                                         include_empty=not args.exclude_empty))
 
 
 def cmd_class_c1(args):
+    from .pushforward import c1_twisted_bundle
+
     return _class(c1_twisted_bundle(args.g, args.n, args.tau, args.k))
 
 
 def cmd_class_compact_type(args):
+    from .twister import compact_type_gm1_multidegree
+
     m = compact_type_gm1_multidegree(args.graph, basepoint=args.basepoint)
     return 0, lambda: {"multidegree": m}, lambda: _multidegree_text(m)
 
 
 def cmd_class_zero_section_shape(args):
+    from .pushforward import exp_truncate
+
     return _class(exp_truncate(args.g))
 
 
@@ -354,8 +404,6 @@ def cmd_class_zero_section_shape(args):
 # selftest
 
 def cmd_selftest(args):
-    # imported here so that no other command loads the suite, its oracles
-    # and its corpus
     from .selftest import run
 
     seed = args.seed
@@ -375,13 +423,19 @@ def cmd_selftest(args):
 # ----------------------------------------------------------------------
 # command table
 
+def _polarization(name: str):
+    from .stability import Polarization
+
+    return Polarization.preset(name)
+
+
 # Every option once, as ``add_argument`` keywords plus, under "convert", the
 # function that turns its string into the value the handlers read.
 OPTIONS = {
     "--graph": {"required": True, "convert": _load_graph},
     "--subcurve": {"required": True, "convert": _parse_subcurve},
     "--pol": {"default": CANONICAL_ZERO, "choices": (CANONICAL_ZERO, TRIVIAL_GM1),
-              "convert": Polarization.preset},
+              "convert": _polarization},
     "--mode": {"default": QSTABLE, "choices": MODES},
     "--m": {"required": True, "convert": lambda value: _parse_int_map(value, "multidegree")},
     "--gamma": {"required": True, "help": "'v1=0,v2=1' or JSON object",
@@ -472,8 +526,10 @@ def _row_options(options) -> list[tuple[str, str, dict, Callable | None]]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """A fresh argparse tree for every command of COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="jacstab",
         description="dual-graph stability, twister reduction and divisor-class calculator")
@@ -490,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table_parse(argv: list[str]) -> argparse.Namespace | None:
-    """``build_parser().parse_args(argv)`` of a plain line, read from COMMANDS; else None.
+def _table_parse(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` of a plain line, read from COMMANDS, as a
+    ``SimpleNamespace`` of the same attributes; else None.
 
     A line is plain when it is a command of COMMANDS followed only by flags of
     its row (``--output`` included), each at most once, as ``--flag value`` or
@@ -543,10 +600,10 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
     for _, dest, keywords, _ in rows:
         names[dest] = given.get(dest, keywords.get(
             "default", False if keywords.get("action") == "store_true" else None))
-    return argparse.Namespace(**names, func=func, rows=rows)
+    return SimpleNamespace(**names, func=func, rows=rows)
 
 
-def _fallback_parse(argv: list[str]) -> argparse.Namespace:
+def _fallback_parse(argv: list[str]):
     """``parse_args`` of a line that is not plain, on the tree built once.
 
     argparse (Python 3.11 among others) hands an option written ``--opt=--``
@@ -584,7 +641,7 @@ def _attach_tau(argv: list[str]) -> list[str]:
 
 # Built by the first main() call, not at import, and never changed afterwards:
 # parse_args reads the tree and returns a new namespace for each call.
-_parser: argparse.ArgumentParser | None = None
+_parser = None
 
 
 def _json(value, indent: str = "\n") -> str:

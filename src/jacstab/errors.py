@@ -6,6 +6,10 @@ accepts a genuine ``int`` only, never coerced, and ``exact`` an ``int`` or a
 ``_unique_keys`` is its rule that no object, and no comma-form map, names a
 key twice.  ``check_twist`` reads a twist vector against a total,
 ``check_tau`` against k(2g-2), for graphs and classes.
+
+The names of the stability modes and of the polarization presets are defined
+here, where the CLI's option table can read them without loading a layer;
+``stability`` re-exports them under the same names.
 """
 
 from __future__ import annotations
@@ -13,6 +17,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from typing import Callable, Iterable
+
+SEMISTABLE = "semistable"
+STABLE = "stable"
+QSTABLE = "qstable"
+MODES = (SEMISTABLE, STABLE, QSTABLE)
+
+CANONICAL_ZERO = "canonical0"
+TRIVIAL_GM1 = "trivial-gm1"
 
 
 class JacstabError(Exception):

@@ -36,16 +36,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from . import stats
-from .errors import JacstabError, check_tau, exact, strict_int
+from .errors import (CANONICAL_ZERO, MODES, QSTABLE, SEMISTABLE, STABLE, TRIVIAL_GM1,
+                     JacstabError, check_tau, exact, strict_int)
 from .graphs import DualGraph, Level
-
-SEMISTABLE = "semistable"
-STABLE = "stable"
-QSTABLE = "qstable"
-MODES = (SEMISTABLE, STABLE, QSTABLE)
-
-CANONICAL_ZERO = "canonical0"
-TRIVIAL_GM1 = "trivial-gm1"
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from jacstab import (DualGraph, Polarization, c1_twisted_bundle, enumerate_stabl
                      theta_via_pushforward)
 from jacstab.corpus import random_connected_graph, random_tau
 from jacstab.pushforward import PUSH_RULES
-from jacstab import cli, selftest, stats, twister
+from jacstab import cli, selftest, stability, stats, twister
 from jacstab.cli import main
 from jacstab.selftest import run as selftest_run
 from common import banana, two_vertex_tree, path3, tree_with_loop, single_vertex
@@ -321,6 +321,10 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
         {"vertices": [{"id": "a", "genus": 0, "legs": [1, 3]}, {"id": "b", "genus": 1, "legs": [2]}],
          "edges": [["a", "b"]]}), "--data", '{"z": 0, "tau": [1, -1, 0], "K": 1}'], None,
      "unknown key 'K' in tau/k payload"),
+    (["stability", "balanced", "--graph", BANANA, "--data", "[1,2]"], None,
+     "malformed tau/k payload: list indices must be integers or slices, not str"),
+    (["graph", "classify", "--graph", "[1]"], None,
+     "malformed graph JSON: list indices must be integers or slices, not str"),
     (["stability", "check", "--graph", BANANA, "--m", "v1"], None,
      "malformed multidegree entry 'v1'"),
     (["stability", "check", "--graph", BANANA, "--m", "v1=1=2"], None,
@@ -330,7 +334,8 @@ def test_data_excludes_tau_and_k(capsys, command, flags):
 ], ids=["tau-length", "tau-not-integer", "hain-nonzero-k", "seed-not-integer",
         "subcurve-unknown-vertex", "threshold-unknown-vertex", "edge-not-a-pair",
         "graph-file-not-found", "data-without-tau", "data-tau-not-a-list", "data-unknown-key",
-        "m-without-value", "m-two-values", "gamma-not-integer"])
+        "data-inline-list", "graph-inline-list", "m-without-value", "m-two-values",
+        "gamma-not-integer"])
 def test_refusal_names_the_bad_input(capsys, monkeypatch, argv, seed, message):
     if seed is not None:
         monkeypatch.setenv("JACSTAB_SEED", seed)
@@ -340,7 +345,8 @@ def test_refusal_names_the_bad_input(capsys, monkeypatch, argv, seed, message):
 
 @pytest.mark.parametrize("text", ['[[1, -1], 0]', '"tau"', "null", "7"])
 def test_data_that_is_not_an_object_is_refused(tmp_path, capsys, text):
-    # only a file can hold one: an inline payload is read as JSON when it starts with "{"
+    # an inline payload is read as JSON when it starts with "{" or "[", so only a
+    # file can hold the string, the null and the number
     data = tmp_path / "tau.json"
     data.write_text(text)
     code, payload = run_json(capsys, "stability", "balanced", "--graph", BANANA,
@@ -396,7 +402,8 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_stable_degrees", broken)
+    # the handler imports the search from its layer when it runs
+    monkeypatch.setattr(stability, "_stable_degrees", broken)
     code = main(["stability", "enumerate", "--graph", BANANA, "--output", "text"])
     captured = capsys.readouterr()
     assert code == 3
@@ -515,7 +522,7 @@ def test_renderer_refuses_what_is_not_a_payload(capsys, monkeypatch, value):
     with pytest.raises(TypeError):
         cli._json(value)
     # an answer that is not a payload is a defect: exit 3, rendered by the same function
-    monkeypatch.setattr(cli, "locus_membership", lambda *args, **kwargs: value)
+    monkeypatch.setattr(stability, "locus_membership", lambda *args, **kwargs: value)
     code, payload = run_json(capsys, "stability", "locus", "--graph", BANANA,
                              "--tau", "0,0", "--k", "0")
     assert code == 3 and payload["error"] == "INTERNAL"
