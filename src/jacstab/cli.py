@@ -44,8 +44,11 @@ exist as one string or as a map per row.  The JSON of a divisor class
 (``class theta``, ``theta-gm1`` and ``mueller``) is chunked the same way: the
 class is computed first, then each delta term fills ``_DELTA_ROW``, so the
 106,480 delta terms of the closed theta at (12,14) never exist as maps
-(``DivisorClass.to_json_dict``) or as one string.  Text answers, ``c1`` and
-``zero-section-shape`` keep the single-string path.
+(``DivisorClass.to_json_dict``) or as one string.  A row's leg list comes
+from ``_LEG_LISTS``, which renders each list A once per process: at most
+2^n texts for the largest n printed, fewer than the boundary indices the
+same answer leaves in ``divisors._canonical_indices``.  Text answers, ``c1``
+and ``zero-section-shape`` keep the single-string path.
 
 The import rule: this module imports only ``errors`` and ``stats`` of the
 package, and neither argparse nor dataclasses, so that a one-shot command
@@ -223,16 +226,23 @@ def _divisor_class(cls) -> tuple[int, Callable[[], Iterator[str]], Callable[[], 
 _DELTA_ROW = '{\n      "A": %s,\n      "c": "%s",\n      "h": %d\n    }'
 
 
+# The JSON text of each leg list A printed so far, as an item of a delta row,
+# kept for the process: at most 2^n entries for the largest n printed.
+_LEG_LISTS: dict[tuple[int, ...], str] = {}
+
+
 def _divisor_json(cls) -> Iterator[str]:
     """``_json(cls.to_json_dict())`` in chunks: each delta term, in printed order, fills
-    ``_DELTA_ROW``, its leg list rendered once per distinct A."""
-    legs: dict[tuple[int, ...], str] = {}
+    ``_DELTA_ROW``, its leg list rendered once per process (``_LEG_LISTS``)."""
+    legs, coeffs = _LEG_LISTS, cls.coeffs
     rows = []
-    for key in sorted(key for key in cls.coeffs if key[0] == "delta"):
+    for key in sorted(key for key in coeffs if key[0] == "delta"):
         _, h, A = key
-        if A not in legs:
-            legs[A] = "[" + ",".join("\n        %d" % i for i in A) + "\n      ]" if A else "[]"
-        rows.append((legs[A], cls.coeffs[key], h))
+        text = legs.get(A)
+        if text is None:
+            text = legs[A] = ("[\n        " + ",\n        ".join(map(str, A)) + "\n      ]"
+                              if A else "[]")
+        rows.append((text, coeffs[key], h))
     # "delta" sorts before the other keys, so the rest of the payload is the tail
     rest = _json({"delta_irr": str(cls.delta_irr), "kappa1t": str(cls.kappa1t),
                   "lambda1": str(cls.lambda1), "psi": {str(i): str(c) for i, c in cls.psi.items()}})

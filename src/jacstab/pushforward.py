@@ -35,10 +35,16 @@ forms every term of a product: it splits each factor (a square once) into
 its constant, D_i, K, B_{h,A} and degree-2 parts.  When both factors have a
 degree-1 part it pairs their coefficients index by index in the factors' own
 key order and sends each non-zero family term (D_i*B_{h,A} by a loop over
-the legs i of each A) through its row of ``rules`` into a sum per head.
-Then each constant times each term of the other factor goes through the row
-of that term's tag, or to zero when ``rules`` names no such row; the walk
-drops the sums that cancel.  Its work grows with the family terms, and with
+the legs i of each A) through its row of ``rules``.  The terms of one
+B_{h,A} whose rows return the same head one after another form a run, which
+the walk sums in a local and adds to that head's sum once, when a row
+returns another head or the index ends; under ``PUSH_RULES`` all of them land
+on delta_{h,A}, so each (h, A) costs one update of the sums instead of
+2 + |A|.  Then each constant times each term of the other factor goes
+through the row of that term's tag, or to zero when ``rules`` names no such
+row, each term its own update.  A run that sums to 0 is still written, so
+each head keeps the place of its first term, and the walk drops the sums
+that cancel at the end.  Its work grows with the family terms, and with
 the terms of a factor whose partner has a constant.  ``push_product(a, b)``
 is the walk with ``PUSH_RULES`` and then the one fold,
 ``divisors._fold_checked``, which folds the summed heads to canonical keys
@@ -208,13 +214,19 @@ PUSH_RULES = {
 _IDENTITY = {tag: lambda *index, tag=tag: ((tag, *index), 1) for tag in FiberClass._TAGS}
 
 
-def _walk(a: FiberClass, b: FiberClass, rules: Mapping) -> tuple[dict[tuple, Exact], int]:
-    """a*b through ``rules``: (the non-zero sums per head, number of terms).
+def _walk(a: FiberClass, b: FiberClass,
+          rules: Mapping) -> tuple[dict[tuple, Exact], int, int]:
+    """a*b through ``rules``: (the non-zero sums per head, number of terms,
+    number of updates of the sums).
 
     Each non-zero term of the five families of the module docstring, then
     each constant times each term of the other factor (the two constants'
     product once), goes through its ``rules`` row, a (head, factor) pair,
     into a sum per head; a term whose tag ``rules`` does not name is zero.
+    The family terms of one (h, A) are summed in runs of equal heads, each
+    run added to its head's sum once, a run that sums to 0 included, so the
+    sums keep the key order of a term-by-term accumulation; every other term
+    is an update of its own.
     No family term is formed unless both factors have a degree-1 part, and
     the degree refusal comes before any term.  The family coefficients are
     paired index by index in a's key order, then b's (``_pair``), and
@@ -227,50 +239,70 @@ def _walk(a: FiberClass, b: FiberClass, rules: Mapping) -> tuple[dict[tuple, Exa
     if (a2 and (b1 or b2)) or (b2 and a1):
         raise JacstabError("BAD_INPUT", "fiber classes only carry degrees up to 2")
     sums: dict[tuple, Exact] = {}
-    terms = 0
+    get = sums.get
+    terms = updates = 0
     if a1 and b1:  # then neither factor has a degree-2 part
         D = _pair(aD, bD)
+        in_D = D.get
         D2, K2, B2, DB, KB = (rules[tag] for tag in ("D2", "K2", "B2", "DB", "KB"))
         c = aK * bK
         if c:
             head, factor = K2()
             sums[head] = c * factor
-            terms += 1
+            terms = updates = 1
         for i, (x, y) in D.items():
             c = x * y - x * bK - aK * y  # K*D_i = -D_i^2
             if c:
                 head, factor = D2(i)
-                sums[head] = sums.get(head, 0) + c * factor
+                sums[head] = get(head, 0) + c * factor
                 terms += 1
+                updates += 1
         for (h, A), (x, y) in _pair(aB, bB).items():
+            # a run of terms with equal heads is summed here and written once
+            run_head, run = None, 0
             for rule, c in ((B2, x * y), (KB, x * bK + aK * y)):
                 if c:
                     head, factor = rule(h, A)
-                    sums[head] = sums.get(head, 0) + c * factor
+                    if head != run_head:
+                        if run_head is not None:
+                            sums[run_head] = get(run_head, 0) + run
+                            updates += 1
+                        run_head, run = head, 0
+                    run += c * factor
                     terms += 1
             for i in A:  # D_i*B_{h,A} = 0 for i not in A
-                if i in D:
-                    s, t = D[i]
-                    c = s * y + x * t
+                st = in_D(i)
+                if st:
+                    c = st[0] * y + x * st[1]
                     if c:
                         head, factor = DB(i, h, A)
-                        sums[head] = sums.get(head, 0) + c * factor
+                        if head != run_head:
+                            if run_head is not None:
+                                sums[run_head] = get(run_head, 0) + run
+                                updates += 1
+                            run_head, run = head, 0
+                        run += c * factor
                         terms += 1
+            if run_head is not None:
+                sums[run_head] = get(run_head, 0) + run
+                updates += 1
     if a0:  # a's constant times each term of b
         for key, c in b.coeffs.items():
             rule = rules.get(key[0])
             if rule:
                 head, factor = rule(*key[1:])
-                sums[head] = sums.get(head, 0) + a0 * c * factor
+                sums[head] = get(head, 0) + a0 * c * factor
                 terms += 1
+                updates += 1
     if b0:  # b's constant times each term of a but a's constant, counted above
         for key, c in a.coeffs.items():
             rule = rules.get(key[0])
             if rule and key != ("const",):
                 head, factor = rule(*key[1:])
-                sums[head] = sums.get(head, 0) + b0 * c * factor
+                sums[head] = get(head, 0) + b0 * c * factor
                 terms += 1
-    return {head: c for head, c in sums.items() if c}, terms
+                updates += 1
+    return {head: c for head, c in sums.items() if c}, terms, updates
 
 
 def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
@@ -279,8 +311,9 @@ def push_product(a: FiberClass, b: FiberClass) -> DivisorClass:
     The walk with ``PUSH_RULES``, then the one fold; degree <= 1 terms push
     to zero.  The refusals are ``mul_raw``'s.
     """
-    pushed, terms = _walk(a, b, PUSH_RULES)
+    pushed, terms, updates = _walk(a, b, PUSH_RULES)
     stats.COUNTS["pushforward.pushed_terms"] += terms
+    stats.COUNTS["pushforward.sum_updates"] += updates
     return _fold_checked(a.g, a.n, pushed.items())
 
 

@@ -10,6 +10,10 @@ each c1 class built.  ``COUNTS["pushforward.pushed_terms"]`` is the number of
 degree-2 terms that :func:`~jacstab.pushforward.pushforward` or
 :func:`~jacstab.pushforward.push_product` applied a ``PUSH_RULES`` row to: for
 the fused push, the non-zero family terms the product would hold.
+``COUNTS["pushforward.sum_updates"]`` is the number of updates of the walk's
+sums per head in those pushes: the walk sums a run of consecutive terms with
+equal heads before it writes the run once, so under ``PUSH_RULES`` one
+boundary index (h, A) costs one update, not one per term.
 ``COUNTS["divisors.fold_terms"]`` is the number of terms the one fold of
 divisor classes received: every term that
 :func:`~jacstab.divisors.canonicalize` receives, and every non-zero sum per

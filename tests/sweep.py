@@ -7,7 +7,7 @@ moves an area on purpose names the area and the reason.  Run it from
 anywhere, with no pytest and nothing on ``PYTHONPATH``: it imports the
 ``jacstab`` of the tree it lives in.
 
-    python tests/sweep.py [area ...]      # every area when none is named
+    python tests/sweep.py [--types] [area ...]      # every area when none is named
 
 It prints each area's SHA-256 and its record count.  The areas:
 
@@ -25,8 +25,14 @@ It prints each area's SHA-256 and its record count.  The areas:
   or the refusal's code and message.
 
 Only printed text is hashed, so an ``int`` and an equal ``Fraction`` hash
-alike; the tests pin coefficient types where they matter.  The digests do
-not depend on ``PYTHONHASHSEED`` or on the Python version (3.10 to 3.13).
+alike.  ``--types`` also hashes the type name of each coefficient, with the
+classes' keys in their order in ``coeffs``: in ``product``, of every result;
+in ``class``, of the library class behind each ``theta`` and ``theta-gm1``
+line (``theta_pullback``, ``theta_pullback_hain``, ``theta_via_pushforward``,
+``theta_gm1_pullback`` and ``theta_gm1_via_pushforward``), one record per
+line after its two outputs.  Without the flag the records are those of the
+plain sweep.  The digests do not depend on ``PYTHONHASHSEED`` or on the
+Python version (3.10 to 3.13).
 pytest does not collect this file: its name does not match ``test_*``.
 """
 
@@ -42,11 +48,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from jacstab import JacstabError  # noqa: E402
+from jacstab import (JacstabError, theta_gm1_pullback, theta_gm1_via_pushforward,  # noqa: E402
+                     theta_pullback, theta_pullback_hain, theta_via_pushforward)
 from jacstab.cli import main  # noqa: E402
 from jacstab.pushforward import FiberClass, push_product, pushforward  # noqa: E402
 
 SEED = 2036
+
+# Set by ``--types``: the records also carry each coefficient's type and key order.
+TYPES = False
+
+
+def _typed(cls) -> list:
+    """(key, coefficient type name) of each term of ``cls``, in its ``coeffs`` order."""
+    return [[repr(key), type(c).__name__] for key, c in cls.coeffs.items()]
 
 
 # ----------------------------------------------------------------------
@@ -61,34 +76,46 @@ def _tau(rng: random.Random, n: int, total: int) -> list[int]:
     return tau
 
 
-def _class_lines(rng: random.Random) -> list[list[str]]:
+def _class_lines(rng: random.Random) -> list[tuple[list[str], tuple | None]]:
+    """(argv, the library call behind a theta or theta-gm1 line as (function,
+    arguments), else None)."""
     lines = []
     for _ in range(400):
         g, n, k = rng.randint(0, 5), rng.randint(0, 6), rng.randint(-2, 2)
         space = ["--g", str(g), "--n", str(n)]
-        tau = "--tau=" + ",".join(map(str, _tau(rng, n, k * (2 * g - 2))))
-        tau0 = "--tau=" + ",".join(map(str, _tau(rng, n, 0)))
-        gm1 = "--tau=" + ",".join(map(str, _tau(rng, n, g - 1)))
-        lines += [["class", "theta", *space, tau, f"--k={k}", "--method", method]
-                  for method in ("closed", "derive")]
-        lines.append(["class", "theta", *space, tau0, "--method", "hain"])
-        lines += [["class", "theta-gm1", *space, gm1, "--method", method]
-                  for method in ("closed", "derive")]
-        lines += [["class", "mueller", *space, gm1], ["class", "mueller", *space, gm1,
-                                                      "--exclude-empty"]]
-        lines.append(["class", "c1", *space, tau, f"--k={k}"])
-    lines += [["class", "zero-section-shape", "--g", str(g)] for g in range(0, 9)]
+        tau, tau0, gm1 = (_tau(rng, n, total) for total in (k * (2 * g - 2), 0, g - 1))
+        arg_tau, arg_tau0, arg_gm1 = ("--tau=" + ",".join(map(str, t)) for t in (tau, tau0, gm1))
+        lines += [(["class", "theta", *space, arg_tau, f"--k={k}", "--method", method],
+                   (function, (g, n, tau, k)))
+                  for method, function in (("closed", theta_pullback),
+                                           ("derive", theta_via_pushforward))]
+        lines.append((["class", "theta", *space, arg_tau0, "--method", "hain"],
+                      (theta_pullback_hain, (g, n, tau0))))
+        lines += [(["class", "theta-gm1", *space, arg_gm1, "--method", method],
+                   (function, (g, n, gm1)))
+                  for method, function in (("closed", theta_gm1_pullback),
+                                           ("derive", theta_gm1_via_pushforward))]
+        lines += [(["class", "mueller", *space, arg_gm1], None),
+                  (["class", "mueller", *space, arg_gm1, "--exclude-empty"], None)]
+        lines.append((["class", "c1", *space, arg_tau, f"--k={k}"], None))
+    lines += [(["class", "zero-section-shape", "--g", str(g)], None) for g in range(0, 9)]
     return lines
 
 
 def _class_records():
-    for argv in _class_lines(random.Random(SEED)):
+    for argv, call in _class_lines(random.Random(SEED)):
         for output in ("json", "text"):
             line = [*argv, "--output", output]
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = main(line)
             yield [line, code, out.getvalue()]
+        if TYPES and call:
+            function, args = call
+            try:
+                yield [argv, "types", _typed(function(*args))]
+            except JacstabError as exc:
+                yield [argv, "types", "refused", exc.code]
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +172,8 @@ def _outcome(compute) -> list:
     except JacstabError as exc:
         return ["refused", exc.code, str(exc)]
     return [cls.text(), json.dumps(cls.to_json_dict(), sort_keys=True),
-            [[repr(key), str(c)] for key, c in sorted(cls.coeffs.items())]]
+            [[repr(key), str(c)] for key, c in sorted(cls.coeffs.items())],
+            *([_typed(cls)] if TYPES else [])]
 
 
 def _pair_records(name: str, a: FiberClass, b: FiberClass):
@@ -183,6 +211,9 @@ def digest(area: str) -> tuple[str, int]:
 
 
 def run(names: list[str]) -> int:
+    global TYPES
+    TYPES = "--types" in names
+    names = [name for name in names if name != "--types"]
     unknown = [name for name in names if name not in AREAS]
     if unknown:
         print(f"unknown area {unknown[0]!r}; the areas are {', '.join(AREAS)}", file=sys.stderr)

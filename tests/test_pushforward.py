@@ -251,6 +251,87 @@ def test_push_product_refuses_what_mul_raw_refuses():
         assert got.value.code == "BAD_INPUT"
 
 
+# A rule table whose heads interleave within one (h, A) and recur across the
+# boundary indices: B2 and the DB rows of odd i land on ("b", h), shared by
+# every A, KB on ("kb", h), and the DB rows of even i on ("e", i).
+INTERLEAVED_RULES = {
+    "D2": lambda i: (("d", i % 2), 1),
+    "K2": lambda: (("k",), 1),
+    "B2": lambda h, A: (("b", h), 1),
+    "KB": lambda h, A: (("kb", h), 2),
+    "DB": lambda i, h, A: (("b", h), -1) if i % 2 else (("e", i), 1),
+}
+
+
+def walk_terms(a: FiberClass, b: FiberClass) -> list[tuple[str, tuple, int, tuple | None]]:
+    """The walk's non-zero terms in its order, as (tag, index, coefficient, boundary
+    index): the family terms of one (h, A) carry it, every other term None."""
+    def paired(tag):
+        out = {key[1:]: (c, b.coeffs.get(key, 0)) for key, c in a.coeffs.items() if key[0] == tag}
+        out.update((key[1:], (0, c)) for key, c in b.coeffs.items()
+                   if key[0] == tag and key not in a.coeffs)
+        return out
+
+    aK, bK = a.coeffs.get(("K",), 0), b.coeffs.get(("K",), 0)
+    D, B = paired("D"), paired("B")
+    terms = []
+    if all(any(key[0] in ("D", "K", "B") for key in f.coeffs) for f in (a, b)):
+        terms += [("K2", (), aK * bK, None)]
+        terms += [("D2", (i,), x * y - x * bK - aK * y, None) for (i,), (x, y) in D.items()]
+        for (h, A), (x, y) in B.items():
+            terms += [("B2", (h, A), x * y, (h, A)), ("KB", (h, A), x * bK + aK * y, (h, A))]
+            terms += [("DB", (i, h, A), D[(i,)][0] * y + x * D[(i,)][1], (h, A))
+                      for i in A if (i,) in D]
+    for const, other in ((a.coeffs.get(("const",), 0), b), (b.coeffs.get(("const",), 0), a)):
+        terms += [(key[0], key[1:], const * c, None) for key, c in other.coeffs.items()
+                  if const and key[0] in INTERLEAVED_RULES and not (other is a and key == ("const",))]
+    return [term for term in terms if term[2]]
+
+
+def test_walk_writes_each_run_of_equal_heads_once():
+    # The walk sums the consecutive terms of one (h, A) that share a head and
+    # writes each run once, a run that sums to 0 included: the sums, their key
+    # order and the counts equal an accumulation term by term.
+    walk = importlib.import_module("jacstab.pushforward")._walk
+    rng = random.Random(38)
+    seen = Counter()
+    for _ in range(1000):
+        g, n = rng.randint(1, 2), rng.randint(2, 4)
+        boundary = [(h, A) for h in range(g + 1) for r in range(1, n + 1)
+                    for A in combinations(range(1, n + 1), r)]
+
+        def fiber(keys):
+            return FiberClass(g, n, {key: rng.choice([-1, 1, 1, 2]) for key in keys})
+
+        linear = ([("D", i) for i in range(1, n + 1)] + [("K",)] * rng.randint(0, 1)
+                  + [("B", h, A) for h, A in rng.sample(boundary, 4)])
+        a = fiber(rng.sample(linear, rng.randint(1, len(linear))) + [("const",)] * rng.randint(0, 1))
+        b = a if rng.random() < 0.2 else fiber(rng.sample(linear, rng.randint(1, len(linear))))
+        if rng.random() < 0.2:  # a constant against degree-2 terms: no family term
+            a, b = fiber([("const",)]), a * b
+        # one update per term in the walk's order, and the runs: [(h, A) and head,
+        # sum, whether the run is its head's first]
+        want, runs = {}, []
+        for tag, index, c, hA in walk_terms(a, b):
+            head, factor = INTERLEAVED_RULES[tag](*index)
+            if hA and runs and runs[-1][0] == (hA, head):
+                runs[-1][1] += c * factor
+            else:
+                runs.append([(hA, head), c * factor, head not in want])
+            want[head] = want.get(head, 0) + c * factor
+        got, terms, updates = walk(a, b, INTERLEAVED_RULES)
+        assert list(got.items()) == [(head, c) for head, c in want.items() if c]
+        assert (terms, updates) == (len(walk_terms(a, b)), len(runs))
+        seen["terms"] += terms
+        seen["runs"] += updates
+        seen["heads that cancel"] += sum(c == 0 for c in want.values())
+        # a run that sums to 0 and places a head that survives: skipped, the head would move
+        seen["zero-sum first runs"] += sum(s == 0 and first and want[head] != 0
+                                           for (_, head), s, first in runs)
+    assert seen["runs"] < seen["terms"], seen
+    assert seen["heads that cancel"] >= 50 and seen["zero-sum first runs"] >= 20, seen
+
+
 def test_fiber_constructor_sorts_legs_and_adds_equal_keys():
     unsorted = FiberClass(2, 2, {("B", 1, (2, 1)): 1})
     assert unsorted == FiberClass.boundary(2, 2, 1, (1, 2))
@@ -417,14 +498,20 @@ def test_each_derivation_multiplies_and_pushes_once(monkeypatch):
     def no_product(*args):
         raise AssertionError("a derivation formed a product")
 
+    # the sums are updated once per head: the terms of one (h, A) all land on delta_{h,A}
+    heads = [{PUSH_RULES[key[0]](*key[1:])[0] for key in product.coeffs}
+             for _, _, product, _ in cases]
     monkeypatch.setattr(FiberClass, "mul_raw", no_product)
     monkeypatch.setattr(FiberClass, "__mul__", no_product)
-    names = ("pushforward.c1_terms", "pushforward.pushed_terms", "divisors.fold_terms")
-    for (derive, c1, product, extra), push in zip(cases, pushed):
+    names = ("pushforward.c1_terms", "pushforward.pushed_terms", "pushforward.sum_updates",
+             "divisors.fold_terms")
+    for (derive, c1, product, extra), push, touched in zip(cases, pushed, heads):
         before = {name: stats.COUNTS[name] for name in names}
         derive()
         counts = [stats.COUNTS[name] - before[name] for name in names]
-        assert counts == [len(c1.coeffs), len(product.coeffs), len(push.coeffs) + extra]
+        assert counts == [len(c1.coeffs), len(product.coeffs), len(touched),
+                          len(push.coeffs) + extra]
+        assert len(push.coeffs) <= len(touched) < len(product.coeffs)
 
 
 def test_derived_classes_hold_their_delta_keys_in_printed_order():
